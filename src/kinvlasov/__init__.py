@@ -42,16 +42,13 @@ from .fields import (  # noqa: F401
     wave_step,
 )
 from .forces import (  # noqa: F401
-    lorentz_factor,
     modified_force,
     standard_force,
     velocity_from_momentum,
 )
 from .grid import PhaseSpaceGrid, build_grid  # noqa: F401
 from .moments import (  # noqa: F401
-    MomentSet,
     charge_density,
-    compute_moments,
     continuity_residual,
     current_density,
     number_density,
@@ -65,9 +62,7 @@ from .state import (  # noqa: F401
     initialize_state,
 )
 from .vlasov import (  # noqa: F401
-    STAGE_ORDER,
     KickDisplacementError,
-    SplittingStage,
     advect_x,
     kick_p,
     step,

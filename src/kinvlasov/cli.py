@@ -3,18 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-
-def _apply_thread_cap() -> None:
-    # KINVLASOV_THREADS caps the numeric backends' thread pools; it must be
-    # exported before numpy loads them, hence before any solver import.
-    cap = os.environ.get("KINVLASOV_THREADS")
-    if cap is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     if args.command == "run":
         from .runner import run_command

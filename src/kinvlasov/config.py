@@ -10,6 +10,9 @@ from dataclasses import dataclass, field, replace
 # this fraction of the peak, so that zero extension beyond the grid is harmless.
 TAIL_RATIO_LIMIT = 1e-12
 
+# Relative tolerance on q_plus + q_minus = 0, the neutrality of the presets.
+NEUTRALITY_RTOL = 1e-12
+
 FORCE_MODES = ("modified", "standard")
 PRESETS = ("free_stream", "landau", "two_stream")
 SPECIES_LABELS = ("plus", "minus")
@@ -124,6 +127,13 @@ def config_violations(config: Config) -> list[str]:
     labels = [s.label for s in config.species]
     if sorted(labels) != sorted(SPECIES_LABELS):
         v.append(f"species labels must be exactly {{plus, minus}} (got {labels})")
+    else:
+        # The presets give both species the same density n0, so the periodic
+        # domain is neutral only if the charges cancel.
+        q_plus, q_minus = config.plus.q, config.minus.q
+        if abs(q_plus + q_minus) > NEUTRALITY_RTOL * max(abs(q_plus), abs(q_minus)):
+            v.append(f"species charges must cancel for a neutral plasma "
+                     f"(plus q = {q_plus}, minus q = {q_minus})")
     for s in config.species:
         if s.m <= 0:
             v.append(f"mass must be positive (species {s.label}: m = {s.m})")

@@ -21,14 +21,9 @@ from .config import Config
 from .fields import WaveLevels, d1_periodic, d2_periodic, field_energy_proxy, gauge_residual
 from .forces import force_field, velocity_from_momentum
 from .grid import PhaseSpaceGrid
-from .moments import (
-    charge_density,
-    continuity_residual,
-    current_density,
-    number_density,
-    particle_flux,
-)
+from .moments import charge_density, continuity_residual, current_density
 from .state import FieldState, SimulationState
+from .vlasov import max_velocity, time_step
 
 
 class InsufficientHistoryError(RuntimeError):
@@ -126,45 +121,21 @@ UNKNOWNS_FULL = {"f+-": 2, "phi,A": 4, "rho,j": 4}
 UNKNOWNS_REDUCED = {"f+-": 2, "phi,A": 2, "rho,j": 2}
 
 
-@dataclass
-class StepSnapshot:
-    """Everything the residual evaluators need from one stored step."""
-
-    step: int
-    time: float
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    fields: FieldState
-    rho: np.ndarray
-    j: np.ndarray
-    n_minus: np.ndarray
-    flux_minus: np.ndarray
-
-
-def snapshot_state(state: SimulationState, config: Config,
-                   grid: PhaseSpaceGrid) -> StepSnapshot:
-    return StepSnapshot(
-        step=state.step,
-        time=state.time,
-        f_plus=state.plus.f,
-        f_minus=state.minus.f,
-        fields=state.fields,
-        rho=state.rho,
-        j=state.j,
-        n_minus=number_density(state.minus.f, grid),
-        flux_minus=particle_flux(state.minus.f, state.minus.m, config.c,
-                                 config.relativistic, grid),
-    )
+def snapshot_state(state: SimulationState) -> SimulationState:
+    """The history entry of a state: the state itself.  States are never
+    mutated (``step`` returns a new one) and already cache the moments the
+    residuals read, so an entry needs no copy and no array work."""
+    return state
 
 
 class StateHistory:
-    """Ring buffer of the three most recent step snapshots."""
+    """Ring buffer of the three most recent states."""
 
     def __init__(self):
         self._snaps = deque(maxlen=3)
 
-    def push(self, snap: StepSnapshot) -> None:
-        self._snaps.append(snap)
+    def push(self, state: SimulationState) -> None:
+        self._snaps.append(state)
 
     @property
     def full(self) -> bool:
@@ -205,6 +176,20 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
     return _l2_phase(residual, grid)
 
 
+def history_residuals(history: StateHistory, config: Config, grid: PhaseSpaceGrid,
+                      dt: float) -> dict:
+    """The kinetic residuals c+, c- and the minus-species continuity residual h,
+    all centered at the middle of the three stored states."""
+    s0, s1, s2 = history.snapshots
+    return {
+        "c+": vlasov_residual(s0.plus.f, s1.plus.f, s2.plus.f, s1.fields,
+                              config.plus.q, config.plus.m, config, grid, dt),
+        "c-": vlasov_residual(s0.minus.f, s1.minus.f, s2.minus.f, s1.fields,
+                              config.minus.q, config.minus.m, config, grid, dt),
+        "h": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, dt).l2,
+    }
+
+
 def residual_report(history: StateHistory, config: Config,
                     grid: PhaseSpaceGrid) -> EquationLedger:
     """Fill the equation ledger from three consecutive steps.
@@ -212,18 +197,15 @@ def residual_report(history: StateHistory, config: Config,
     Kinetic, gauge, and continuity residuals are centered at the middle step;
     the wave-equation residuals are centered between the last two steps (where
     three consecutive field levels are available) with the source interpolated
-    to the level time from the adjacent cached moments.
+    to the level time from the adjacent cached moments.  The history must come
+    from a run of this config, whose step is ``time_step(config, grid)``.
     """
     if not history.full:
         raise InsufficientHistoryError("residual_report needs three stored steps")
     s0, s1, s2 = history.snapshots
-    dt = s1.time - s0.time
+    dt = time_step(config, grid)
     c = config.c
-
-    res_plus = vlasov_residual(s0.f_plus, s1.f_plus, s2.f_plus, s1.fields,
-                               config.plus.q, config.plus.m, config, grid, dt)
-    res_minus = vlasov_residual(s0.f_minus, s1.f_minus, s2.f_minus, s1.fields,
-                                config.minus.q, config.minus.m, config, grid, dt)
+    measured = history_residuals(history, config, grid, dt)
 
     # Wave-equation residuals from the three levels (prev, curr of step 1 plus
     # curr of step 2); sources averaged onto the middle level time.
@@ -245,20 +227,21 @@ def residual_report(history: StateHistory, config: Config,
     ).l2
 
     # Definition checks: moments recomputed from the stored f against the cache.
-    rho_again = charge_density(s1.f_plus, s1.f_minus, config.plus.q,
+    rho_again = charge_density(s1.plus.f, s1.minus.f, config.plus.q,
                                config.minus.q, grid)
-    j_again = current_density(s1.f_plus, s1.f_minus, config.plus.q, config.minus.q,
+    j_again = current_density(s1.plus.f, s1.minus.f, config.plus.q, config.minus.q,
                               config.plus.m, config.minus.m, c,
                               config.relativistic, grid)
-    res_f = _l2_x(rho_again - s1.rho, grid)
-    res_g = _l2_x(j_again - s1.j, grid)
 
-    res_h = continuity_residual(s0.n_minus, s2.n_minus, s1.flux_minus, grid, dt).l2
-    res_h_c = continuity_residual(s0.n_minus, s2.n_minus, s1.flux_minus, grid, dt,
-                                  time_factor=1.0 / c).l2
-
-    measured = {"c+": res_plus, "c-": res_minus, "d1": res_d1, "d2": res_d2,
-                "e": res_e, "f": res_f, "g": res_g, "h": res_h, "h/c": res_h_c}
+    measured.update({
+        "d1": res_d1,
+        "d2": res_d2,
+        "e": res_e,
+        "f": _l2_x(rho_again - s1.rho, grid),
+        "g": _l2_x(j_again - s1.j, grid),
+        "h/c": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, dt,
+                                   time_factor=1.0 / c).l2,
+    })
     entries = [
         LedgerEntry(equation=eq, status=status, residual_l2=measured[eq],
                     reduced_multiplicity=reduced, full_multiplicity=full)
@@ -280,24 +263,18 @@ class ConservedTotals:
 
 def conserved_totals(state: SimulationState, grid: PhaseSpaceGrid,
                      config: Config, dt: float) -> ConservedTotals:
-    cell = grid.dx * grid.dp
-    p_edge = np.max(np.abs(grid.p_nodes))
-    vmax = max(
-        abs(velocity_from_momentum(p_edge, s.m, config.c, config.relativistic))
-        for s in state.species
-    )
     proxy = field_energy_proxy(
         WaveLevels(state.fields.phi_prev, state.fields.phi_curr),
         WaveLevels(state.fields.a_prev, state.fields.a_curr),
         grid, dt, config.c,
     )
     return ConservedTotals(
-        n_total_plus=float(np.sum(state.plus.f) * cell),
-        n_total_minus=float(np.sum(state.minus.f) * cell),
+        n_total_plus=float(np.sum(state.plus.n) * grid.dx),
+        n_total_minus=float(np.sum(state.minus.n) * grid.dx),
         charge_total=float(np.sum(state.rho) * grid.dx),
         current_total=float(np.sum(state.j) * grid.dx),
         field_energy_proxy=proxy,
-        max_abs_v_over_c=vmax / config.c,
+        max_abs_v_over_c=max_velocity(config, grid) / config.c,
     )
 
 
@@ -357,7 +334,7 @@ def _centered_level(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
     return 0.5 * (prev + curr)
 
 
-def snapshot_force(snap: StepSnapshot, config: Config, grid: PhaseSpaceGrid,
+def snapshot_force(snap: SimulationState, config: Config, grid: PhaseSpaceGrid,
                    dt: float, species) -> np.ndarray:
     if not config.forces_enabled:
         return np.zeros((grid.nx, grid.np))
@@ -398,8 +375,8 @@ def compare_runs(run_a, run_b) -> list:
         rows.append(DivergenceRow(
             step=sa.step,
             time=sa.time,
-            f_plus_dist=_l2_phase(sa.f_plus - sb.f_plus, grid),
-            f_minus_dist=_l2_phase(sa.f_minus - sb.f_minus, grid),
+            f_plus_dist=_l2_phase(sa.plus.f - sb.plus.f, grid),
+            f_minus_dist=_l2_phase(sa.minus.f - sb.minus.f, grid),
             phi_dist=_l2_x(phi_a - phi_b, grid),
             a_dist=_l2_x(a_a - a_b, grid),
             force_dist=float(np.sqrt(0.5 * force_sq)),
@@ -421,17 +398,8 @@ def make_record(state: SimulationState, history: StateHistory, config: Config,
         WaveLevels(state.fields.a_prev, state.fields.a_curr),
         grid, dt, config.c,
     ).l2
-    cont = 0.0
-    vlas_plus = 0.0
-    vlas_minus = 0.0
-    if history.full:
-        s0, s1, s2 = history.snapshots
-        cont = continuity_residual(s0.n_minus, s2.n_minus, s1.flux_minus,
-                                   grid, dt).l2
-        vlas_plus = vlasov_residual(s0.f_plus, s1.f_plus, s2.f_plus, s1.fields,
-                                    config.plus.q, config.plus.m, config, grid, dt)
-        vlas_minus = vlasov_residual(s0.f_minus, s1.f_minus, s2.f_minus, s1.fields,
-                                     config.minus.q, config.minus.m, config, grid, dt)
+    centered = (history_residuals(history, config, grid, dt) if history.full
+                else dict.fromkeys(("c+", "c-", "h"), 0.0))
     return DiagnosticsRecord(
         step=state.step,
         time=state.time,
@@ -440,9 +408,9 @@ def make_record(state: SimulationState, history: StateHistory, config: Config,
         charge_total=totals.charge_total,
         current_total=totals.current_total,
         gauge_residual_l2=gauge,
-        continuity_residual_l2=cont,
-        vlasov_residual_plus_l2=vlas_plus,
-        vlasov_residual_minus_l2=vlas_minus,
+        continuity_residual_l2=centered["h"],
+        vlasov_residual_plus_l2=centered["c+"],
+        vlasov_residual_minus_l2=centered["c-"],
         max_abs_v_over_c=totals.max_abs_v_over_c,
         field_energy_proxy=totals.field_energy_proxy,
     )

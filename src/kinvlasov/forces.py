@@ -27,15 +27,6 @@ from .fields import d1_periodic
 from .grid import PhaseSpaceGrid
 
 
-def lorentz_factor(p, m: float, c: float, relativistic: bool):
-    """sqrt(1 + p^2 / (m c)^2), or exactly 1 in the nonrelativistic limit."""
-    if not relativistic:
-        return np.ones_like(np.asarray(p, dtype=float)) if np.ndim(p) else 1.0
-    return np.sqrt(1.0 + (np.asarray(p, dtype=float) / (m * c)) ** 2) if np.ndim(p) else float(
-        np.sqrt(1.0 + (p / (m * c)) ** 2)
-    )
-
-
 def velocity_from_momentum(p, m: float, c: float, relativistic: bool):
     """v = p / sqrt(m^2 + p^2/c^2) relativistically, p/m otherwise; |v| < c always holds."""
     p = np.asarray(p, dtype=float) if np.ndim(p) else float(p)

@@ -4,42 +4,18 @@ All moments use the midpoint rule on the cell-centered p grid; the symmetric
 node placement makes odd-integrand cancellations exact to roundoff.  Current
 and flux integrands are weighted by the relativistic velocity v(p), never by
 p/m directly.
+
+Number density and particle flux are the only quadratures; the charge and
+current densities are their charge-weighted sums over the two species.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ResidualField, d1_periodic
 from .forces import velocity_from_momentum
 from .grid import PhaseSpaceGrid
-
-
-@dataclass
-class MomentSet:
-    """Moments derived from one snapshot of both distribution functions."""
-
-    rho: np.ndarray
-    j: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-    flux_minus: np.ndarray
-
-
-def charge_density(f_plus, f_minus, q_plus: float, q_minus: float,
-                   grid: PhaseSpaceGrid) -> np.ndarray:
-    return np.sum(q_plus * f_plus + q_minus * f_minus, axis=1) * grid.dp
-
-
-def current_density(f_plus, f_minus, q_plus: float, q_minus: float,
-                    m_plus: float, m_minus: float, c: float, relativistic: bool,
-                    grid: PhaseSpaceGrid) -> np.ndarray:
-    v_plus = velocity_from_momentum(grid.p_nodes, m_plus, c, relativistic)
-    v_minus = velocity_from_momentum(grid.p_nodes, m_minus, c, relativistic)
-    return np.sum(q_plus * f_plus * v_plus[None, :]
-                  + q_minus * f_minus * v_minus[None, :], axis=1) * grid.dp
 
 
 def number_density(f, grid: PhaseSpaceGrid) -> np.ndarray:
@@ -52,6 +28,18 @@ def particle_flux(f, m: float, c: float, relativistic: bool,
     return np.sum(f * v[None, :], axis=1) * grid.dp
 
 
+def charge_density(f_plus, f_minus, q_plus: float, q_minus: float,
+                   grid: PhaseSpaceGrid) -> np.ndarray:
+    return q_plus * number_density(f_plus, grid) + q_minus * number_density(f_minus, grid)
+
+
+def current_density(f_plus, f_minus, q_plus: float, q_minus: float,
+                    m_plus: float, m_minus: float, c: float, relativistic: bool,
+                    grid: PhaseSpaceGrid) -> np.ndarray:
+    return (q_plus * particle_flux(f_plus, m_plus, c, relativistic, grid)
+            + q_minus * particle_flux(f_minus, m_minus, c, relativistic, grid))
+
+
 def continuity_residual(n_prev, n_next, flux_mid, grid: PhaseSpaceGrid,
                         dt: float, time_factor: float = 1.0) -> ResidualField:
     """Residual of the species continuity equation, centered at flux_mid's time.
@@ -62,15 +50,3 @@ def continuity_residual(n_prev, n_next, flux_mid, grid: PhaseSpaceGrid,
     """
     r = time_factor * (n_next - n_prev) / (2.0 * dt) + d1_periodic(flux_mid, grid.dx)
     return ResidualField(field=r, l2=float(np.sqrt(np.sum(r * r) * grid.dx)))
-
-
-def compute_moments(f_plus, f_minus, q_plus, q_minus, m_plus, m_minus,
-                    c: float, relativistic: bool, grid: PhaseSpaceGrid) -> MomentSet:
-    return MomentSet(
-        rho=charge_density(f_plus, f_minus, q_plus, q_minus, grid),
-        j=current_density(f_plus, f_minus, q_plus, q_minus, m_plus, m_minus,
-                          c, relativistic, grid),
-        n_plus=number_density(f_plus, grid),
-        n_minus=number_density(f_minus, grid),
-        flux_minus=particle_flux(f_minus, m_minus, c, relativistic, grid),
-    )

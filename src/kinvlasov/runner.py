@@ -64,7 +64,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
     history = StateHistory()
-    history.push(snapshot_state(state, config, grid))
+    history.push(snapshot_state(state))
 
     writer = DiagnosticsWriter(Path(out_dir) / "diagnostics.csv") if out_dir else None
     if out_dir:
@@ -83,7 +83,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
             written = len(records)
         if write_files:
             if collect_snapshots:
-                snapshots.append(history.snapshots[-1])
+                snapshots.append(current)
             if out_dir:
                 write_snapshot(current, grid, out_dir)
 
@@ -94,7 +94,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
         emit(state, True)
         for k in range(1, total + 1):
             state = step(state, config, grid)
-            history.push(snapshot_state(state, config, grid))
+            history.push(snapshot_state(state))
             emit(state, k % config.output_every == 0)
             result.final_state = state
     except SOLVER_ABORTS as exc:

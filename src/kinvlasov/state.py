@@ -21,7 +21,7 @@ import numpy as np
 from .config import Config
 from .fields import NonNeutralError, poisson_init
 from .grid import PhaseSpaceGrid
-from .moments import compute_moments
+from .moments import number_density, particle_flux
 
 
 @dataclass
@@ -29,6 +29,8 @@ class SpeciesState:
     q: float
     m: float
     f: np.ndarray  # (nx, np), particles per (length * momentum)
+    n: np.ndarray | None = None     # cached moments of f, filled by refresh_moments
+    flux: np.ndarray | None = None
 
 
 @dataclass
@@ -46,8 +48,8 @@ class SimulationState:
     plus: SpeciesState
     minus: SpeciesState
     fields: FieldState
-    rho: np.ndarray  # cached moments of the current f
-    j: np.ndarray
+    rho: np.ndarray | None = None  # cached sources, filled by refresh_moments
+    j: np.ndarray | None = None
 
     @property
     def species(self):
@@ -92,26 +94,35 @@ def _preset_f(config: Config, grid: PhaseSpaceGrid):
 
 def refresh_moments(state: SimulationState, config: Config,
                     grid: PhaseSpaceGrid) -> SimulationState:
-    """Recompute the cached rho, j from the current f (recompute-on-write)."""
-    mom = compute_moments(state.plus.f, state.minus.f, state.plus.q, state.minus.q,
-                          state.plus.m, state.minus.m, config.c,
-                          config.relativistic, grid)
-    return replace(state, rho=mom.rho, j=mom.j)
+    """The one moment pass over the current f: per-species n and flux, and the
+    rho, j they sum to (recompute-on-write)."""
+    plus, minus = (
+        replace(s, n=number_density(s.f, grid),
+                flux=particle_flux(s.f, s.m, config.c, config.relativistic, grid))
+        for s in state.species
+    )
+    return replace(state, plus=plus, minus=minus,
+                   rho=plus.q * plus.n + minus.q * minus.n,
+                   j=plus.q * plus.flux + minus.q * minus.flux)
 
 
 def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
     f_plus, f_minus = _preset_f(config, grid)
-    mom = compute_moments(f_plus, f_minus, config.plus.q, config.minus.q,
-                          config.plus.m, config.minus.m, config.c,
-                          config.relativistic, grid)
+    state = refresh_moments(SimulationState(
+        time=0.0,
+        step=0,
+        plus=SpeciesState(config.plus.q, config.plus.m, f_plus),
+        minus=SpeciesState(config.minus.q, config.minus.m, f_minus),
+        fields=None,
+    ), config, grid)
 
     # An unperturbed neutral plasma has no sources; scrub quadrature roundoff
     # below 1e-13 of the natural source scales so it stays an exact fixed point.
     q_scale = max(abs(config.plus.q), abs(config.minus.q))
     rho_scale = q_scale * config.init.n0
     v_scale = np.sqrt(config.init.temperature / config.minus.m) + abs(config.init.drift) / config.minus.m
-    rho = mom.rho
-    j = mom.j
+    rho = state.rho
+    j = state.j
     if np.max(np.abs(rho)) <= 1e-13 * rho_scale:
         rho = np.zeros(grid.nx)
     if np.max(np.abs(j)) <= 1e-13 * rho_scale * v_scale:
@@ -130,15 +141,11 @@ def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
         a_prev=zeros.copy(),
         a_curr=zeros.copy(),
     )
-    return SimulationState(
-        time=0.0,
-        step=0,
-        plus=SpeciesState(config.plus.q, config.plus.m, f_plus),
-        minus=SpeciesState(config.minus.q, config.minus.m, f_minus),
-        fields=fields,
-        rho=rho,
-        j=j,
-    )
+    return replace(state, fields=fields, rho=rho, j=j)
+
+
+def _clone_species(s: SpeciesState) -> SpeciesState:
+    return SpeciesState(s.q, s.m, s.f.copy(), s.n.copy(), s.flux.copy())
 
 
 def clone_state(state: SimulationState) -> SimulationState:
@@ -146,8 +153,8 @@ def clone_state(state: SimulationState) -> SimulationState:
     return SimulationState(
         time=state.time,
         step=state.step,
-        plus=SpeciesState(state.plus.q, state.plus.m, state.plus.f.copy()),
-        minus=SpeciesState(state.minus.q, state.minus.m, state.minus.f.copy()),
+        plus=_clone_species(state.plus),
+        minus=_clone_species(state.minus),
         fields=FieldState(
             phi_prev=state.fields.phi_prev.copy(),
             phi_curr=state.fields.phi_curr.copy(),

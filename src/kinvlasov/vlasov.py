@@ -12,8 +12,6 @@ levels that straddle the kick time, a centered difference spanning 2 dt.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .config import Config
@@ -27,21 +25,6 @@ from .interpolate import (
 )
 from .moments import charge_density, current_density
 from .state import FieldState, SimulationState, SpeciesState, refresh_moments
-
-
-class SplittingStage(Enum):
-    half_advect_x = "half_advect_x"
-    field_update = "field_update"
-    kick_p = "kick_p"
-    half_advect_x_2 = "half_advect_x_2"
-
-
-STAGE_ORDER = (
-    SplittingStage.half_advect_x,
-    SplittingStage.field_update,
-    SplittingStage.kick_p,
-    SplittingStage.half_advect_x_2,
-)
 
 
 class KickDisplacementError(RuntimeError):
@@ -152,7 +135,5 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
         minus=SpeciesState(minus.q, minus.m, f_minus),
         fields=FieldState(phi_prev=old.phi_curr, phi_curr=phi_new,
                           a_prev=old.a_curr, a_curr=a_new),
-        rho=state.rho,
-        j=state.j,
     )
     return refresh_moments(new_state, config, grid)

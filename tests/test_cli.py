@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from kinvlasov.cli import main
 from kinvlasov.output import read_snapshot
@@ -86,6 +87,21 @@ def test_compare_command_end_to_end(tmp_path, capsys):
     # both force modes leave per-mode run outputs too
     assert (out / "modified" / "diagnostics.csv").exists()
     assert (out / "standard" / "diagnostics.csv").exists()
+
+
+NON_NEUTRAL_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 0.3").replace(
+    "q = -0.1995", "q = -0.2")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_non_neutral_config_exits_2_with_one_line(tmp_path, capsys, command):
+    config = write_config(tmp_path, NON_NEUTRAL_CONFIG)
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "neutral" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
 
 
 ABORTING_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 40.0").replace(

@@ -70,6 +70,16 @@ def test_all_violations_reported_at_once():
     assert len(err.value.violations) >= 3
 
 
+def test_non_neutral_charges_rejected():
+    bad = Config(species=(SpeciesConfig("plus", 0.3, 1.0),
+                          SpeciesConfig("minus", -0.2, 1.0)))
+    with pytest.raises(ConfigError) as err:
+        validate_config(bad)
+    assert any("neutral" in v for v in err.value.violations)
+    validate_config(Config(species=(SpeciesConfig("plus", 0.3, 1.0),
+                                    SpeciesConfig("minus", -0.3, 0.5))))
+
+
 def test_species_labels_required():
     bad = Config(species=(SpeciesConfig("plus", 0.3, 1.0),
                           SpeciesConfig("plus", -0.3, 1.0)))

@@ -117,11 +117,24 @@ def test_definition_residuals_are_roundoff(small_landau):
     assert by_eq["g"] <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("force_mode", ["modified", "standard"])
+def test_record_residuals_equal_ledger_entries(small_landau, force_mode):
+    config = validate_config(replace(small_landau, force_mode=force_mode))
+    result = run_simulation(config, n_steps=5)
+    ledger = residual_report(result.history, result.config, result.grid)
+    by_eq = {e.equation: e.residual_l2 for e in ledger.entries}
+    last = result.records[-1]
+    assert by_eq["c+"] > 0.0 and by_eq["h"] > 0.0
+    assert last.vlasov_residual_plus_l2 == by_eq["c+"]
+    assert last.vlasov_residual_minus_l2 == by_eq["c-"]
+    assert last.continuity_residual_l2 == by_eq["h"]
+
+
 def test_residual_report_needs_three_steps(small_landau):
     config = validate_config(small_landau)
     grid = build_grid(config)
     history = StateHistory()
-    history.push(snapshot_state(initialize_state(config, grid), config, grid))
+    history.push(snapshot_state(initialize_state(config, grid)))
     with pytest.raises(InsufficientHistoryError):
         residual_report(history, config, grid)
 

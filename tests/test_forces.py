@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kinvlasov.config import Config
 from kinvlasov.fields import d1_periodic
 from kinvlasov.forces import (
-    lorentz_factor,
     modified_force,
     standard_force,
     velocity_from_momentum,
@@ -30,12 +29,6 @@ def fields_of(grid, phi_prev=None, phi_curr=None, a_prev=None, a_curr=None):
         a_prev=zero.copy() if a_prev is None else a_prev,
         a_curr=zero.copy() if a_curr is None else a_curr,
     )
-
-
-def test_lorentz_factor_values():
-    assert lorentz_factor(0.0, 1.0, 1.0, True) == 1.0
-    assert lorentz_factor(2.0, 2.0, 1.0, True) == pytest.approx(math.sqrt(2.0))
-    assert lorentz_factor(123.0, 1.0, 1.0, False) == 1.0
 
 
 def test_velocity_values():
@@ -65,13 +58,6 @@ def test_nonrelativistic_consistency_bound(p, m, c):
     v_rel = velocity_from_momentum(p, m, c, True)
     v_nr = velocity_from_momentum(p, m, c, False)
     assert abs(v_rel - v_nr) <= 0.5 * u * abs(v_nr) + 1e-15
-
-
-@given(m=st.floats(0.1, 10.0), c=st.floats(0.5, 10.0))
-def test_lorentz_factor_at_least_one(m, c):
-    p = np.linspace(-5 * m * c, 5 * m * c, 21)
-    assert np.all(lorentz_factor(p, m, c, True) >= 1.0)
-    assert lorentz_factor(m * c, m, c, True) == pytest.approx(math.sqrt(2.0))
 
 
 def test_modified_force_constant_potentials(grid):

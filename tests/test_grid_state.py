@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ import pytest
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.fields import NonNeutralError, d2_periodic, poisson_init
 from kinvlasov.grid import build_grid
-from kinvlasov.state import initialize_state
+from kinvlasov.moments import (
+    charge_density,
+    current_density,
+    number_density,
+    particle_flux,
+)
+from kinvlasov.state import clone_state, initialize_state
+from kinvlasov.vlasov import step
 
 from conftest import landau_config, pair_species
 
@@ -99,13 +107,56 @@ def test_initial_field_levels_equal():
 
 
 def test_non_neutral_species_rejected():
-    config = validate_config(Config(
+    # validate_config rejects this pair; initialize_state still refuses it when
+    # handed an unvalidated config.
+    config = Config(
         species=(SpeciesConfig("plus", 0.3, 1.0), SpeciesConfig("minus", -0.2, 1.0)),
         init=InitConfig(preset="landau", amplitude=1e-3, temperature=1.0),
-    ))
+    )
     grid = build_grid(config)
     with pytest.raises(NonNeutralError):
         initialize_state(config, grid)
+
+
+def assert_moments_cached(state, config, grid, initial):
+    for s in state.species:
+        assert np.array_equal(s.n, number_density(s.f, grid))
+        assert np.array_equal(s.flux, particle_flux(s.f, s.m, config.c,
+                                                    config.relativistic, grid))
+    rho = state.plus.q * state.plus.n + state.minus.q * state.minus.n
+    j = state.plus.q * state.plus.flux + state.minus.q * state.minus.flux
+    assert np.array_equal(rho, charge_density(state.plus.f, state.minus.f,
+                                              state.plus.q, state.minus.q, grid))
+    assert np.array_equal(j, current_density(state.plus.f, state.minus.f,
+                                             state.plus.q, state.minus.q,
+                                             state.plus.m, state.minus.m,
+                                             config.c, config.relativistic, grid))
+    for cached, combination in ((state.rho, rho), (state.j, j)):
+        # initialize_state may scrub a roundoff-sized source to exact zeros.
+        scrubbed = initial and not np.any(cached)
+        assert scrubbed or np.array_equal(cached, combination)
+
+
+@pytest.mark.parametrize("preset,amplitude", [("landau", 0.05), ("two_stream", 0.05),
+                                              ("landau", 0.0)])
+def test_cached_moments_match_f_after_init_and_step(preset, amplitude):
+    config = landau_config(nx=32, n_p=64, amplitude=amplitude, drift=0.5)
+    config = validate_config(replace(config, init=replace(config.init, preset=preset)))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    assert_moments_cached(state, config, grid, initial=True)
+    assert_moments_cached(step(state, config, grid), config, grid, initial=False)
+
+
+def test_clone_state_copies_cached_moments():
+    config = validate_config(landau_config(nx=16, n_p=32, amplitude=0.05))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    clone = clone_state(state)
+    for a, b in zip(state.species, clone.species):
+        for name in ("f", "n", "flux"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
 
 
 def test_poisson_solution_satisfies_discrete_equation():

@@ -8,9 +8,7 @@ from kinvlasov.config import Config, InitConfig, validate_config
 from kinvlasov.grid import build_grid
 from kinvlasov.state import initialize_state, momentum_gaussian
 from kinvlasov.vlasov import (
-    STAGE_ORDER,
     KickDisplacementError,
-    SplittingStage,
     advect_x,
     kick_p,
     step,
@@ -29,15 +27,6 @@ def gaussian_f(grid, x_width=1.0, seed=None):
     bump = np.exp(-((grid.x_nodes - 0.5 * grid.x_max) ** 2) / (2 * x_width**2))
     prof = np.exp(-(grid.p_nodes**2))
     return bump[:, None] * prof[None, :]
-
-
-def test_stage_order_fixed():
-    assert STAGE_ORDER == (
-        SplittingStage.half_advect_x,
-        SplittingStage.field_update,
-        SplittingStage.kick_p,
-        SplittingStage.half_advect_x_2,
-    )
 
 
 def test_advect_zero_dt_is_identity(grid):
