@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 # Initial distributions are momentum Gaussians with width^2 = m * temperature.
 # p_max is accepted only if the initial tail value at the domain edge is below
@@ -138,6 +139,13 @@ def config_violations(config: Config) -> list[str]:
         if s.m <= 0:
             v.append(f"mass must be positive (species {s.label}: m = {s.m})")
 
+    for owner, where in ((config, ""), (config.init, ""),
+                         *((s, f"species {s.label}: ") for s in config.species)):
+        for f in fields(owner):
+            value = getattr(owner, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                v.append(f"{f.name} must be finite ({where}got {value})")
+
     init = config.init
     if init.preset not in PRESETS:
         v.append(f"unknown preset {init.preset!r}")
@@ -173,52 +181,42 @@ def validate_config(config: Config) -> Config:
 #
 # Line-oriented "key = value" pairs under bracketed section headers.  '#'
 # starts a comment.  Unknown sections or keys are errors; every key may be
-# omitted, in which case the documented default applies.
+# omitted, in which case the dataclass default applies.  The keys and their
+# types are the dataclass fields: Config's own fields under the sections
+# below, SpeciesConfig's (but its label) under [species.<label>] and
+# InitConfig's under [init].
 
+_SECTIONS = {
+    "grid": ("nx", "x_max", "np", "p_max"),
+    "time": ("cfl_fraction", "t_end", "output_every", "kick_refine"),
+    "physics": ("c", "relativistic", "force_mode"),
+}
+
+_CONFIG_TYPES = get_type_hints(Config)
+_SPECIES_TYPES = {k: t for k, t in get_type_hints(SpeciesConfig).items() if k != "label"}
 _SCHEMA = {
-    "grid": {"nx": int, "x_max": float, "np": int, "p_max": float},
-    "time": {"cfl_fraction": float, "t_end": float, "output_every": int, "kick_refine": int},
-    "physics": {"c": float, "relativistic": bool, "force_mode": str},
-    "species.plus": {"q": float, "m": float},
-    "species.minus": {"q": float, "m": float},
-    "init": {
-        "preset": str,
-        "n0": float,
-        "amplitude": float,
-        "k_mode": int,
-        "temperature": float,
-        "drift": float,
-    },
+    **{name: {key: _CONFIG_TYPES[key] for key in keys} for name, keys in _SECTIONS.items()},
+    **{f"species.{label}": _SPECIES_TYPES for label in SPECIES_LABELS},
+    "init": get_type_hints(InitConfig),
 }
 
 _ENUM_KEYS = {"force_mode": FORCE_MODES, "preset": PRESETS}
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+_KIND_NAMES = {bool: "boolean", int: "integer", float: "number"}
 
 
 def _parse_value(kind, key, raw, lineno, errors):
-    if kind is bool:
-        word = raw.lower()
-        if word in ("true", "yes", "on", "1"):
-            return True
-        if word in ("false", "no", "off", "0"):
-            return False
-        errors.append(f"invalid boolean for {key} at line {lineno}: {raw!r}")
-        return None
-    if kind is int:
-        try:
-            return int(raw)
-        except ValueError:
-            errors.append(f"invalid integer for {key} at line {lineno}: {raw!r}")
-            return None
-    if kind is float:
-        try:
-            return float(raw)
-        except ValueError:
-            errors.append(f"invalid number for {key} at line {lineno}: {raw!r}")
-            return None
-    if key in _ENUM_KEYS and raw not in _ENUM_KEYS[key]:
+    if key in _ENUM_KEYS:
+        if raw in _ENUM_KEYS[key]:
+            return raw
         errors.append(f"unknown {key} at line {lineno}: {raw!r} (expected one of {', '.join(_ENUM_KEYS[key])})")
         return None
-    return raw
+    try:
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        errors.append(f"invalid {_KIND_NAMES[kind]} for {key} at line {lineno}: {raw!r}")
+        return None
 
 
 def parse_config(text: str) -> Config:
@@ -266,38 +264,12 @@ def parse_config(text: str) -> Config:
     if errors:
         raise ConfigError(errors)
 
-    defaults = Config()
-    species = []
-    for label in SPECIES_LABELS:
-        sec = values[f"species.{label}"]
-        base = defaults.plus if label == "plus" else defaults.minus
-        species.append(
-            SpeciesConfig(label, float(sec.get("q", base.q)), float(sec.get("m", base.m)))
-        )
-    init = InitConfig(
-        preset=values["init"].get("preset", defaults.init.preset),
-        n0=values["init"].get("n0", defaults.init.n0),
-        amplitude=values["init"].get("amplitude", defaults.init.amplitude),
-        k_mode=values["init"].get("k_mode", defaults.init.k_mode),
-        temperature=values["init"].get("temperature", defaults.init.temperature),
-        drift=values["init"].get("drift", defaults.init.drift),
-    )
-    config = Config(
-        nx=values["grid"].get("nx", defaults.nx),
-        x_max=values["grid"].get("x_max", defaults.x_max),
-        np=values["grid"].get("np", defaults.np),
-        p_max=values["grid"].get("p_max", defaults.p_max),
-        c=values["physics"].get("c", defaults.c),
-        relativistic=values["physics"].get("relativistic", defaults.relativistic),
-        force_mode=values["physics"].get("force_mode", defaults.force_mode),
-        cfl_fraction=values["time"].get("cfl_fraction", defaults.cfl_fraction),
-        t_end=values["time"].get("t_end", defaults.t_end),
-        output_every=values["time"].get("output_every", defaults.output_every),
-        kick_refine=values["time"].get("kick_refine", defaults.kick_refine),
-        species=tuple(species),
-        init=init,
-    )
-    return validate_config(config)
+    return validate_config(Config(
+        **{key: value for name in _SECTIONS for key, value in values[name].items()},
+        species=tuple(replace(base, **values[f"species.{base.label}"])
+                      for base in Config().species),
+        init=InitConfig(**values["init"]),
+    ))
 
 
 def load_config(path) -> Config:

@@ -13,7 +13,7 @@ act as a built-in consistency dashboard.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,22 +38,6 @@ class FrequencyError(RuntimeError):
     """Oscillation-frequency extraction failed (too few extrema)."""
 
 
-DIAGNOSTICS_FIELDS = (
-    "step",
-    "time",
-    "n_total_plus",
-    "n_total_minus",
-    "charge_total",
-    "current_total",
-    "gauge_residual_l2",
-    "continuity_residual_l2",
-    "vlasov_residual_plus_l2",
-    "vlasov_residual_minus_l2",
-    "max_abs_v_over_c",
-    "field_energy_proxy",
-)
-
-
 @dataclass
 class DiagnosticsRecord:
     step: int
@@ -68,6 +52,9 @@ class DiagnosticsRecord:
     vlasov_residual_minus_l2: float
     max_abs_v_over_c: float
     field_energy_proxy: float
+
+
+DIAGNOSTICS_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -251,31 +238,22 @@ def residual_report(history: StateHistory, config: Config,
                           unknowns_reduced=dict(UNKNOWNS_REDUCED))
 
 
-@dataclass
-class ConservedTotals:
-    n_total_plus: float
-    n_total_minus: float
-    charge_total: float
-    current_total: float
-    field_energy_proxy: float
-    max_abs_v_over_c: float
-
-
 def conserved_totals(state: SimulationState, grid: PhaseSpaceGrid,
-                     config: Config, dt: float) -> ConservedTotals:
+                     config: Config, dt: float) -> dict:
+    """The diagnostics columns read from one state, keyed by column name."""
     proxy = field_energy_proxy(
         WaveLevels(state.fields.phi_prev, state.fields.phi_curr),
         WaveLevels(state.fields.a_prev, state.fields.a_curr),
         grid, dt, config.c,
     )
-    return ConservedTotals(
-        n_total_plus=float(np.sum(state.plus.n) * grid.dx),
-        n_total_minus=float(np.sum(state.minus.n) * grid.dx),
-        charge_total=float(np.sum(state.rho) * grid.dx),
-        current_total=float(np.sum(state.j) * grid.dx),
-        field_energy_proxy=proxy,
-        max_abs_v_over_c=max_velocity(config, grid) / config.c,
-    )
+    return {
+        "n_total_plus": float(np.sum(state.plus.n) * grid.dx),
+        "n_total_minus": float(np.sum(state.minus.n) * grid.dx),
+        "charge_total": float(np.sum(state.rho) * grid.dx),
+        "current_total": float(np.sum(state.j) * grid.dx),
+        "field_energy_proxy": proxy,
+        "max_abs_v_over_c": max_velocity(config, grid) / config.c,
+    }
 
 
 @dataclass
@@ -392,7 +370,6 @@ def make_record(state: SimulationState, history: StateHistory, config: Config,
     continuity residuals need three snapshots, so they are centered one step
     back and report 0 until enough history exists.
     """
-    totals = conserved_totals(state, grid, config, dt)
     gauge = gauge_residual(
         WaveLevels(state.fields.phi_prev, state.fields.phi_curr),
         WaveLevels(state.fields.a_prev, state.fields.a_curr),
@@ -403,14 +380,9 @@ def make_record(state: SimulationState, history: StateHistory, config: Config,
     return DiagnosticsRecord(
         step=state.step,
         time=state.time,
-        n_total_plus=totals.n_total_plus,
-        n_total_minus=totals.n_total_minus,
-        charge_total=totals.charge_total,
-        current_total=totals.current_total,
         gauge_residual_l2=gauge,
         continuity_residual_l2=centered["h"],
         vlasov_residual_plus_l2=centered["c+"],
         vlasov_residual_minus_l2=centered["c-"],
-        max_abs_v_over_c=totals.max_abs_v_over_c,
-        field_energy_proxy=totals.field_energy_proxy,
+        **conserved_totals(state, grid, config, dt),
     )

@@ -9,7 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .diagnostics import (
     UNKNOWNS_FULL,
     UNKNOWNS_REDUCED,
     DiagnosticsRecord,
+    DivergenceRow,
 )
 from .grid import PhaseSpaceGrid
 from .state import SimulationState
@@ -35,12 +36,16 @@ def write_diagnostics_header(sink) -> None:
     sink.write(",".join(DIAGNOSTICS_FIELDS) + "\n")
 
 
+def csv_row(record) -> str:
+    """One CSV line of a diagnostics or divergence record: the integer step,
+    then every other field in declaration order as a float."""
+    step, *rest = (getattr(record, f.name) for f in fields(record))
+    return ",".join([str(step), *map(format_float, rest)]) + "\n"
+
+
 def write_diagnostics(record: DiagnosticsRecord, sink) -> None:
     """Append one CSV row; the header must already have been emitted."""
-    values = [str(record.step)]
-    for name in DIAGNOSTICS_FIELDS[1:]:
-        values.append(format_float(getattr(record, name)))
-    sink.write(",".join(values) + "\n")
+    sink.write(csv_row(record))
 
 
 class DiagnosticsWriter:
@@ -192,15 +197,11 @@ def write_manifest(payload: dict, out_dir) -> Path:
     return path
 
 
-DIVERGENCE_FIELDS = ("step", "time", "f_plus_dist", "f_minus_dist", "phi_dist",
-                     "a_dist", "force_dist")
+DIVERGENCE_FIELDS = tuple(f.name for f in fields(DivergenceRow))
 
 
 def write_divergence(rows, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(DIVERGENCE_FIELDS) + "\n")
         for row in rows:
-            fh.write(",".join(
-                [str(row.step)] + [format_float(getattr(row, n))
-                                   for n in DIVERGENCE_FIELDS[1:]]
-            ) + "\n")
+            fh.write(csv_row(row))

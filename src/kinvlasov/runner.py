@@ -109,7 +109,9 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     return result
 
 
-def run_command(config_path, out_dir) -> int:
+def _command(simulate, config_path, out_dir) -> int:
+    """Load the config and return ``simulate(config, out_dir)``'s exit code;
+    a missing or invalid config (2) or unwritable outputs (3) is one line."""
     from .config import ConfigError, load_config
 
     try:
@@ -117,6 +119,14 @@ def run_command(config_path, out_dir) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}")
         return 2
+    try:
+        return simulate(config, out_dir)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}")
+        return 3
+
+
+def _run(config: Config, out_dir) -> int:
     result = run_simulation(config, out_dir=out_dir)
     if result.aborted:
         print(f"solver aborted at step {result.final_state.step}: {result.abort_reason}")
@@ -126,6 +136,10 @@ def run_command(config_path, out_dir) -> int:
         f"outputs in {out_dir}"
     )
     return 0
+
+
+def run_command(config_path, out_dir) -> int:
+    return _command(_run, config_path, out_dir)
 
 
 def compare_simulations(config: Config, *, out_dir=None):
@@ -151,14 +165,7 @@ def compare_simulations(config: Config, *, out_dir=None):
     return rows, runs["modified"], runs["standard"]
 
 
-def compare_command(config_path, out_dir) -> int:
-    from .config import ConfigError, load_config
-
-    try:
-        config = load_config(config_path)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}")
-        return 2
+def _compare(config: Config, out_dir) -> int:
     rows, run_mod, run_std = compare_simulations(config, out_dir=out_dir)
     if run_mod.aborted or run_std.aborted:
         print("comparison aborted: "
@@ -170,3 +177,7 @@ def compare_command(config_path, out_dir) -> int:
         f"{final.f_minus_dist:.6g}; outputs in {out_dir}"
     )
     return 0
+
+
+def compare_command(config_path, out_dir) -> int:
+    return _command(_compare, config_path, out_dir)

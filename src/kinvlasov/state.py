@@ -14,6 +14,7 @@ third order because phi_t(0) = 0 and the Poisson solve makes phi_tt(0) = 0.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,23 +145,6 @@ def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
     return replace(state, fields=fields, rho=rho, j=j)
 
 
-def _clone_species(s: SpeciesState) -> SpeciesState:
-    return SpeciesState(s.q, s.m, s.f.copy(), s.n.copy(), s.flux.copy())
-
-
 def clone_state(state: SimulationState) -> SimulationState:
     """Deep copy of all arrays (propagating runs must not share storage)."""
-    return SimulationState(
-        time=state.time,
-        step=state.step,
-        plus=_clone_species(state.plus),
-        minus=_clone_species(state.minus),
-        fields=FieldState(
-            phi_prev=state.fields.phi_prev.copy(),
-            phi_curr=state.fields.phi_curr.copy(),
-            a_prev=state.fields.a_prev.copy(),
-            a_curr=state.fields.a_curr.copy(),
-        ),
-        rho=state.rho.copy(),
-        j=state.j.copy(),
-    )
+    return copy.deepcopy(state)

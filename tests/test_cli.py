@@ -126,3 +126,32 @@ def test_run_outputs_self_describing(tmp_path):
     assert matrix.shape == (meta["nx"], meta["np"])
     assert meta["t"] == 0.0
     assert np.isfinite(matrix).all()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("setting, bad", [
+    ("t_end = 0.5", "t_end = inf"),
+    ("c = 4.0", "c = nan"),
+    ("amplitude = 0.001", "amplitude = nan"),
+])
+def test_non_finite_config_exits_2_with_one_line(tmp_path, capsys, command, setting, bad):
+    config = write_config(tmp_path, GOOD_CONFIG.replace(setting, bad))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "must be finite" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unwritable_out_exits_3_with_one_line(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = main([command, "--config", str(config), "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs:")
+    assert "Traceback" not in captured.out + captured.err

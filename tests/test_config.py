@@ -1,8 +1,13 @@
+import itertools
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from kinvlasov.config import (
+    _SCHEMA,
+    _SECTIONS,
     Config,
     ConfigError,
     InitConfig,
@@ -10,6 +15,10 @@ from kinvlasov.config import (
     parse_config,
     validate_config,
 )
+from kinvlasov.fields import cfl_check
+from kinvlasov.grid import build_grid
+from kinvlasov.output import manifest_payload
+from kinvlasov.vlasov import time_step
 
 from conftest import pair_species
 
@@ -181,3 +190,73 @@ def test_parse_key_outside_section():
 def test_parsed_config_is_validated():
     with pytest.raises(ConfigError, match="nx"):
         parse_config("[grid]\nnx = 4\n")
+
+
+@pytest.mark.parametrize("config", [
+    Config(t_end=math.inf),
+    Config(x_max=math.nan),
+    Config(c=math.nan),
+    Config(init=InitConfig(amplitude=math.nan)),
+    Config(species=pair_species(q=math.nan)),
+])
+def test_non_finite_values_rejected(config):
+    with pytest.raises(ConfigError, match="must be finite"):
+        validate_config(config)
+
+
+def test_parse_rejects_non_finite_number():
+    with pytest.raises(ConfigError, match=r"t_end must be finite \(got inf\)"):
+        parse_config("[time]\nt_end = inf\n")
+
+
+def _render(config_dict) -> str:
+    """A config file setting every key of a manifest's ``config`` entry."""
+    section_of = {key: name for name, keys in _SECTIONS.items() for key in keys}
+    sections = {}
+    for key, value in config_dict.items():
+        if key == "species":
+            for s in value:
+                sections[f"species.{s.pop('label')}"] = s
+        elif key == "init":
+            sections["init"] = value
+        else:
+            sections.setdefault(section_of[key], {})[key] = value
+    lines = []
+    for name, entries in sections.items():
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {str(value).lower() if isinstance(value, bool) else value}"
+                  for key, value in entries.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_manifest_config_round_trips_through_the_file_format():
+    config = validate_config(Config(
+        nx=32, x_max=10.0, np=64, p_max=6.0, c=3.0, relativistic=False,
+        force_mode="standard", cfl_fraction=0.5, t_end=2.0, output_every=5,
+        kick_refine=1,
+        species=(SpeciesConfig("plus", 0.25, 1.5), SpeciesConfig("minus", -0.25, 0.5)),
+        init=InitConfig(preset="two_stream", n0=2.0, amplitude=0.01, k_mode=2,
+                        temperature=0.4, drift=1.0),
+    ))
+    defaults = Config()
+    pairs = [(config, defaults), (config.init, defaults.init),
+             *zip(config.species, defaults.species)]
+    for obj, default in pairs:
+        for f in fields(obj):
+            if f.name != "label":
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+
+    grid = build_grid(config)
+    dt = time_step(config, grid)
+    payload = manifest_payload(config, grid, dt, 1, cfl_check(grid, dt, config.c))
+    assert parse_config(_render(payload["config"])) == config
+
+
+def test_readme_config_block_shows_every_key_and_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("### Config format\n", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("    "))
+    block = list(itertools.takewhile(lambda line: line.startswith("    "), lines[start:]))
+    assignments = [line for line in block if "=" in line.split("#", 1)[0]]
+    assert len(assignments) == sum(len(keys) for keys in _SCHEMA.values())
+    assert parse_config("\n".join(block)) == validate_config(Config())

@@ -187,9 +187,9 @@ def test_conserved_totals_two_stream_symmetric():
     state = initialize_state(config, grid)
     totals = conserved_totals(state, grid, config, time_step(config, grid))
     bound = 1e-10 * config.init.n0 * config.x_max
-    assert abs(totals.charge_total) <= bound
-    assert abs(totals.current_total) <= bound
-    assert totals.max_abs_v_over_c < 1.0
+    assert abs(totals["charge_total"]) <= bound
+    assert abs(totals["current_total"]) <= bound
+    assert totals["max_abs_v_over_c"] < 1.0
 
 
 def test_forces_off_number_conservation():
