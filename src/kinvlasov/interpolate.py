@@ -2,38 +2,38 @@
 
 Two variants are needed:
 
-* periodic splines on the uniform x grid, evaluated at a constant per-column
-  shift.  On a uniform periodic grid the cubic-spline interpolant equals the
+* periodic splines on the uniform x grid, shifted by a constant amount per
+  column.  On a uniform periodic grid the cubic-spline interpolant equals the
   cardinal cubic B-spline series whose coefficients solve a circulant
-  tridiagonal system, so the coefficient solve is one FFT division and the
-  evaluation is a four-tap gather;
+  tridiagonal system.  Both that solve (the prefilter) and the evaluation at a
+  constant shift are circulant, so the whole shift is one Fourier multiplier
+  per column, the transfer function, built once per shift;
 
 * natural splines (zero second derivative at both ends) along p, evaluated at
   arbitrary per-point foot locations, with zero extension outside the node
-  range.
+  range.  Every row's moment system has the same tridiagonal matrix, which is
+  LU-factored once per node count.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 
-def periodic_shift_columns(f: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Spline-interpolated periodic shift of each column of f along axis 0.
+def periodic_shift_transfer(nx: int, alpha: np.ndarray) -> np.ndarray:
+    """Transfer function of the spline shift of each column by alpha[j] cells.
 
-    Column j is resampled at x_i - alpha[j] * dx, i.e. values move forward by
-    alpha[j] cells.  Exact at nodes (up to FFT roundoff) for integer alpha.
+    Row k multiplies wavenumber theta_k = 2 pi k / nx of column j's ``rfft``:
+    the cubic B-spline evaluation symbol at the foot offset -alpha[j] divided
+    by the prefilter symbol (4 + 2 cos theta_k) / 6.  Row 0 is exactly 1, so
+    every column sum is kept.
     """
-    nx, ncol = f.shape
-    fhat = np.fft.rfft(f, axis=0)
-    theta = 2.0 * np.pi * np.arange(fhat.shape[0]) / nx
-    bspline_symbol = (4.0 + 2.0 * np.cos(theta)) / 6.0
-    coef = np.fft.irfft(fhat / bspline_symbol[:, None], n=nx, axis=0)
-
-    g = -np.asarray(alpha, dtype=float)      # foot point x_i + g * dx
-    s = np.floor(g).astype(int)
-    u = g - s                                # fractional offset in [0, 1)
+    g = -np.asarray(alpha, dtype=float)     # foot point x_i + g * dx
+    s = np.floor(g)
+    u = g - s                               # fractional offset in [0, 1)
 
     one_m = 1.0 - u
     w0 = one_m**3 / 6.0
@@ -41,13 +41,40 @@ def periodic_shift_columns(f: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     w2 = (1.0 + 3.0 * u + 3.0 * u**2 - 3.0 * u**3) / 6.0
     w3 = u**3 / 6.0
 
-    rows = np.arange(nx)[:, None]
-    cols = np.arange(ncol)[None, :]
-    base = rows + s[None, :] - 1
-    out = np.zeros_like(f)
-    for d, w in enumerate((w0, w1, w2, w3)):
-        out += w[None, :] * coef[(base + d) % nx, cols]
-    return out
+    # Taps sit at s - 1 .. s + 2 cells.  The whole-cell factor exp(i theta s)
+    # takes its phase mod nx in integers, so multi-cell shifts lose no accuracy.
+    k = np.arange(nx // 2 + 1)
+    theta = 2.0 * np.pi * k / nx
+    whole = np.exp((2j * np.pi / nx) * np.mod(np.outer(k, s.astype(np.int64)), nx))
+    e = np.exp(1j * theta)[:, None]
+    taps = w0 / e + w1 + w2 * e + w3 * (e * e)
+    prefilter = (4.0 + 2.0 * np.cos(theta)) / 6.0
+    transfer = whole * taps / prefilter[:, None]
+    transfer[0] = 1.0
+    return transfer
+
+
+def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """Spline-interpolated periodic shift of each column of f along axis 0.
+
+    ``transfer`` comes from ``periodic_shift_transfer(f.shape[0], alpha)``:
+    column j is resampled at x_i - alpha[j] * dx, i.e. values move forward by
+    alpha[j] cells.  Exact at nodes (up to FFT roundoff) for integer alpha.
+    """
+    spectrum = np.fft.rfft(f, axis=0)
+    spectrum *= transfer
+    return np.fft.irfft(spectrum, n=f.shape[0], axis=0)
+
+
+@lru_cache(maxsize=8)
+def _natural_spline_lu(n: int) -> tuple:
+    """``dgttrf`` factors of tridiag(1, 4, 1), the moment matrix of n nodes."""
+    size = n - 2
+    dl, d, du, du2, ipiv, _ = dgttrf(np.ones(size - 1), np.full(size, 4.0),
+                                     np.ones(size - 1))
+    for factor in (dl, d, du, du2, ipiv):
+        factor.flags.writeable = False
+    return dl, d, du, du2, ipiv
 
 
 def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
@@ -56,15 +83,35 @@ def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
     Rows of f sample uniformly spaced nodes (spacing h) along axis 1; the
     returned array has the same shape, with zero end values.
     """
-    n = f.shape[1]
-    rhs = 6.0 * (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / (h * h)
-    ab = np.ones((3, n - 2))
-    ab[1] = 4.0
-    ab[0, 0] = 0.0
-    ab[2, -1] = 0.0
+    rhs = 2.0 * f[:, 1:-1]
+    np.subtract(f[:, 2:], rhs, out=rhs)
+    rhs += f[:, :-2]
+    rhs *= 6.0
+    rhs /= h * h
+    # rhs.T is Fortran-ordered, so dgttrs solves every row in place.
+    solution, _ = dgttrs(*_natural_spline_lu(f.shape[1]), rhs.T, overwrite_b=1)
     moments = np.zeros_like(f)
-    moments[:, 1:-1] = solve_banded((1, 1), ab, rhs.T).T
+    moments[:, 1:-1] = solution.T
     return moments
+
+
+def locate_cells(nodes: np.ndarray, queries: np.ndarray) -> tuple:
+    """Each query's interval on the uniform nodes, for rows of a C-ordered
+    (queries.shape[0], nodes.size) array.
+
+    Returns the flat index of the interval's left node (intervals clamped to
+    the node range) and the query's offset from that node in cells, which is
+    in [0, 1] inside the range.  A NaN query gets a NaN offset.
+    """
+    t = queries - nodes[0]
+    t /= nodes[1] - nodes[0]
+    # Truncation is floor wherever the clip keeps it; NaN casts to an index
+    # that the clip brings into range.
+    k = t.astype(np.intp)
+    np.clip(k, 0, nodes.size - 2, out=k)
+    t -= k
+    k += np.arange(0, queries.shape[0] * nodes.size, nodes.size)[:, None]
+    return k, t
 
 
 def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
@@ -72,23 +119,36 @@ def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
     """Evaluate each row's natural spline at that row's query points.
 
     Queries outside [nodes[0], nodes[-1]] return 0 (zero extension beyond the
-    resolved momentum range).
+    resolved momentum range); a NaN query returns NaN.
     """
     h = nodes[1] - nodes[0]
-    n = nodes.size
-    k = np.clip(np.floor((queries - nodes[0]) / h).astype(int), 0, n - 2)
-    t = (queries - (nodes[0] + k * h)) / h
+    k, t = locate_cells(nodes, queries)
+    flat = np.ravel(f)
+    flat_moments = np.ravel(moments)
 
-    lo = np.take_along_axis(f, k, axis=1)
-    hi = np.take_along_axis(f, k + 1, axis=1)
-    mlo = np.take_along_axis(moments, k, axis=1)
-    mhi = np.take_along_axis(moments, k + 1, axis=1)
-
-    one_m = 1.0 - t
-    values = (
-        lo * one_m
-        + hi * t
-        + (h * h / 6.0) * ((one_m**3 - one_m) * mlo + (t**3 - t) * mhi)
-    )
-    inside = (queries >= nodes[0]) & (queries <= nodes[-1])
-    return np.where(inside, values, 0.0)
+    # S = lo + t (hi - lo) - (h^2/6) t (1-t) [(2-t) mlo + (1+t) mhi], which is
+    # (1-t) lo + t hi + (h^2/6) [((1-t)^3 - (1-t)) mlo + (t^3 - t) mhi]
+    # factored.  Every step writes into one of four arrays: each new array
+    # costs page faults on top of its arithmetic.
+    values = flat.take(k)
+    work = flat[1:].take(k)
+    work -= values
+    work *= t
+    values += work
+    bracket = flat_moments[1:].take(k)
+    np.add(t, 1.0, out=work)
+    bracket *= work
+    flat_moments.take(k, out=work)
+    bracket += work
+    bracket += work
+    work *= t
+    bracket -= work
+    np.multiply(t, t, out=work)
+    t -= work
+    bracket *= t
+    bracket *= h * h / 6.0
+    values -= bracket
+    outside = queries < nodes[0]
+    outside |= queries > nodes[-1]
+    values[outside] = 0.0
+    return values

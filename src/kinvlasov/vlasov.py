@@ -12,6 +12,9 @@ levels that straddle the kick time, a centered difference spanning 2 dt.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .config import Config
@@ -20,8 +23,10 @@ from .forces import force_field, velocity_from_momentum
 from .grid import PhaseSpaceGrid
 from .interpolate import (
     eval_natural_spline,
+    locate_cells,
     natural_spline_moments,
     periodic_shift_columns,
+    periodic_shift_transfer,
 )
 from .moments import charge_density, current_density
 from .state import FieldState, SimulationState, SpeciesState, refresh_moments
@@ -49,14 +54,27 @@ def max_velocity(config: Config, grid: PhaseSpaceGrid) -> float:
     )
 
 
+@lru_cache(maxsize=16)
+def advection_transfer(grid: PhaseSpaceGrid, dt: float, m: float, c: float,
+                       relativistic: bool) -> np.ndarray:
+    """Fourier transfer function of ``advect_x``, built once per run and species.
+
+    Every input is part of the cache key, and a grid hashes by identity and is
+    held by the cache, so an entry is never handed to another grid or step.
+    The array is read-only because every caller shares it.
+    """
+    v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
+    transfer = periodic_shift_transfer(grid.nx, v * dt / grid.dx)
+    transfer.flags.writeable = False
+    return transfer
+
+
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float, m: float,
              c: float, relativistic: bool) -> np.ndarray:
     """f(x, p) <- f(x - v(p) dt, p), periodic cubic-spline interpolation in x."""
     if dt == 0.0:
         return f.copy()
-    v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
-    alpha = v * dt / grid.dx
-    return periodic_shift_columns(f, alpha)
+    return periodic_shift_columns(f, advection_transfer(grid, dt, m, c, relativistic))
 
 
 def kick_p(f: np.ndarray, force: np.ndarray, grid: PhaseSpaceGrid, dt: float,
@@ -70,22 +88,27 @@ def kick_p(f: np.ndarray, force: np.ndarray, grid: PhaseSpaceGrid, dt: float,
         return f.copy()
     displacement = force * dt
     limit = 0.25 * grid.np * grid.dp
-    worst = float(np.max(np.abs(displacement)))
-    if worst >= limit:
+    # max and min are both NaN when any displacement is NaN
+    worst = float(max(displacement.max(), -displacement.min()))
+    if not worst < limit:
+        if not math.isfinite(worst):
+            raise KickDisplacementError(
+                f"non-finite momentum displacement ({worst}); check the fields")
         raise KickDisplacementError(
             f"momentum displacement {worst:.3e} exceeds sanity bound {limit:.3e} "
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
     p = grid.p_nodes[None, :]
     if refine:
-        foot_guess = p - displacement
-        k = np.clip(np.floor((foot_guess - grid.p_nodes[0]) / grid.dp).astype(int),
-                    0, grid.np - 2)
-        t = np.clip((foot_guess - (grid.p_nodes[0] + k * grid.dp)) / grid.dp, 0.0, 1.0)
-        f_lo = np.take_along_axis(force, k, axis=1)
-        f_hi = np.take_along_axis(force, k + 1, axis=1)
-        displacement = (f_lo * (1.0 - t) + f_hi * t) * dt
-    queries = p - displacement
+        k, t = locate_cells(grid.p_nodes, p - displacement)
+        np.clip(t, 0.0, 1.0, out=t)
+        flat = np.ravel(force)
+        displacement = flat.take(k)
+        displacement *= 1.0 - t
+        t *= flat[1:].take(k)
+        displacement += t
+        displacement *= dt
+    queries = np.subtract(p, displacement, out=displacement)
     moments = natural_spline_moments(f, grid.dp)
     return eval_natural_spline(grid.p_nodes, f, moments, queries)
 

@@ -6,6 +6,7 @@ from kinvlasov.interpolate import (
     eval_natural_spline,
     natural_spline_moments,
     periodic_shift_columns,
+    periodic_shift_transfer,
 )
 
 
@@ -19,27 +20,77 @@ def smooth_periodic(nx, seed=0):
     return f
 
 
+def shift(f, alpha):
+    return periodic_shift_columns(f, periodic_shift_transfer(f.shape[0], alpha))
+
+
+def four_tap_shift(f, alpha):
+    """Reference: the prefiltered B-spline coefficients gathered at four taps."""
+    nx, ncol = f.shape
+    fhat = np.fft.rfft(f, axis=0)
+    theta = 2.0 * np.pi * np.arange(fhat.shape[0]) / nx
+    bspline_symbol = (4.0 + 2.0 * np.cos(theta)) / 6.0
+    coef = np.fft.irfft(fhat / bspline_symbol[:, None], n=nx, axis=0)
+
+    g = -np.asarray(alpha, dtype=float)
+    s = np.floor(g).astype(int)
+    u = g - s
+
+    one_m = 1.0 - u
+    w0 = one_m**3 / 6.0
+    w1 = (4.0 - 6.0 * u**2 + 3.0 * u**3) / 6.0
+    w2 = (1.0 + 3.0 * u + 3.0 * u**2 - 3.0 * u**3) / 6.0
+    w3 = u**3 / 6.0
+
+    rows = np.arange(nx)[:, None]
+    cols = np.arange(ncol)[None, :]
+    base = rows + s[None, :] - 1
+    out = np.zeros_like(f)
+    for d, w in enumerate((w0, w1, w2, w3)):
+        out += w[None, :] * coef[(base + d) % nx, cols]
+    return out
+
+
+@pytest.mark.parametrize("nx", [47, 48, 9, 256])
+def test_fourier_shift_matches_four_tap_gather(nx):
+    rng = np.random.default_rng(nx)
+    alpha = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 0.5, -0.5, 1e-12, -1e-12],
+        [2.75, -13.2, 41.6, -95.01, 2.0 * nx + 0.3, -3.0 * nx - 0.8],
+        rng.uniform(-3.0, 3.0, size=20),
+    ])
+    f = rng.normal(size=(nx, alpha.size))
+    f[:, :8] = np.column_stack([smooth_periodic(nx, seed=j) for j in range(8)])
+    error = np.max(np.abs(shift(f, alpha) - four_tap_shift(f, alpha)))
+    assert error <= 1e-14 * np.max(np.abs(f))
+
+
+def test_shift_transfer_keeps_the_mean_exactly():
+    transfer = periodic_shift_transfer(40, np.array([0.3, -2.6, 17.0]))
+    assert np.all(transfer[0] == 1.0)
+
+
 @pytest.mark.parametrize("alpha", [0.3, -1.7, 5.0, 0.5, 2.25])
 def test_periodic_shift_matches_scipy(alpha):
     nx = 48
     f = smooth_periodic(nx)
     x = np.arange(nx + 1.0)
     reference = CubicSpline(x, np.append(f, f[0]), bc_type="periodic")
-    mine = periodic_shift_columns(f[:, None], np.array([alpha]))[:, 0]
+    mine = shift(f[:, None], np.array([alpha]))[:, 0]
     expected = reference((np.arange(nx) - alpha) % nx)
     assert np.allclose(mine, expected, atol=1e-12)
 
 
 def test_integer_shift_is_exact():
     f = smooth_periodic(64, seed=2)
-    shifted = periodic_shift_columns(f[:, None], np.array([3.0]))[:, 0]
+    shifted = shift(f[:, None], np.array([3.0]))[:, 0]
     assert np.max(np.abs(shifted - np.roll(f, 3))) <= 1e-12 * np.max(np.abs(f))
 
 
 def test_shift_preserves_constants_and_mass():
     nx = 32
     f = np.column_stack([np.full(nx, 2.5), smooth_periodic(nx, seed=4)])
-    shifted = periodic_shift_columns(f, np.array([0.37, -1.22]))
+    shifted = shift(f, np.array([0.37, -1.22]))
     assert np.allclose(shifted[:, 0], 2.5, atol=1e-13)
     # the collocation weights sum to one, so column sums are invariant
     assert np.sum(shifted[:, 1]) == pytest.approx(np.sum(f[:, 1]), abs=1e-11)
@@ -74,3 +125,13 @@ def test_natural_spline_zero_outside():
     moments = natural_spline_moments(rows, nodes[1] - nodes[0])
     outside = np.array([[-1.5, 1.0001, 2.0]] * 2)
     assert np.all(eval_natural_spline(nodes, rows, moments, outside) == 0.0)
+
+
+def test_natural_spline_nan_query_is_not_zeroed():
+    nodes = np.linspace(-1.0, 1.0, 16)
+    rows = np.ones((1, 16))
+    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
+    with np.errstate(invalid="ignore"):
+        values = eval_natural_spline(nodes, rows, moments, np.array([[np.nan, 0.1]]))
+    assert np.isnan(values[0, 0])
+    assert values[0, 1] == pytest.approx(1.0)

@@ -3,10 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from kinvlasov.config import Config, InitConfig, validate_config
+from kinvlasov.forces import force_field
 from kinvlasov.grid import build_grid
-from kinvlasov.state import initialize_state, momentum_gaussian
+from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.vlasov import (
     KickDisplacementError,
     advect_x,
@@ -59,6 +63,17 @@ def test_advect_reversibility():
     assert np.max(np.abs(f - f0)) <= 1e-6 * np.max(f0)
 
 
+@settings(deadline=None)
+@given(nx=st.integers(8, 97), n_p=st.integers(8, 48), c=st.floats(0.5, 20.0),
+       m=st.floats(0.1, 10.0), dt=st.floats(-5.0, 5.0), relativistic=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_advect_conserves_every_column_sum(nx, n_p, c, m, dt, relativistic, seed):
+    grid = build_grid(Config(nx=nx, x_max=6.0, np=n_p, p_max=4.0))
+    f = np.random.default_rng(seed).random((nx, n_p))
+    out = advect_x(f, grid, dt, m, c, relativistic)
+    assert np.all(np.abs(out.sum(axis=0) - f.sum(axis=0)) <= 1e-13 * f.sum(axis=0))
+
+
 def test_kick_zero_force_is_identity(grid):
     f = gaussian_f(grid)
     out = kick_p(f, np.zeros_like(f), grid, 0.1)
@@ -83,6 +98,74 @@ def test_kick_displacement_bound(grid):
     force = np.full_like(f, grid.np * grid.dp)  # far beyond the quarter-grid bound
     with pytest.raises(KickDisplacementError):
         kick_p(f, force, grid, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kick_rejects_non_finite_force(grid, bad):
+    # NaN fails every comparison: a `worst >= limit` bound lets it through, and
+    # the spline's range mask then zeroes its cells of f
+    f = gaussian_f(grid)
+    force = np.full_like(f, 0.1)
+    force[3, 5] = bad
+    with pytest.raises(KickDisplacementError, match="non-finite"):
+        kick_p(f, force, grid, 0.05)
+
+
+def banded_take_along_axis_kick(f, force, grid, dt, refine):
+    """Reference: the kick as a per-call banded solve and four take_along_axis gathers."""
+    displacement = force * dt
+    p = grid.p_nodes[None, :]
+    if refine:
+        foot_guess = p - displacement
+        k = np.clip(np.floor((foot_guess - grid.p_nodes[0]) / grid.dp).astype(int),
+                    0, grid.np - 2)
+        t = np.clip((foot_guess - (grid.p_nodes[0] + k * grid.dp)) / grid.dp, 0.0, 1.0)
+        f_lo = np.take_along_axis(force, k, axis=1)
+        f_hi = np.take_along_axis(force, k + 1, axis=1)
+        displacement = (f_lo * (1.0 - t) + f_hi * t) * dt
+    queries = p - displacement
+
+    n, h = grid.np, grid.dp
+    rhs = 6.0 * (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / (h * h)
+    ab = np.ones((3, n - 2))
+    ab[1] = 4.0
+    ab[0, 0] = 0.0
+    ab[2, -1] = 0.0
+    moments = np.zeros_like(f)
+    moments[:, 1:-1] = solve_banded((1, 1), ab, rhs.T).T
+
+    nodes = grid.p_nodes
+    h = nodes[1] - nodes[0]
+    k = np.clip(np.floor((queries - nodes[0]) / h).astype(int), 0, n - 2)
+    t = (queries - (nodes[0] + k * h)) / h
+    lo = np.take_along_axis(f, k, axis=1)
+    hi = np.take_along_axis(f, k + 1, axis=1)
+    mlo = np.take_along_axis(moments, k, axis=1)
+    mhi = np.take_along_axis(moments, k + 1, axis=1)
+    one_m = 1.0 - t
+    values = (lo * one_m + hi * t
+              + (h * h / 6.0) * ((one_m**3 - one_m) * mlo + (t**3 - t) * mhi))
+    inside = (queries >= nodes[0]) & (queries <= nodes[-1])
+    return np.where(inside, values, 0.0)
+
+
+@pytest.mark.parametrize("refine", [0, 1])
+@pytest.mark.parametrize("mode", ["modified", "standard"])
+def test_kick_matches_banded_take_along_axis_reference(mode, refine):
+    config = validate_config(landau_config(nx=32, n_p=64, amplitude=0.1))
+    grid = build_grid(config)
+    f = initialize_state(config, grid).minus.f
+    x = 2.0 * np.pi * grid.x_nodes / grid.x_max
+    # potentials strong enough to move f by several cells
+    fields = FieldState(phi_prev=75.0 * np.sin(x), phi_curr=78.0 * np.sin(x + 0.1),
+                        a_prev=50.0 * np.cos(x), a_curr=60.0 * np.cos(x - 0.2))
+    dt = 0.1
+    force = force_field(fields, grid, dt, config.minus.q, config.minus.m, config.c,
+                        config.relativistic, mode)
+    assert 2.0 * grid.dp < np.max(np.abs(force * dt)) < 0.25 * grid.np * grid.dp
+    expected = banded_take_along_axis_kick(f, force, grid, dt, refine)
+    out = kick_p(f, force, grid, dt, refine)
+    assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_kick_refine_close_to_plain_for_uniform_force(grid):
@@ -134,6 +217,31 @@ def test_step_with_kick_refinement():
     # refinement is a higher-order correction, not a different trajectory
     assert np.allclose(s_refined.minus.f, s_plain.minus.f, atol=1e-6 * scale)
     assert not np.array_equal(s_refined.minus.f, s_plain.minus.f)
+
+
+@pytest.mark.parametrize("change", [{"x_max": 30.0}, {"c": 6.0}, {"cfl_fraction": 0.5},
+                                    {"np": 48}])
+def test_alternating_configs_step_as_if_alone(change):
+    # A fresh grid per step frees the last one, so its address (its id) comes
+    # back for the other config's grid.
+    base = validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2))
+    configs = (base, validate_config(replace(base, **change)))
+    alone = []
+    for config in configs:
+        grid = build_grid(config)
+        state = initialize_state(config, grid)
+        for _ in range(3):
+            state = step(state, config, grid)
+        alone.append(state)
+    mixed = [initialize_state(config, build_grid(config)) for config in configs]
+    for _ in range(3):
+        for i, config in enumerate(configs):
+            mixed[i] = step(mixed[i], config, build_grid(config))
+    for a, b in zip(alone, mixed):
+        assert a.time == b.time
+        assert np.array_equal(a.plus.f, b.plus.f)
+        assert np.array_equal(a.minus.f, b.minus.f)
+        assert np.array_equal(a.fields.a_curr, b.fields.a_curr)
 
 
 def test_step_deterministic():
