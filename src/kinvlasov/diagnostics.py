@@ -24,6 +24,7 @@ from .grid import PhaseSpaceGrid
 from .moments import charge_density, continuity_residual, current_density
 from .state import FieldState, SimulationState
 from .vlasov import max_velocity, time_step
+from .workspace import work_array
 
 
 class InsufficientHistoryError(RuntimeError):
@@ -134,7 +135,8 @@ class StateHistory:
 
 
 def _l2_phase(field: np.ndarray, grid: PhaseSpaceGrid) -> float:
-    return float(np.sqrt(np.sum(field * field) * grid.dx * grid.dp))
+    squares = np.multiply(field, field, out=work_array(1, field.shape))
+    return float(np.sqrt(np.sum(squares) * grid.dx * grid.dp))
 
 
 def _l2_x(field: np.ndarray, grid: PhaseSpaceGrid) -> float:
@@ -151,15 +153,26 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
     The stored field levels of the middle snapshot straddle its time, which is
     exactly what the force builders expect.
     """
-    ft = (f_next - f_prev) / (2.0 * dt)
-    fx = (np.roll(f_mid, -1, axis=0) - np.roll(f_mid, 1, axis=0)) / (2.0 * grid.dx)
-    fp = (f_mid[:, 2:] - f_mid[:, :-2]) / (2.0 * grid.dp)
+    interior = (f_mid.shape[0], f_mid.shape[1] - 2)
+    residual = np.subtract(f_next[:, 1:-1], f_prev[:, 1:-1], out=work_array(0, interior))
+    residual /= 2.0 * dt
+    # Periodic centered difference in x of the interior columns.
+    mid = f_mid[:, 1:-1]
+    fx = work_array(1, interior)
+    np.subtract(mid[2:], mid[:-2], out=fx[1:-1])
+    np.subtract(mid[1], mid[-1], out=fx[0])
+    np.subtract(mid[0], mid[-2], out=fx[-1])
+    fx /= 2.0 * grid.dx
     v = velocity_from_momentum(grid.p_nodes, m, config.c, config.relativistic)
-    residual = ft[:, 1:-1] + v[None, 1:-1] * fx[:, 1:-1]
+    fx *= v[None, 1:-1]
+    residual += fx
     if config.forces_enabled:
         force = force_field(fields_mid, grid, dt, q, m, config.c,
                             config.relativistic, config.force_mode)
-        residual = residual + force[:, 1:-1] * fp
+        fp = np.subtract(f_mid[:, 2:], f_mid[:, :-2], out=work_array(2, interior))
+        fp /= 2.0 * grid.dp
+        fp *= force[:, 1:-1]
+        residual += fp
     return _l2_phase(residual, grid)
 
 

@@ -44,7 +44,10 @@ def modified_force(fields, grid: PhaseSpaceGrid, dt: float, q: float, m: float,
     da_dt = (fields.a_curr - fields.a_prev) / dt
     da_dx = d1_periodic(0.5 * (fields.a_prev + fields.a_curr), grid.dx)
     v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
-    return -(q / c) * (da_dt[:, None] + v[None, :] * da_dx[:, None])
+    force = np.multiply.outer(da_dx, v)
+    force += da_dt[:, None]
+    force *= -(q / c)
+    return force
 
 
 def standard_force(fields, grid: PhaseSpaceGrid, dt: float, q: float,

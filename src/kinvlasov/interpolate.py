@@ -22,6 +22,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from .workspace import work_array
+
 
 def periodic_shift_transfer(nx: int, alpha: np.ndarray) -> np.ndarray:
     """Transfer function of the spline shift of each column by alpha[j] cells.
@@ -83,31 +85,37 @@ def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
     Rows of f sample uniformly spaced nodes (spacing h) along axis 1; the
     returned array has the same shape, with zero end values.
     """
-    rhs = 2.0 * f[:, 1:-1]
+    rhs = work_array(1, (f.shape[0], f.shape[1] - 2))
+    np.multiply(f[:, 1:-1], 2.0, out=rhs)
     np.subtract(f[:, 2:], rhs, out=rhs)
     rhs += f[:, :-2]
     rhs *= 6.0
     rhs /= h * h
     # rhs.T is Fortran-ordered, so dgttrs solves every row in place.
     solution, _ = dgttrs(*_natural_spline_lu(f.shape[1]), rhs.T, overwrite_b=1)
-    moments = np.zeros_like(f)
+    moments = np.empty_like(f)
+    moments[:, 0] = 0.0
+    moments[:, -1] = 0.0
     moments[:, 1:-1] = solution.T
     return moments
 
 
-def locate_cells(nodes: np.ndarray, queries: np.ndarray) -> tuple:
+def _locate_cells(nodes: np.ndarray, queries: np.ndarray) -> tuple:
     """Each query's interval on the uniform nodes, for rows of a C-ordered
     (queries.shape[0], nodes.size) array.
 
     Returns the flat index of the interval's left node (intervals clamped to
     the node range) and the query's offset from that node in cells, which is
-    in [0, 1] inside the range.  A NaN query gets a NaN offset.
+    in [0, 1] inside the range.  A NaN query gets a NaN offset.  Both are the
+    work arrays of slots 1 and 2.
     """
-    t = queries - nodes[0]
+    t = work_array(2, queries.shape)
+    np.subtract(queries, nodes[0], out=t)
     t /= nodes[1] - nodes[0]
     # Truncation is floor wherever the clip keeps it; NaN casts to an index
     # that the clip brings into range.
-    k = t.astype(np.intp)
+    k = work_array(1, queries.shape, np.intp)
+    np.copyto(k, t, casting="unsafe")
     np.clip(k, 0, nodes.size - 2, out=k)
     t -= k
     k += np.arange(0, queries.shape[0] * nodes.size, nodes.size)[:, None]
@@ -122,23 +130,23 @@ def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
     resolved momentum range); a NaN query returns NaN.
     """
     h = nodes[1] - nodes[0]
-    k, t = locate_cells(nodes, queries)
+    k, t = _locate_cells(nodes, queries)
     flat = np.ravel(f)
     flat_moments = np.ravel(moments)
 
     # S = lo + t (hi - lo) - (h^2/6) t (1-t) [(2-t) mlo + (1+t) mhi], which is
     # (1-t) lo + t hi + (h^2/6) [((1-t)^3 - (1-t)) mlo + (t^3 - t) mhi]
-    # factored.  Every step writes into one of four arrays: each new array
-    # costs page faults on top of its arithmetic.
+    # factored.  Every index is in range, so the gathers into work arrays use
+    # mode "clip", which numpy does not buffer.
     values = flat.take(k)
-    work = flat[1:].take(k)
+    work = flat[1:].take(k, out=work_array(3, k.shape), mode="clip")
     work -= values
     work *= t
     values += work
-    bracket = flat_moments[1:].take(k)
+    bracket = flat_moments[1:].take(k, out=work_array(4, k.shape), mode="clip")
     np.add(t, 1.0, out=work)
     bracket *= work
-    flat_moments.take(k, out=work)
+    flat_moments.take(k, out=work, mode="clip")
     bracket += work
     bracket += work
     work *= t
@@ -148,7 +156,7 @@ def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
     bracket *= t
     bracket *= h * h / 6.0
     values -= bracket
-    outside = queries < nodes[0]
-    outside |= queries > nodes[-1]
+    outside = np.less(queries, nodes[0], out=work_array(1, queries.shape, bool))
+    outside |= np.greater(queries, nodes[-1], out=work_array(2, queries.shape, bool))
     values[outside] = 0.0
     return values

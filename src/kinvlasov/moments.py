@@ -16,6 +16,7 @@ import numpy as np
 from .fields import ResidualField, d1_periodic
 from .forces import velocity_from_momentum
 from .grid import PhaseSpaceGrid
+from .workspace import work_array
 
 
 def number_density(f, grid: PhaseSpaceGrid) -> np.ndarray:
@@ -25,7 +26,8 @@ def number_density(f, grid: PhaseSpaceGrid) -> np.ndarray:
 def particle_flux(f, m: float, c: float, relativistic: bool,
                   grid: PhaseSpaceGrid) -> np.ndarray:
     v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
-    return np.sum(f * v[None, :], axis=1) * grid.dp
+    weighted = np.multiply(f, v[None, :], out=work_array(0, np.shape(f)))
+    return np.sum(weighted, axis=1) * grid.dp
 
 
 def charge_density(f_plus, f_minus, q_plus: float, q_minus: float,

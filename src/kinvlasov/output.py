@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -75,10 +76,19 @@ class DiagnosticsWriter:
 
 
 def _write_matrix(path: Path, header: str, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in matrix:
-            fh.write(" ".join(format_float(v) for v in row) + "\n")
+    """Write into a temporary sibling of ``path``, then rename it into place, so
+    a write that fails midway leaves neither a truncated file nor the
+    temporary behind."""
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for row in matrix:
+                fh.write(" ".join(format_float(v) for v in row) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> list:

@@ -22,14 +22,15 @@ from .fields import WaveLevels, wave_step
 from .forces import force_field, velocity_from_momentum
 from .grid import PhaseSpaceGrid
 from .interpolate import (
+    _locate_cells,
     eval_natural_spline,
-    locate_cells,
     natural_spline_moments,
     periodic_shift_columns,
     periodic_shift_transfer,
 )
 from .moments import charge_density, current_density
 from .state import FieldState, SimulationState, SpeciesState, refresh_moments
+from .workspace import work_array
 
 
 class KickDisplacementError(RuntimeError):
@@ -86,7 +87,7 @@ def kick_p(f: np.ndarray, force: np.ndarray, grid: PhaseSpaceGrid, dt: float,
     """
     if dt == 0.0 or not np.any(force):
         return f.copy()
-    displacement = force * dt
+    displacement = np.multiply(force, dt, out=work_array(0, f.shape))
     limit = 0.25 * grid.np * grid.dp
     # max and min are both NaN when any displacement is NaN
     worst = float(max(displacement.max(), -displacement.min()))
@@ -100,12 +101,13 @@ def kick_p(f: np.ndarray, force: np.ndarray, grid: PhaseSpaceGrid, dt: float,
         )
     p = grid.p_nodes[None, :]
     if refine:
-        k, t = locate_cells(grid.p_nodes, p - displacement)
+        k, t = _locate_cells(grid.p_nodes, np.subtract(p, displacement, out=displacement))
         np.clip(t, 0.0, 1.0, out=t)
         flat = np.ravel(force)
-        displacement = flat.take(k)
-        displacement *= 1.0 - t
-        t *= flat[1:].take(k)
+        flat.take(k, out=displacement, mode="clip")
+        weight = np.subtract(1.0, t, out=work_array(3, f.shape))
+        displacement *= weight
+        t *= flat[1:].take(k, out=weight, mode="clip")
         displacement += t
         displacement *= dt
     queries = np.subtract(p, displacement, out=displacement)
@@ -140,12 +142,13 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     if config.forces_enabled:
         straddle = FieldState(phi_prev=old.phi_prev, phi_curr=phi_new,
                               a_prev=old.a_prev, a_curr=a_new)
-        for_plus = force_field(straddle, grid, 2.0 * dt, plus.q, plus.m, c, rel,
-                               config.force_mode)
-        for_minus = force_field(straddle, grid, 2.0 * dt, minus.q, minus.m, c, rel,
-                                config.force_mode)
-        f_plus = kick_p(f_plus, for_plus, grid, dt, config.kick_refine)
-        f_minus = kick_p(f_minus, for_minus, grid, dt, config.kick_refine)
+        # Each force is freed once its kick is done.
+        f_plus = kick_p(f_plus, force_field(straddle, grid, 2.0 * dt, plus.q, plus.m,
+                                            c, rel, config.force_mode),
+                        grid, dt, config.kick_refine)
+        f_minus = kick_p(f_minus, force_field(straddle, grid, 2.0 * dt, minus.q, minus.m,
+                                              c, rel, config.force_mode),
+                         grid, dt, config.kick_refine)
 
     # Stage 4: half advection in x.
     f_plus = advect_x(f_plus, grid, half, plus.m, c, rel)

@@ -1,0 +1,53 @@
+"""Per-thread work arrays for the phase-space intermediates of the kernels and
+the diagnostics.
+
+A step and its diagnostics row need dozens of (nx, np) intermediates.  Taken
+fresh from the allocator, a megabyte-sized array is handed back to the
+operating system when it is freed, so the next one page-faults on every page it
+touches.  Instead each thread keeps ``SLOTS`` buffers (``threading.local``);
+a buffer grows to the largest array asked of it and is reused from then on.
+
+The slot of every intermediate is fixed where it is used.  Intermediates whose
+lifetimes never overlap share a slot, and no function asks for a slot that a
+caller of it still holds:
+
+    slot 0  kick_p's displacement and foot points; particle_flux's f*v;
+            vlasov_residual's sum
+    slot 1  natural_spline_moments' right-hand side; the cell indices and the
+            range mask of eval_natural_spline; vlasov_residual's x-derivative
+            term; _l2_phase's squares
+    slot 2  the cell offsets t; the second range mask; vlasov_residual's
+            p-derivative term
+    slot 3  eval_natural_spline's work array; kick_p's refine weights
+    slot 4  eval_natural_spline's moment bracket
+
+A work array is never returned by a public function, so no later call can
+overwrite a result.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+
+import numpy as np
+
+SLOTS = 5
+
+_local = threading.local()
+
+
+def work_array(slot: int, shape: tuple, dtype=float) -> np.ndarray:
+    """A C-ordered array of ``shape`` in this thread's buffer ``slot``.
+
+    Its contents are whatever the slot last held; the next request for the
+    same slot on this thread reuses its memory.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buffers = getattr(_local, "buffers", None)
+    if buffers is None:
+        buffers = _local.buffers = [np.empty(0, dtype=np.uint8)] * SLOTS
+    if buffers[slot].size < nbytes:
+        buffers[slot] = np.empty(nbytes, dtype=np.uint8)
+    return buffers[slot][:nbytes].view(dtype).reshape(shape)

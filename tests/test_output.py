@@ -8,6 +8,7 @@ import pytest
 from kinvlasov.config import validate_config
 from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS, DiagnosticsRecord
 from kinvlasov.grid import build_grid
+from kinvlasov import output
 from kinvlasov.output import (
     format_float,
     manifest_payload,
@@ -83,6 +84,24 @@ def test_snapshot_round_trip(tmp_path):
     meta_f, table = read_snapshot(tmp_path / "fields_0.dat")
     assert meta_f["columns"] == "x,phi,a,rho,j"
     assert np.array_equal(table[:, 3], state.rho)
+
+
+def test_interrupted_snapshot_leaves_no_file(tmp_path, monkeypatch):
+    config = validate_config(landau_config(nx=16, n_p=16, amplitude=1e-2))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    formatted = []
+
+    def fail_in_first_matrix(x):
+        formatted.append(x)
+        if len(formatted) == 100:
+            raise OSError("no space left on device")
+        return format_float(x)
+
+    monkeypatch.setattr(output, "format_float", fail_in_first_matrix)
+    with pytest.raises(OSError, match="no space"):
+        write_snapshot(state, grid, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_snapshot_header_value_count(tmp_path):

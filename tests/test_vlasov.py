@@ -19,7 +19,7 @@ from kinvlasov.vlasov import (
     time_step,
 )
 
-from conftest import landau_config
+from conftest import landau_config, pair_species
 
 
 @pytest.fixture
@@ -205,6 +205,24 @@ def test_step_uniform_plasma_is_fixed_point():
     assert np.max(np.abs(new.plus.f - state.plus.f)) <= 1e-12 * np.max(state.plus.f)
     assert np.all(new.fields.phi_curr == 0.0)
     assert np.all(new.fields.a_curr == 0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(nx=st.integers(8, 64), n_p=st.integers(16, 96), c=st.floats(1.0, 20.0),
+       m=st.floats(0.2, 1.0), relativistic=st.booleans())
+def test_uniform_neutral_pair_plasma_is_fixed_point(nx, n_p, c, m, relativistic):
+    config = validate_config(replace(
+        landau_config(amplitude=0.0, nx=nx, n_p=n_p, c=c, relativistic=relativistic),
+        species=pair_species(m=m)))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    initial = state
+    for _ in range(3):
+        state = step(state, config, grid)
+        for new, old in ((state.plus.f, initial.plus.f), (state.minus.f, initial.minus.f)):
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(old)
+        assert np.all(state.fields.phi_curr == 0.0)
+        assert np.all(state.fields.a_curr == 0.0)
 
 
 def test_step_with_kick_refinement():

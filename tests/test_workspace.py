@@ -1,0 +1,145 @@
+"""The per-thread work arrays: results never alias them, threads never share
+them, and a step with its diagnostics row stays within an allocation budget."""
+
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+
+from kinvlasov import workspace
+from kinvlasov.config import Config, validate_config
+from kinvlasov.diagnostics import StateHistory, make_record
+from kinvlasov.forces import force_field
+from kinvlasov.grid import build_grid
+from kinvlasov.interpolate import eval_natural_spline, natural_spline_moments
+from kinvlasov.moments import particle_flux
+from kinvlasov.state import FieldState, initialize_state
+from kinvlasov.vlasov import advect_x, kick_p, step, time_step
+
+from conftest import landau_config
+
+
+def small_grid(nx, n_p):
+    return build_grid(Config(nx=nx, x_max=8.0, np=n_p, p_max=4.0))
+
+
+def kernel_results(grid, seed):
+    """Every function whose intermediates use the work arrays, on random
+    inputs; the kicks move each foot point by up to a tenth of a cell."""
+    rng = np.random.default_rng(seed)
+    f = rng.random((grid.nx, grid.np))
+    fields = FieldState(*(0.01 * rng.standard_normal(grid.nx) for _ in range(4)))
+    force = force_field(fields, grid, 0.1, 0.5, 1.0, 4.0, True, "modified")
+    dt = 0.1 * grid.dp / np.max(np.abs(force))
+    moments = natural_spline_moments(f, grid.dp)
+    queries = grid.p_nodes[None, :] + grid.dp * rng.uniform(-1.5, 1.5, f.shape)
+    return {
+        "advect_x": advect_x(f, grid, 0.05, 1.0, 4.0, True),
+        "kick_p": kick_p(f, force, grid, dt),
+        "kick_p refine": kick_p(f, force, grid, dt, refine=1),
+        "natural_spline_moments": moments,
+        "eval_natural_spline": eval_natural_spline(grid.p_nodes, f, moments, queries),
+        "force_field": force,
+        "force_field standard": force_field(fields, grid, 0.1, 0.5, 1.0, 4.0, True,
+                                            "standard"),
+        "particle_flux": particle_flux(f, 1.0, 4.0, True, grid),
+    }
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) on a new thread, which starts with empty work arrays."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return out[0]
+
+
+def test_results_survive_later_calls():
+    mid, large, small = small_grid(32, 48), small_grid(64, 128), small_grid(16, 24)
+    first = kernel_results(mid, 1)
+    kept = {name: out.copy() for name, out in first.items()}
+    kernel_results(mid, 2)        # other inputs, same grid
+    kernel_results(large, 3)      # a larger grid grows every buffer
+    again = kernel_results(mid, 1)
+    after_large = kernel_results(small, 4)  # a smaller grid after a larger one
+    for name, out in first.items():
+        assert np.array_equal(out, kept[name]), name
+        assert np.array_equal(again[name], kept[name]), name
+    fresh = in_fresh_thread(kernel_results, small, 4)
+    for name, out in after_large.items():
+        assert np.array_equal(out, fresh[name]), name
+
+
+def stepped(config, n_steps):
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    for _ in range(n_steps):
+        state = step(state, config, grid)
+    return state
+
+
+def test_threads_stepping_different_grids_match_sequential_runs():
+    configs = [validate_config(landau_config(nx=nx, n_p=n_p, amplitude=1e-2))
+               for nx, n_p in ((64, 128), (32, 48))] * 2
+    expected = [stepped(config, 4) for config in configs]
+
+    results = [None] * len(configs)
+    start = threading.Barrier(len(configs))
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = stepped(configs[i], 4)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(configs))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for got, want in zip(results, expected):
+        assert got is not None
+        assert np.array_equal(got.plus.f, want.plus.f)
+        assert np.array_equal(got.minus.f, want.minus.f)
+        assert np.array_equal(got.fields.phi_curr, want.fields.phi_curr)
+        assert np.array_equal(got.fields.a_curr, want.fields.a_curr)
+
+
+def test_step_and_record_allocation_budget():
+    # Warm-up fills the work arrays and the cached operators; after it, one
+    # step and its record allocate the new state's f pair, the kernels'
+    # results and the forces, but no intermediates.
+    config = validate_config(landau_config(nx=64, n_p=128, amplitude=1e-2))
+    grid = build_grid(config)
+    dt = time_step(config, grid)
+    state = initialize_state(config, grid)
+    history = StateHistory()
+    history.push(state)
+    for _ in range(3):
+        state = step(state, config, grid)
+        history.push(state)
+        make_record(state, history, config, grid, dt)
+
+    tracemalloc.start()
+    try:
+        state = step(state, config, grid)
+        history.push(state)
+        make_record(state, history, config, grid, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * state.plus.f.nbytes
+
+
+def test_results_never_share_memory_with_work_arrays():
+    results = kernel_results(small_grid(32, 48), 5)
+    buffers = workspace._local.buffers
+    for name, out in results.items():
+        assert not any(np.shares_memory(out, buffer) for buffer in buffers), name
