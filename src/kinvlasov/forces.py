@@ -13,10 +13,12 @@ potential-form force
 is kept as a comparator (its magnetic part v x curl A vanishes identically in
 this 1D geometry, where A has only an x component depending on x alone).
 
-Both force builders take a FieldState whose two time levels bracket the
-evaluation time symmetrically and are separated by ``dt``: time derivatives are
-the forward difference over dt, space derivatives act on the level average, so
-the result is time-centered at the midpoint.
+Both have the form F = a(x) + b(x) v(p), with b = 0 for the comparator, and
+``force_coefficients`` alone evaluates a and b; the phase-space builders
+expand them.  Its FieldState's two time levels bracket the evaluation time
+symmetrically and are separated by ``dt``: time derivatives are the forward
+difference over dt, space derivatives act on the level average, so the result
+is time-centered at the midpoint.
 """
 
 from __future__ import annotations
@@ -35,38 +37,38 @@ def velocity_from_momentum(p, m: float, c: float, relativistic: bool):
     return p / np.sqrt(m * m + (p * p) / (c * c))
 
 
+def force_coefficients(fields, grid: PhaseSpaceGrid, dt: float, q: float, c: float,
+                       mode: str) -> np.ndarray:
+    """Rows a and b of F = a(x) + b(x) v(p), shape (2, nx).  modified:
+    a = -(q/c) dA/dt, b = -(q/c) dA/dx, phi unread; standard: b = 0 exactly."""
+    da_dt = (fields.a_curr - fields.a_prev) / dt
+    if mode == "modified":
+        da_dx = d1_periodic(0.5 * (fields.a_prev + fields.a_curr), grid.dx)
+        return -(q / c) * np.array([da_dt, da_dx])
+    if mode == "standard":
+        dphi_dx = d1_periodic(0.5 * (fields.phi_prev + fields.phi_curr), grid.dx)
+        return np.array([q * (-dphi_dx - da_dt / c), np.zeros(grid.nx)])
+    raise ValueError(f"unknown force mode {mode!r}")
+
+
 def modified_force(fields, grid: PhaseSpaceGrid, dt: float, q: float, m: float,
                    c: float, relativistic: bool) -> np.ndarray:
-    """F(x, p) = -(q/c) [dA/dt + v(p) dA/dx] on the full phase-space grid.
-
-    phi is never read: this force law has no electrostatic-gradient term.
-    """
-    da_dt = (fields.a_curr - fields.a_prev) / dt
-    da_dx = d1_periodic(0.5 * (fields.a_prev + fields.a_curr), grid.dx)
-    v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
-    force = np.multiply.outer(da_dx, v)
-    force += da_dt[:, None]
-    force *= -(q / c)
-    return force
+    """F(x, p) = -(q/c) [dA/dt + v(p) dA/dx] on the full phase-space grid."""
+    return force_field(fields, grid, dt, q, m, c, relativistic, "modified")
 
 
 def standard_force(fields, grid: PhaseSpaceGrid, dt: float, q: float,
                    c: float) -> np.ndarray:
-    """F(x) = q [-dphi/dx - (1/c) dA/dt], broadcast over p (row-constant).
-
-    The magnetic term q/c v x curl A is identically zero in this geometry and
-    is therefore omitted rather than computed.
-    """
-    dphi_dx = d1_periodic(0.5 * (fields.phi_prev + fields.phi_curr), grid.dx)
-    da_dt = (fields.a_curr - fields.a_prev) / dt
-    fx = q * (-dphi_dx - da_dt / c)
-    return np.repeat(fx[:, None], grid.np, axis=1)
+    """F(x) = q [-dphi/dx - (1/c) dA/dt], broadcast over p (row-constant); the
+    magnetic term q/c v x curl A is identically zero in this geometry."""
+    a, _ = force_coefficients(fields, grid, dt, q, c, "standard")
+    return np.repeat(a[:, None], grid.np, axis=1)
 
 
 def force_field(fields, grid: PhaseSpaceGrid, dt: float, q: float, m: float,
                 c: float, relativistic: bool, mode: str) -> np.ndarray:
-    if mode == "modified":
-        return modified_force(fields, grid, dt, q, m, c, relativistic)
-    if mode == "standard":
-        return standard_force(fields, grid, dt, q, c)
-    raise ValueError(f"unknown force mode {mode!r}")
+    """The force a(x) + b(x) v(p) of ``force_coefficients`` on the full grid."""
+    a, b = force_coefficients(fields, grid, dt, q, c, mode)
+    force = np.multiply.outer(b, velocity_from_momentum(grid.p_nodes, m, c, relativistic))
+    force += a[:, None]
+    return force

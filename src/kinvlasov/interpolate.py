@@ -11,8 +11,9 @@ Two variants are needed:
 
 * natural splines (zero second derivative at both ends) along p, evaluated at
   arbitrary per-point foot locations, with zero extension outside the node
-  range.  Every row's moment system has the same tridiagonal matrix, which is
-  LU-factored once per node count.
+  range.  Every row's moment system has the same matrix, tridiag(1, 4, 1),
+  which is symmetric positive definite: it is LDL^T-factored (``dpttrf``, no
+  pivots) once per node count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .workspace import work_array
 
@@ -69,14 +70,12 @@ def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _natural_spline_lu(n: int) -> tuple:
-    """``dgttrf`` factors of tridiag(1, 4, 1), the moment matrix of n nodes."""
-    size = n - 2
-    dl, d, du, du2, ipiv, _ = dgttrf(np.ones(size - 1), np.full(size, 4.0),
-                                     np.ones(size - 1))
-    for factor in (dl, d, du, du2, ipiv):
-        factor.flags.writeable = False
-    return dl, d, du, du2, ipiv
+def _natural_spline_ldlt(n: int) -> tuple:
+    """``dpttrf`` factors of tridiag(1, 4, 1), the moment matrix of n nodes."""
+    d, e, _ = dpttrf(np.full(n - 2, 4.0), np.ones(n - 3))
+    d.flags.writeable = False
+    e.flags.writeable = False
+    return d, e
 
 
 def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
@@ -85,18 +84,19 @@ def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
     Rows of f sample uniformly spaced nodes (spacing h) along axis 1; the
     returned array has the same shape, with zero end values.
     """
-    rhs = work_array(1, (f.shape[0], f.shape[1] - 2))
-    np.multiply(f[:, 1:-1], 2.0, out=rhs)
-    np.subtract(f[:, 2:], rhs, out=rhs)
+    if f.shape[1] < 4:
+        raise ValueError(f"a natural spline needs at least 4 nodes (got {f.shape[1]})")
+    # Second differences; the system is linear, so their 6/h^2 is applied to
+    # the solution as it is copied out.
+    rhs = np.subtract(f[:, 2:], f[:, 1:-1], out=work_array(1, (f.shape[0], f.shape[1] - 2)))
+    rhs -= f[:, 1:-1]
     rhs += f[:, :-2]
-    rhs *= 6.0
-    rhs /= h * h
-    # rhs.T is Fortran-ordered, so dgttrs solves every row in place.
-    solution, _ = dgttrs(*_natural_spline_lu(f.shape[1]), rhs.T, overwrite_b=1)
+    # rhs.T is Fortran-ordered, so dpttrs solves every row in place.
+    solution, _ = dpttrs(*_natural_spline_ldlt(f.shape[1]), rhs.T, overwrite_b=1)
     moments = np.empty_like(f)
     moments[:, 0] = 0.0
     moments[:, -1] = 0.0
-    moments[:, 1:-1] = solution.T
+    np.multiply(solution.T, 6.0 / (h * h), out=moments[:, 1:-1])
     return moments
 
 

@@ -68,12 +68,6 @@ class DiagnosticsWriter:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def _write_matrix(path: Path, header: str, matrix: np.ndarray) -> None:
     """Write into a temporary sibling of ``path``, then rename it into place, so

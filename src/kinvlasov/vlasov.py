@@ -4,10 +4,12 @@ Each step executes the fixed stage sequence
 
     half advection in x  ->  field update  ->  momentum kick  ->  half advection in x
 
-with the charge and current recomputed after the first half advection, so the
-leapfrog source sits exactly at the current field level's time (levels are
-staggered half a step ahead of f).  The kick force is built from the two field
-levels that straddle the kick time, a centered difference spanning 2 dt.
+with the charge and current recomputed after the first half advection, at the
+current field level's time (levels are staggered half a step ahead of f).  That
+holds to first order in dt only: the kick moves j by O(dt), so the source lags
+its level (ROADMAP: "time-centre the current source").  The kick force is
+built from the two field levels that straddle the kick time, a centered
+difference spanning 2 dt.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .config import Config
 from .fields import WaveLevels, wave_step
-from .forces import force_field, velocity_from_momentum
+from .forces import force_coefficients, velocity_from_momentum
 from .grid import PhaseSpaceGrid
 from .interpolate import (
     _locate_cells,
@@ -78,19 +80,21 @@ def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float, m: float,
     return periodic_shift_columns(f, advection_transfer(grid, dt, m, c, relativistic))
 
 
-def kick_p(f: np.ndarray, force: np.ndarray, grid: PhaseSpaceGrid, dt: float,
-           refine: int = 0) -> np.ndarray:
+def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
+           grid: PhaseSpaceGrid, dt: float, refine: int = 0) -> np.ndarray:
     """f(x, p) <- f(x, p - F(x, p) dt), natural cubic splines in p, zero outside.
 
-    The characteristic is frozen at the pre-kick p; with refine = 1 the foot
-    point gets one fixed-point update using the force re-sampled there.
+    F = a(x) + b(x) v(p) from the rows of ``forces.force_coefficients`` and
+    the species' v on the p nodes.  The characteristic is frozen at the
+    pre-kick p; with refine = 1 the foot point gets one fixed-point update
+    using the force at the foot.
     """
-    if dt == 0.0 or not np.any(force):
+    if dt == 0.0 or not np.any(coefficients):
         return f.copy()
-    displacement = np.multiply(force, dt, out=work_array(0, f.shape))
+    a, b = coefficients * dt
+    # v is monotone in p, so each row's largest |F dt| is at an end (NaN if any is)
+    worst = float(np.max(np.abs(a[:, None] + b[:, None] * v[[0, -1]])))
     limit = 0.25 * grid.np * grid.dp
-    # max and min are both NaN when any displacement is NaN
-    worst = float(max(displacement.max(), -displacement.min()))
     if not worst < limit:
         if not math.isfinite(worst):
             raise KickDisplacementError(
@@ -99,18 +103,17 @@ def kick_p(f: np.ndarray, force: np.ndarray, grid: PhaseSpaceGrid, dt: float,
             f"momentum displacement {worst:.3e} exceeds sanity bound {limit:.3e} "
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
-    p = grid.p_nodes[None, :]
-    if refine:
-        k, t = _locate_cells(grid.p_nodes, np.subtract(p, displacement, out=displacement))
-        np.clip(t, 0.0, 1.0, out=t)
-        flat = np.ravel(force)
-        flat.take(k, out=displacement, mode="clip")
-        weight = np.subtract(1.0, t, out=work_array(3, f.shape))
-        displacement *= weight
-        t *= flat[1:].take(k, out=weight, mode="clip")
-        displacement += t
-        displacement *= dt
-    queries = np.subtract(p, displacement, out=displacement)
+    v_at = v[None, :]
+    for sweep in range(1 + refine):
+        if sweep:  # refine: v at the foot, linear between its two nodes
+            k, t = _locate_cells(grid.p_nodes, queries)
+            k -= np.arange(0, f.size, grid.np)[:, None]
+            np.clip(t, 0.0, 1.0, out=t)
+            v_at = v.take(k, out=work_array(3, f.shape), mode="clip")
+            v_at += np.multiply(t, np.diff(v).take(k, out=queries, mode="clip"), out=t)
+        queries = np.multiply(b[:, None], v_at, out=work_array(0, f.shape))
+        np.subtract(grid.p_nodes, queries, out=queries)
+        queries -= a[:, None]
     moments = natural_spline_moments(f, grid.dp)
     return eval_natural_spline(grid.p_nodes, f, moments, queries)
 
@@ -142,13 +145,14 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     if config.forces_enabled:
         straddle = FieldState(phi_prev=old.phi_prev, phi_curr=phi_new,
                               a_prev=old.a_prev, a_curr=a_new)
-        # Each force is freed once its kick is done.
-        f_plus = kick_p(f_plus, force_field(straddle, grid, 2.0 * dt, plus.q, plus.m,
-                                            c, rel, config.force_mode),
-                        grid, dt, config.kick_refine)
-        f_minus = kick_p(f_minus, force_field(straddle, grid, 2.0 * dt, minus.q, minus.m,
-                                              c, rel, config.force_mode),
-                         grid, dt, config.kick_refine)
+
+        def kicked(f, species):
+            coefficients = force_coefficients(straddle, grid, 2.0 * dt, species.q, c,
+                                              config.force_mode)
+            v = velocity_from_momentum(grid.p_nodes, species.m, c, rel)
+            return kick_p(f, coefficients, v, grid, dt, config.kick_refine)
+
+        f_plus, f_minus = kicked(f_plus, plus), kicked(f_minus, minus)
 
     # Stage 4: half advection in x.
     f_plus = advect_x(f_plus, grid, half, plus.m, c, rel)

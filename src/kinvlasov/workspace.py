@@ -11,14 +11,14 @@ The slot of every intermediate is fixed where it is used.  Intermediates whose
 lifetimes never overlap share a slot, and no function asks for a slot that a
 caller of it still holds:
 
-    slot 0  kick_p's displacement and foot points; particle_flux's f*v;
-            vlasov_residual's sum
+    slot 0  kick_p's foot points; particle_flux's f*v; vlasov_residual's sum
     slot 1  natural_spline_moments' right-hand side; the cell indices and the
-            range mask of eval_natural_spline; vlasov_residual's x-derivative
-            term; _l2_phase's squares
+            range mask of eval_natural_spline; vlasov_residual's transport
+            term (dt/dx) v [D_x f + (dx/dp) b D_p f]
     slot 2  the cell offsets t; the second range mask; vlasov_residual's
-            p-derivative term
-    slot 3  eval_natural_spline's work array; kick_p's refine weights
+            p-difference D_p f
+    slot 3  eval_natural_spline's work array; kick_p's v at the refined foot;
+            vlasov_residual's b D_p f
     slot 4  eval_natural_spline's moment bracket
 
 A work array is never returned by a public function, so no later call can

@@ -16,6 +16,7 @@ from kinvlasov.diagnostics import (
     snapshot_state,
     vlasov_residual,
 )
+from kinvlasov.forces import force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
@@ -87,6 +88,46 @@ def test_vlasov_residual_flags_wrong_transport_speed():
     assert r_bad >= 10.0 * r_ok
 
 
+def three_term_residual(f_prev, f_mid, f_next, fields_mid, q, m, config, grid, dt):
+    """Reference: the L2 norm of df/dt + v df/dx + F df/dp, each term divided
+    by its own step, with F on every phase-space node."""
+    dfdt = (f_next - f_prev)[:, 1:-1] / (2.0 * dt)
+    dfdx = (np.roll(f_mid, -1, axis=0) - np.roll(f_mid, 1, axis=0))[:, 1:-1] / (2.0 * grid.dx)
+    v = velocity_from_momentum(grid.p_nodes, m, config.c, config.relativistic)
+    residual = dfdt + v[None, 1:-1] * dfdx
+    if config.forces_enabled:
+        force = force_field(fields_mid, grid, dt, q, m, config.c, config.relativistic,
+                            config.force_mode)
+        residual += force[:, 1:-1] * (f_mid[:, 2:] - f_mid[:, :-2]) / (2.0 * grid.dp)
+    return float(np.sqrt(np.sum(residual**2) * grid.dx * grid.dp))
+
+
+@pytest.mark.parametrize("preset,force_mode", [("landau", "modified"),
+                                               ("landau", "standard"),
+                                               ("free_stream", "modified")])
+def test_vlasov_residual_matches_three_term_form(preset, force_mode):
+    config = validate_config(replace(
+        landau_config(nx=32, n_p=64, amplitude=0.05, drift=0.5, force_mode=force_mode),
+        init=replace(landau_config().init, preset=preset, amplitude=0.05, drift=0.5)))
+    result = run_simulation(config, n_steps=2)
+    grid, dt = result.grid, result.dt
+    s0, s1, s2 = result.history.snapshots
+    x = 2.0 * np.pi * grid.x_nodes / grid.x_max
+    # fields strong enough that the force term dominates the residual
+    strong = FieldState(phi_prev=30.0 * np.sin(x), phi_curr=32.0 * np.sin(x + 0.1),
+                        a_prev=20.0 * np.cos(x), a_curr=21.0 * np.cos(x - 0.2))
+    for fields_mid in (s1.fields, strong):
+        for f0, f1, f2, species in ((s0.plus.f, s1.plus.f, s2.plus.f, config.plus),
+                                    (s0.minus.f, s1.minus.f, s2.minus.f, config.minus)):
+            args = (f0, f1, f2, fields_mid, species.q, species.m, config, grid, dt)
+            expected = three_term_residual(*args)
+            assert vlasov_residual(*args) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    if config.forces_enabled:
+        unforced = replace(config, init=replace(config.init, preset="free_stream"))
+        without = three_term_residual(*args[:6], unforced, grid, dt)
+        assert without < 0.2 * expected
+
+
 def run_history(config, steps):
     result = run_simulation(config, n_steps=steps)
     return result
@@ -109,12 +150,13 @@ def test_residual_report_structure(small_landau):
 
 
 def test_definition_residuals_are_roundoff(small_landau):
+    # Each state's rho and j come from its own f in one moment pass, so the
+    # definition rows are exactly 0 by construction.
     result = run_history(validate_config(small_landau), 4)
     ledger = residual_report(result.history, result.config, result.grid)
     by_eq = {e.equation: e.residual_l2 for e in ledger.entries}
-    scale = float(np.max(np.abs(result.final_state.rho))) or 1.0
-    assert by_eq["f"] <= 1e-12 * scale
-    assert by_eq["g"] <= 1e-12 * scale
+    assert by_eq["f"] == 0.0
+    assert by_eq["g"] == 0.0
 
 
 @pytest.mark.parametrize("force_mode", ["modified", "standard"])

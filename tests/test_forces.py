@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from kinvlasov.config import Config
 from kinvlasov.fields import d1_periodic
 from kinvlasov.forces import (
+    force_coefficients,
+    force_field,
     modified_force,
     standard_force,
     velocity_from_momentum,
@@ -160,6 +162,31 @@ def test_charge_antisymmetry(grid):
                           -modified_force(fields, grid, dt, q, m, c, True))
     assert np.array_equal(standard_force(fields, grid, dt, -q, c),
                           -standard_force(fields, grid, dt, q, c))
+
+
+@pytest.mark.parametrize("relativistic", [True, False])
+@pytest.mark.parametrize("mode", ["modified", "standard"])
+def test_force_field_is_the_expansion_of_its_coefficients(grid, mode, relativistic):
+    rng = np.random.default_rng(13)
+    fields = fields_of(grid, *(rng.normal(size=grid.nx) for _ in range(4)))
+    dt, q, m, c = 0.07, -0.4, 1.3, 2.5
+    coefficients = force_coefficients(fields, grid, dt, q, c, mode)
+    assert coefficients.shape == (2, grid.nx)
+    a, b = coefficients
+    v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
+    force = force_field(fields, grid, dt, q, m, c, relativistic, mode)
+    assert np.array_equal(force, a[:, None] + b[:, None] * v[None, :])
+    if mode == "standard":
+        assert np.all(b == 0.0)
+        assert np.array_equal(force, standard_force(fields, grid, dt, q, c))
+    else:
+        assert np.array_equal(force, modified_force(fields, grid, dt, q, m, c, relativistic))
+        assert np.array_equal(a, -(q / c) * ((fields.a_curr - fields.a_prev) / dt))
+
+
+def test_force_coefficients_reject_unknown_mode(grid):
+    with pytest.raises(ValueError, match="unknown force mode"):
+        force_coefficients(fields_of(grid), grid, 0.1, 0.5, 2.0, "lorentz")
 
 
 settings.register_profile("ci", deadline=None)

@@ -135,3 +135,23 @@ def test_natural_spline_nan_query_is_not_zeroed():
         values = eval_natural_spline(nodes, rows, moments, np.array([[np.nan, 0.1]]))
     assert np.isnan(values[0, 0])
     assert values[0, 1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_natural_spline_on_the_fewest_nodes_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    nodes = np.linspace(-1.0, 2.0, n)
+    rows = rng.normal(size=(3, n))
+    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
+    queries = rng.uniform(-1.0, 2.0, size=(3, 11))
+    mine = eval_natural_spline(nodes, rows, moments, queries)
+    for i in range(3):
+        reference = CubicSpline(nodes, rows[i], bc_type="natural")
+        assert np.allclose(moments[i], reference(nodes, 2), atol=1e-12)
+        assert np.allclose(mine[i], reference(queries[i]), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_natural_spline_rejects_fewer_than_four_nodes(n):
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        natural_spline_moments(np.ones((2, n)), 0.5)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from kinvlasov.config import Config, InitConfig, validate_config
-from kinvlasov.forces import force_field
+from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.vlasov import (
@@ -74,9 +74,14 @@ def test_advect_conserves_every_column_sum(nx, n_p, c, m, dt, relativistic, seed
     assert np.all(np.abs(out.sum(axis=0) - f.sum(axis=0)) <= 1e-13 * f.sum(axis=0))
 
 
+def row_constant(grid, a):
+    """Coefficient rows of a p-independent force a (b = 0)."""
+    return np.array([np.broadcast_to(a, grid.nx), np.zeros(grid.nx)], dtype=float)
+
+
 def test_kick_zero_force_is_identity(grid):
     f = gaussian_f(grid)
-    out = kick_p(f, np.zeros_like(f), grid, 0.1)
+    out = kick_p(f, np.zeros((2, grid.nx)), grid.p_nodes, grid, 0.1)
     assert np.array_equal(out, f)
 
 
@@ -84,8 +89,7 @@ def test_kick_uniform_cell_shift(grid):
     f = np.ones((grid.nx, 1)) * momentum_gaussian(grid.p_nodes, 1.0, 0.25, 0.0,
                                                   grid.dp)[None, :]
     dt = 0.05
-    force = np.full_like(f, grid.dp / dt)
-    out = kick_p(f, force, grid, dt)
+    out = kick_p(f, row_constant(grid, grid.dp / dt), grid.p_nodes, grid, dt)
     shifted = np.roll(f, 1, axis=1)
     interior = slice(1, grid.np - 1)
     assert np.max(np.abs(out[:, interior] - shifted[:, interior])) <= 1e-12 * np.max(f)
@@ -95,9 +99,26 @@ def test_kick_uniform_cell_shift(grid):
 
 def test_kick_displacement_bound(grid):
     f = gaussian_f(grid)
-    force = np.full_like(f, grid.np * grid.dp)  # far beyond the quarter-grid bound
+    # far beyond the quarter-grid bound
     with pytest.raises(KickDisplacementError):
-        kick_p(f, force, grid, 1.0)
+        kick_p(f, row_constant(grid, grid.np * grid.dp), grid.p_nodes, grid, 1.0)
+
+
+@pytest.mark.parametrize("end", ["p_min", "p_max"])
+def test_kick_bound_fires_at_either_momentum_end(grid, end):
+    # F = a + b v is largest at one end of each row only: 0.55 + 0.5 = 1.05
+    # bounds there and 0.55 - 0.5 = 0.05 at the other, so a bound that looked
+    # at one end alone would miss half of these cases.
+    f = gaussian_f(grid)
+    v = velocity_from_momentum(grid.p_nodes, 1.0, 2.0, True)
+    limit = 0.25 * grid.np * grid.dp
+    sign = 1.0 if end == "p_max" else -1.0
+    coefficients = np.zeros((2, grid.nx))
+    coefficients[:, 7] = 0.55 * limit, sign * 0.5 * limit / v[-1]
+    with pytest.raises(KickDisplacementError, match="exceeds sanity bound"):
+        kick_p(f, coefficients, v, grid, 1.0)
+    coefficients[:, 7] *= 0.95 / 1.05   # just inside the bound at that end
+    kick_p(f, coefficients, v, grid, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -105,14 +126,16 @@ def test_kick_rejects_non_finite_force(grid, bad):
     # NaN fails every comparison: a `worst >= limit` bound lets it through, and
     # the spline's range mask then zeroes its cells of f
     f = gaussian_f(grid)
-    force = np.full_like(f, 0.1)
-    force[3, 5] = bad
-    with pytest.raises(KickDisplacementError, match="non-finite"):
-        kick_p(f, force, grid, 0.05)
+    for row in (0, 1):      # a non-finite a and a non-finite b
+        coefficients = np.full((2, grid.nx), 0.1)
+        coefficients[row, 3] = bad
+        with pytest.raises(KickDisplacementError, match="non-finite"):
+            kick_p(f, coefficients, grid.p_nodes, grid, 0.05)
 
 
 def banded_take_along_axis_kick(f, force, grid, dt, refine):
-    """Reference: the kick as a per-call banded solve and four take_along_axis gathers."""
+    """Reference: the kick as a per-call banded solve and four take_along_axis
+    gathers, driven by the force on every phase-space node."""
     displacement = force * dt
     p = grid.p_nodes[None, :]
     if refine:
@@ -160,19 +183,21 @@ def test_kick_matches_banded_take_along_axis_reference(mode, refine):
     fields = FieldState(phi_prev=75.0 * np.sin(x), phi_curr=78.0 * np.sin(x + 0.1),
                         a_prev=50.0 * np.cos(x), a_curr=60.0 * np.cos(x - 0.2))
     dt = 0.1
-    force = force_field(fields, grid, dt, config.minus.q, config.minus.m, config.c,
-                        config.relativistic, mode)
+    q, m = config.minus.q, config.minus.m
+    force = force_field(fields, grid, dt, q, m, config.c, config.relativistic, mode)
     assert 2.0 * grid.dp < np.max(np.abs(force * dt)) < 0.25 * grid.np * grid.dp
     expected = banded_take_along_axis_kick(f, force, grid, dt, refine)
-    out = kick_p(f, force, grid, dt, refine)
+    out = kick_p(f, force_coefficients(fields, grid, dt, q, config.c, mode),
+                 velocity_from_momentum(grid.p_nodes, m, config.c, config.relativistic),
+                 grid, dt, refine)
     assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_kick_refine_close_to_plain_for_uniform_force(grid):
     f = gaussian_f(grid)
-    force = np.full_like(f, 0.3)
-    plain = kick_p(f, force, grid, 0.05, refine=0)
-    refined = kick_p(f, force, grid, 0.05, refine=1)
+    coefficients = row_constant(grid, 0.3)
+    plain = kick_p(f, coefficients, grid.p_nodes, grid, 0.05, refine=0)
+    refined = kick_p(f, coefficients, grid.p_nodes, grid, 0.05, refine=1)
     assert np.allclose(plain, refined, atol=1e-12 * np.max(f))
 
 

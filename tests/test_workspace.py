@@ -9,8 +9,8 @@ import numpy as np
 
 from kinvlasov import workspace
 from kinvlasov.config import Config, validate_config
-from kinvlasov.diagnostics import StateHistory, make_record
-from kinvlasov.forces import force_field
+from kinvlasov.diagnostics import StateHistory, make_record, vlasov_residual
+from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.interpolate import eval_natural_spline, natural_spline_moments
 from kinvlasov.moments import particle_flux
@@ -31,19 +31,23 @@ def kernel_results(grid, seed):
     f = rng.random((grid.nx, grid.np))
     fields = FieldState(*(0.01 * rng.standard_normal(grid.nx) for _ in range(4)))
     force = force_field(fields, grid, 0.1, 0.5, 1.0, 4.0, True, "modified")
+    coefficients = force_coefficients(fields, grid, 0.1, 0.5, 4.0, "modified")
+    v = velocity_from_momentum(grid.p_nodes, 1.0, 4.0, True)
     dt = 0.1 * grid.dp / np.max(np.abs(force))
     moments = natural_spline_moments(f, grid.dp)
     queries = grid.p_nodes[None, :] + grid.dp * rng.uniform(-1.5, 1.5, f.shape)
     return {
         "advect_x": advect_x(f, grid, 0.05, 1.0, 4.0, True),
-        "kick_p": kick_p(f, force, grid, dt),
-        "kick_p refine": kick_p(f, force, grid, dt, refine=1),
+        "kick_p": kick_p(f, coefficients, v, grid, dt),
+        "kick_p refine": kick_p(f, coefficients, v, grid, dt, refine=1),
         "natural_spline_moments": moments,
         "eval_natural_spline": eval_natural_spline(grid.p_nodes, f, moments, queries),
         "force_field": force,
         "force_field standard": force_field(fields, grid, 0.1, 0.5, 1.0, 4.0, True,
                                             "standard"),
         "particle_flux": particle_flux(f, 1.0, 4.0, True, grid),
+        "vlasov_residual": vlasov_residual(f, f, f, fields, 0.5, 1.0,
+                                           validate_config(landau_config()), grid, dt),
     }
 
 
@@ -60,7 +64,7 @@ def in_fresh_thread(fn, *args):
 def test_results_survive_later_calls():
     mid, large, small = small_grid(32, 48), small_grid(64, 128), small_grid(16, 24)
     first = kernel_results(mid, 1)
-    kept = {name: out.copy() for name, out in first.items()}
+    kept = {name: np.copy(out) for name, out in first.items()}
     kernel_results(mid, 2)        # other inputs, same grid
     kernel_results(large, 3)      # a larger grid grows every buffer
     again = kernel_results(mid, 1)
