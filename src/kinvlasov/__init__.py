@@ -34,18 +34,13 @@ from .diagnostics import (  # noqa: F401
 )
 from .fields import (  # noqa: F401
     CflResult,
-    WaveLevels,
     cfl_check,
     field_energy_proxy,
     gauge_residual,
     poisson_init,
     wave_step,
 )
-from .forces import (  # noqa: F401
-    modified_force,
-    standard_force,
-    velocity_from_momentum,
-)
+from .forces import force_field, velocity_from_momentum  # noqa: F401
 from .grid import PhaseSpaceGrid, build_grid  # noqa: F401
 from .moments import (  # noqa: F401
     charge_density,

@@ -13,13 +13,13 @@ act as a built-in consistency dashboard.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .config import Config
-from .fields import WaveLevels, d1_periodic, d2_periodic, field_energy_proxy, gauge_residual
-from .forces import force_coefficients, force_field, velocity_from_momentum
+from .fields import d2_periodic, field_energy_proxy, gauge_residual
+from .forces import force_coefficients, velocity_from_momentum
 from .grid import PhaseSpaceGrid
 from .moments import continuity_residual
 from .state import FieldState, SimulationState
@@ -32,7 +32,8 @@ class InsufficientHistoryError(RuntimeError):
 
 
 class GridMismatchError(ValueError):
-    """Run comparison requires identical grids."""
+    """Run comparison requires one configuration up to force_mode and the same
+    snapshot steps."""
 
 
 class FrequencyError(RuntimeError):
@@ -226,16 +227,10 @@ def residual_report(history: StateHistory, config: Config,
                            s2.fields.a_curr,
                            (4.0 * np.pi / c) * 0.5 * (s1.j + s2.j))
 
-    res_e = gauge_residual(
-        WaveLevels(s1.fields.phi_prev, s1.fields.phi_curr),
-        WaveLevels(s1.fields.a_prev, s1.fields.a_curr),
-        grid, dt, c,
-    ).l2
-
     measured.update({
         "d1": res_d1,
         "d2": res_d2,
-        "e": res_e,
+        "e": gauge_residual(s1.fields, grid, dt, c).l2,
         "f": 0.0,
         "g": 0.0,
         "h/c": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, dt,
@@ -253,17 +248,12 @@ def residual_report(history: StateHistory, config: Config,
 def conserved_totals(state: SimulationState, grid: PhaseSpaceGrid,
                      config: Config, dt: float) -> dict:
     """The diagnostics columns read from one state, keyed by column name."""
-    proxy = field_energy_proxy(
-        WaveLevels(state.fields.phi_prev, state.fields.phi_curr),
-        WaveLevels(state.fields.a_prev, state.fields.a_curr),
-        grid, dt, config.c,
-    )
     return {
         "n_total_plus": float(np.sum(state.plus.n) * grid.dx),
         "n_total_minus": float(np.sum(state.minus.n) * grid.dx),
         "charge_total": float(np.sum(state.rho) * grid.dx),
         "current_total": float(np.sum(state.j) * grid.dx),
-        "field_energy_proxy": proxy,
+        "field_energy_proxy": field_energy_proxy(state.fields, grid, dt, config.c),
         "max_abs_v_over_c": max_velocity(config, grid) / config.c,
     }
 
@@ -324,31 +314,27 @@ def _centered_level(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
     return 0.5 * (prev + curr)
 
 
-def snapshot_force(snap: SimulationState, config: Config, grid: PhaseSpaceGrid,
-                   dt: float, species) -> np.ndarray:
-    if not config.forces_enabled:
-        return np.zeros((grid.nx, grid.np))
-    return force_field(snap.fields, grid, dt, species.q, species.m, config.c,
-                       config.relativistic, config.force_mode)
-
-
-def _force_distance(fa: np.ndarray, fb: np.ndarray, grid: PhaseSpaceGrid) -> float:
-    # Momentum-averaged x-space L2, so a p-independent force reads as its
-    # plain x-space norm.
-    diff_sq = np.mean((fa - fb) ** 2, axis=1)
-    return float(np.sqrt(np.sum(diff_sq) * grid.dx))
-
-
 def compare_runs(run_a, run_b) -> list:
-    """Per-snapshot distances between two runs of identical configuration
-    except force_mode.  Symmetric in its arguments."""
-    ga, gb = run_a.grid, run_b.grid
-    if (ga.nx, ga.np) != (gb.nx, gb.np) or (ga.x_max, ga.p_max) != (gb.x_max, gb.p_max):
-        raise GridMismatchError("runs use different grids")
+    """Per-snapshot distances between two runs whose configurations differ at
+    most in force_mode and which recorded the same snapshot steps.  Symmetric
+    in its arguments.
+
+    force_dist is the x-space L2 of the momentum mean of (F_a - F_b)^2, in
+    mean square over the species, so a p-independent force reads as its plain
+    x-space norm.  Both runs give a species the same v(p), so with the rows
+    da, db of F_a - F_b = da + db v that mean is (da + db <v>)^2 + db^2 var(v)
+    over the p nodes: a sum of squares, never negative at roundoff, and no
+    phase-space force is formed.
+    """
+    config = run_a.config
+    if replace(run_b.config, force_mode=config.force_mode) != config:
+        raise GridMismatchError("runs differ in more than force_mode")
     if [s.step for s in run_a.snapshots] != [s.step for s in run_b.snapshots]:
         raise GridMismatchError("runs recorded different snapshot steps")
 
-    grid = ga
+    grid, dt, c = run_a.grid, run_a.dt, config.c
+    species = [(s.q, velocity_from_momentum(grid.p_nodes, s.m, c, config.relativistic))
+               for s in config.species] if config.forces_enabled else []
     rows = []
     for sa, sb in zip(run_a.snapshots, run_b.snapshots):
         phi_a = _centered_level(sa.fields.phi_prev, sa.fields.phi_curr)
@@ -356,12 +342,11 @@ def compare_runs(run_a, run_b) -> list:
         a_a = _centered_level(sa.fields.a_prev, sa.fields.a_curr)
         a_b = _centered_level(sb.fields.a_prev, sb.fields.a_curr)
         force_sq = 0.0
-        for label in ("plus", "minus"):
-            spec_a = getattr(run_a.config, label)
-            spec_b = getattr(run_b.config, label)
-            fa = snapshot_force(sa, run_a.config, grid, run_a.dt, spec_a)
-            fb = snapshot_force(sb, run_b.config, grid, run_b.dt, spec_b)
-            force_sq += _force_distance(fa, fb, grid) ** 2
+        for q, v in species:
+            da, db = (force_coefficients(sa.fields, grid, dt, q, c, config.force_mode)
+                      - force_coefficients(sb.fields, grid, dt, q, c, run_b.config.force_mode))
+            mean_sq = (da + db * np.mean(v)) ** 2 + db * db * np.var(v)
+            force_sq += float(np.sum(mean_sq) * grid.dx)
         rows.append(DivergenceRow(
             step=sa.step,
             time=sa.time,
@@ -382,11 +367,7 @@ def make_record(state: SimulationState, history: StateHistory, config: Config,
     continuity residuals need three snapshots, so they are centered one step
     back and report 0 until enough history exists.
     """
-    gauge = gauge_residual(
-        WaveLevels(state.fields.phi_prev, state.fields.phi_curr),
-        WaveLevels(state.fields.a_prev, state.fields.a_curr),
-        grid, dt, config.c,
-    ).l2
+    gauge = gauge_residual(state.fields, grid, dt, config.c).l2
     centered = (history_residuals(history, config, grid, dt) if history.full
                 else dict.fromkeys(("c+", "c-", "h"), 0.0))
     return DiagnosticsRecord(

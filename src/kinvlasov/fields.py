@@ -1,9 +1,11 @@
 """Lorenz-gauge wave-equation field solver: explicit leapfrog, periodic Poisson
-initialization, CFL validation, and the gauge-condition monitor.
+initialization, the CFL ratios, and the gauge-condition monitor.
 
 Both potentials obey u_tt / c^2 - u_xx = s with s = 4 pi rho for phi and
 s = (4 pi / c) j for A.  The gauge condition phi_t / c + A_x = 0 is never
-enforced; it is evaluated as a residual.
+enforced; it is evaluated as a residual.  The monitors read a state's field
+levels (phi_prev, phi_curr, a_prev, a_curr) from any object that has them,
+in practice a ``state.FieldState``, which this module cannot import.
 """
 
 from __future__ import annotations
@@ -24,14 +26,6 @@ class NonNeutralError(ValueError):
 
 
 @dataclass
-class WaveLevels:
-    """Two retained time levels of one field component (u_prev earlier, u_curr later)."""
-
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-
-
-@dataclass
 class ResidualField:
     field: np.ndarray
     l2: float
@@ -42,20 +36,6 @@ class CflResult:
     ok: bool
     light_ratio: float      # c * dt / dx
     transport_ratio: float  # max |v| * dt / dx
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def describe(self) -> str:
-        return (
-            f"c*dt/dx = {self.light_ratio:.6g}, max|v|*dt/dx = {self.transport_ratio:.6g}"
-        )
-
-
-class CflViolationError(RuntimeError):
-    def __init__(self, result: CflResult):
-        self.result = result
-        super().__init__(f"CFL violation: {result.describe()} (limit 1)")
 
 
 # Centered periodic differences used throughout the solver.
@@ -74,28 +54,22 @@ _CFL_SLACK = 1e-9
 
 
 def cfl_check(grid: PhaseSpaceGrid, dt: float, c: float, v_max: float = 0.0) -> CflResult:
-    """Stability bounds of the explicit schemes: light signal and kinetic transport."""
+    """Stability bounds of the explicit schemes: light signal and kinetic transport.
+    ``vlasov.time_step`` derives dt so that both hold; a run records the ratios."""
     light = c * dt / grid.dx
     transport = v_max * dt / grid.dx
     ok = light <= 1.0 + _CFL_SLACK and transport <= 1.0 + _CFL_SLACK
     return CflResult(ok=ok, light_ratio=light, transport_ratio=transport)
 
 
-def ensure_cfl(grid: PhaseSpaceGrid, dt: float, c: float, v_max: float = 0.0) -> CflResult:
-    result = cfl_check(grid, dt, c, v_max)
-    if not result.ok:
-        raise CflViolationError(result)
-    return result
-
-
-def wave_step(levels: WaveLevels, source: np.ndarray, grid: PhaseSpaceGrid,
-              dt: float, c: float) -> np.ndarray:
-    """One leapfrog update; the source must be sampled at u_curr's time.  The
-    caller rotates levels."""
+def wave_step(u_prev: np.ndarray, u_curr: np.ndarray, source: np.ndarray,
+              grid: PhaseSpaceGrid, dt: float, c: float) -> np.ndarray:
+    """One leapfrog update from the levels at t - dt and t; the source must be
+    sampled at u_curr's time t.  The caller rotates levels."""
     u_next = (
-        2.0 * levels.u_curr
-        - levels.u_prev
-        + (c * dt) ** 2 * (d2_periodic(levels.u_curr, grid.dx) + source)
+        2.0 * u_curr
+        - u_prev
+        + (c * dt) ** 2 * (d2_periodic(u_curr, grid.dx) + source)
     )
     if not np.all(np.isfinite(u_next)):
         raise FieldBlowupError("wave update produced non-finite values")
@@ -127,28 +101,27 @@ def poisson_init(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     return phi - phi.mean()
 
 
-def gauge_residual(phi: WaveLevels, a: WaveLevels, grid: PhaseSpaceGrid,
-                   dt: float, c: float) -> ResidualField:
+def gauge_residual(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> ResidualField:
     """Residual of phi_t / c + A_x, centered at the midpoint of the two levels.
 
     The A term uses the level average so both terms sit at the same time.
     """
-    r = (phi.u_curr - phi.u_prev) / (c * dt) + d1_periodic(
-        0.5 * (a.u_prev + a.u_curr), grid.dx
+    r = (fields.phi_curr - fields.phi_prev) / (c * dt) + d1_periodic(
+        0.5 * (fields.a_prev + fields.a_curr), grid.dx
     )
     return ResidualField(field=r, l2=float(np.sqrt(np.sum(r * r) * grid.dx)))
 
 
-def field_energy_proxy(phi: WaveLevels, a: WaveLevels, grid: PhaseSpaceGrid,
-                       dt: float, c: float) -> float:
+def field_energy_proxy(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> float:
     """Quadratic field-energy proxy from the stored levels, time-centered.
 
     Sum of squared time derivatives (per c) and squared space derivatives of
     both potentials, integrated over x.
     """
     total = 0.0
-    for levels in (phi, a):
-        du_dt = (levels.u_curr - levels.u_prev) / (c * dt)
-        du_dx = d1_periodic(0.5 * (levels.u_prev + levels.u_curr), grid.dx)
+    for u_prev, u_curr in ((fields.phi_prev, fields.phi_curr),
+                           (fields.a_prev, fields.a_curr)):
+        du_dt = (u_curr - u_prev) / (c * dt)
+        du_dx = d1_periodic(0.5 * (u_prev + u_curr), grid.dx)
         total += float(np.sum(du_dt * du_dt + du_dx * du_dx) * grid.dx)
     return total

@@ -14,11 +14,14 @@ is kept as a comparator (its magnetic part v x curl A vanishes identically in
 this 1D geometry, where A has only an x component depending on x alone).
 
 Both have the form F = a(x) + b(x) v(p), with b = 0 for the comparator, and
-``force_coefficients`` alone evaluates a and b; the phase-space builders
-expand them.  Its FieldState's two time levels bracket the evaluation time
-symmetrically and are separated by ``dt``: time derivatives are the forward
-difference over dt, space derivatives act on the level average, so the result
-is time-centered at the midpoint.
+the rows a, b of ``force_coefficients`` are the one representation of a force
+that the solver uses: the kick, the Vlasov residual and the run comparison
+read them, and no program path builds an (nx, np) force.  ``force_field``
+expands the rows on the phase-space grid, as the tests' reference.  The
+FieldState's two time levels bracket the evaluation time symmetrically and
+are separated by ``dt``: time derivatives are the forward difference over dt,
+space derivatives act on the level average, so the result is time-centered at
+the midpoint.
 """
 
 from __future__ import annotations
@@ -49,20 +52,6 @@ def force_coefficients(fields, grid: PhaseSpaceGrid, dt: float, q: float, c: flo
         dphi_dx = d1_periodic(0.5 * (fields.phi_prev + fields.phi_curr), grid.dx)
         return np.array([q * (-dphi_dx - da_dt / c), np.zeros(grid.nx)])
     raise ValueError(f"unknown force mode {mode!r}")
-
-
-def modified_force(fields, grid: PhaseSpaceGrid, dt: float, q: float, m: float,
-                   c: float, relativistic: bool) -> np.ndarray:
-    """F(x, p) = -(q/c) [dA/dt + v(p) dA/dx] on the full phase-space grid."""
-    return force_field(fields, grid, dt, q, m, c, relativistic, "modified")
-
-
-def standard_force(fields, grid: PhaseSpaceGrid, dt: float, q: float,
-                   c: float) -> np.ndarray:
-    """F(x) = q [-dphi/dx - (1/c) dA/dt], broadcast over p (row-constant); the
-    magnetic term q/c v x curl A is identically zero in this geometry."""
-    a, _ = force_coefficients(fields, grid, dt, q, c, "standard")
-    return np.repeat(a[:, None], grid.np, axis=1)
 
 
 def force_field(fields, grid: PhaseSpaceGrid, dt: float, q: float, m: float,

@@ -33,20 +33,11 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def write_diagnostics_header(sink) -> None:
-    sink.write(",".join(DIAGNOSTICS_FIELDS) + "\n")
-
-
 def csv_row(record) -> str:
     """One CSV line of a diagnostics or divergence record: the integer step,
     then every other field in declaration order as a float."""
     step, *rest = (getattr(record, f.name) for f in fields(record))
     return ",".join([str(step), *map(format_float, rest)]) + "\n"
-
-
-def write_diagnostics(record: DiagnosticsRecord, sink) -> None:
-    """Append one CSV row; the header must already have been emitted."""
-    sink.write(csv_row(record))
 
 
 class DiagnosticsWriter:
@@ -59,8 +50,8 @@ class DiagnosticsWriter:
     def write(self, record: DiagnosticsRecord) -> None:
         if self._fh is None:
             self._fh = open(self.path, "w", encoding="utf-8")
-            write_diagnostics_header(self._fh)
-        write_diagnostics(record, self._fh)
+            self._fh.write(",".join(DIAGNOSTICS_FIELDS) + "\n")
+        self._fh.write(csv_row(record))
         self._fh.flush()
 
     def close(self) -> None:

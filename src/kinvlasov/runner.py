@@ -13,7 +13,7 @@ from .diagnostics import (
     make_record,
     snapshot_state,
 )
-from .fields import FieldBlowupError, ensure_cfl
+from .fields import FieldBlowupError, cfl_check
 from .grid import PhaseSpaceGrid, build_grid
 from .output import (
     DiagnosticsWriter,
@@ -59,7 +59,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     config = validate_config(config)
     grid = build_grid(config)
     dt = time_step(config, grid)
-    cfl = ensure_cfl(grid, dt, config.c, max_velocity(config, grid))
+    cfl = cfl_check(grid, dt, config.c, max_velocity(config, grid))
     total = planned_steps(config, dt) if n_steps is None else n_steps
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
@@ -144,7 +144,9 @@ def run_command(config_path, out_dir) -> int:
 
 def compare_simulations(config: Config, *, out_dir=None):
     """Run the same configuration under both force modes from one shared
-    initial state and return (rows, run_modified, run_standard)."""
+    initial state and return (rows, run_modified, run_standard).  If a run
+    aborts, its snapshot steps are a prefix of the other's, and the rows
+    cover the snapshots that both runs recorded."""
     config = validate_config(config)
     grid = build_grid(config)
     state0 = initialize_state(config, grid)
@@ -159,7 +161,9 @@ def compare_simulations(config: Config, *, out_dir=None):
             collect_snapshots=True,
             initial_state=clone_state(state0),
         )
-    rows = compare_runs(runs["modified"], runs["standard"])
+    shared = min(len(run.snapshots) for run in runs.values())
+    rows = compare_runs(*(replace(run, snapshots=run.snapshots[:shared])
+                          for run in runs.values()))
     if out_dir:
         write_divergence(rows, Path(out_dir) / "divergence.csv")
     return rows, runs["modified"], runs["standard"]

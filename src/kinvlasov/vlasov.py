@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import Config
-from .fields import WaveLevels, wave_step
+from .fields import wave_step
 from .forces import force_coefficients, velocity_from_momentum
 from .grid import PhaseSpaceGrid
 from .interpolate import (
@@ -135,10 +135,8 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     j_mid = current_density(f_plus, f_minus, plus.q, minus.q, plus.m, minus.m,
                             c, rel, grid)
     old = state.fields
-    phi_new = wave_step(WaveLevels(old.phi_prev, old.phi_curr),
-                        4.0 * np.pi * rho_mid, grid, dt, c)
-    a_new = wave_step(WaveLevels(old.a_prev, old.a_curr),
-                      (4.0 * np.pi / c) * j_mid, grid, dt, c)
+    phi_new = wave_step(old.phi_prev, old.phi_curr, 4.0 * np.pi * rho_mid, grid, dt, c)
+    a_new = wave_step(old.a_prev, old.a_curr, (4.0 * np.pi / c) * j_mid, grid, dt, c)
 
     # Stage 3: momentum kick with the force centered at the kick time.  The
     # pre-update prev level and the post-update level straddle it by dt each.

@@ -1,6 +1,6 @@
 """Write ``tests/data/golden_diagnostics.json``: every diagnostics row of four
-short runs, the reference that ``test_golden_diagnostics.py`` holds the solver
-to within roundoff.
+short runs and every divergence row of two short comparisons, the reference
+that ``test_golden_diagnostics.py`` holds the solver to within roundoff.
 
 Run from the repository root:
 
@@ -18,7 +18,10 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS
-from kinvlasov.runner import run_simulation
+from kinvlasov.grid import build_grid
+from kinvlasov.output import DIVERGENCE_FIELDS
+from kinvlasov.runner import compare_simulations, run_simulation
+from kinvlasov.vlasov import time_step
 
 from conftest import landau_config
 
@@ -33,6 +36,14 @@ CASES = (
     ("two_stream_modified", "two_stream", "modified", 0.01, 2.0, 0.25),
     ("two_stream_standard", "two_stream", "standard", 0.01, 2.0, 0.25),
 )
+
+# (case name, preset, amplitude, drift, temperature) of the comparisons, which
+# record a snapshot every DIVERGENCE_EVERY of their N_STEPS steps.
+DIVERGENCE_CASES = (
+    ("landau_compare", "landau", 0.05, 0.5, 1.0),
+    ("two_stream_compare", "two_stream", 0.01, 2.0, 0.25),
+)
+DIVERGENCE_EVERY = 10
 
 
 def case_config(preset: str, force_mode: str, amplitude: float, drift: float,
@@ -52,15 +63,36 @@ def case_rows(case: tuple) -> list:
     return [list(astuple(record)) for record in result.records]
 
 
-def main() -> None:
-    cases = {case[0]: case_rows(case) for case in CASES}
+def divergence_rows(case: tuple) -> list:
+    """The divergence rows of one comparison of both force modes over N_STEPS
+    steps, one list of column values per snapshot in ``DIVERGENCE_FIELDS``
+    order."""
+    _, preset, *params = case
+    config = case_config(preset, "modified", *params)
+    dt = time_step(config, build_grid(config))
+    config = replace(config, t_end=N_STEPS * dt, output_every=DIVERGENCE_EVERY)
+    rows, run_modified, run_standard = compare_simulations(config)
+    for run in (run_modified, run_standard):
+        assert not run.aborted and run.n_steps == N_STEPS, run.abort_reason
+    return [list(astuple(row)) for row in rows]
+
+
+def _json_cases(cases: dict) -> str:
     lines = [f" {json.dumps(name)}: [\n" + ",\n".join(f"  {json.dumps(row)}" for row in rows)
              + "\n ]" for name, rows in cases.items()]
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
+def main() -> None:
+    cases = {case[0]: case_rows(case) for case in CASES}
+    divergence = {case[0]: divergence_rows(case) for case in DIVERGENCE_CASES}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(
-        f'{{"columns": {json.dumps(DIAGNOSTICS_FIELDS)},\n"cases": {{\n'
-        + ",\n".join(lines) + "\n}}\n")
-    print(f"wrote {GOLDEN_PATH} ({len(cases)} cases, {N_STEPS} steps each)")
+        f'{{"columns": {json.dumps(DIAGNOSTICS_FIELDS)},\n"cases": {_json_cases(cases)},\n'
+        f'"divergence_columns": {json.dumps(DIVERGENCE_FIELDS)},\n'
+        f'"divergence_cases": {_json_cases(divergence)}}}\n')
+    print(f"wrote {GOLDEN_PATH} ({len(cases)} runs and {len(divergence)} comparisons, "
+          f"{N_STEPS} steps each)")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import numpy as np
 from kinvlasov.config import Config, InitConfig, validate_config
 from kinvlasov.diagnostics import compare_runs, residual_report
 from kinvlasov.fields import d1_periodic
-from kinvlasov.forces import modified_force, standard_force
+from kinvlasov.forces import force_field
 from kinvlasov.grid import build_grid
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state
@@ -56,8 +56,8 @@ def test_criterion_3_force_novelty_null():
     # bitwise zero field, the comparator equals -q D1 phi to roundoff.
     fields = state.fields
     assert np.any(fields.phi_curr != 0.0)
-    mod = modified_force(fields, grid, dt, q, m, config.c, config.relativistic)
-    std = standard_force(fields, grid, dt, q, config.c)
+    mod = force_field(fields, grid, dt, q, m, config.c, config.relativistic, "modified")
+    std = force_field(fields, grid, dt, q, m, config.c, config.relativistic, "standard")
     expected = -q * d1_periodic(fields.phi_curr, grid.dx)
     bitwise_zero = bool(np.all(mod == 0.0))
     std_ok = np.allclose(std, expected[:, None], rtol=1e-13, atol=0.0)

@@ -155,3 +155,24 @@ def test_unwritable_out_exits_3_with_one_line(tmp_path, capsys, command):
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs:")
     assert "Traceback" not in captured.out + captured.err
+
+
+ONE_MODE_ABORTS_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 2.0").replace(
+    "q = -0.1995", "q = -2.0").replace("amplitude = 0.001", "amplitude = 0.5").replace(
+    "t_end = 0.5", "t_end = 3.0")
+
+
+def test_compare_one_mode_aborting_exits_1_with_one_line(tmp_path, capsys):
+    # The standard run aborts at its first step; the modified run completes.
+    config = write_config(tmp_path, ONE_MODE_ABORTS_CONFIG)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("comparison aborted:")
+    assert "Traceback" not in captured.out + captured.err
+    # the rows cover the snapshots both runs recorded: the initial state only
+    divergence = (out / "divergence.csv").read_text().splitlines()
+    assert len(divergence) == 2 and divergence[1].startswith("0,")
+    modified = (out / "modified" / "diagnostics.csv").read_text().splitlines()
+    assert modified[-1].startswith("36,")

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinvlasov.config import Config, InitConfig, validate_config
+from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.diagnostics import (
     FrequencyError,
+    GridMismatchError,
     InsufficientHistoryError,
     StateHistory,
     compare_runs,
@@ -22,7 +23,7 @@ from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.vlasov import time_step
 
-from conftest import landau_config, pair_species
+from conftest import PAIR_CHARGE, landau_config, pair_species
 
 
 def zero_fields(grid):
@@ -275,6 +276,63 @@ def test_compare_runs_symmetric(small_landau):
         assert ra.f_minus_dist == rb.f_minus_dist
         assert ra.force_dist == rb.force_dist
 
+
+
+def both_modes(config, n_steps):
+    return [run_simulation(replace(config, force_mode=mode), collect_snapshots=True,
+                           n_steps=n_steps) for mode in ("modified", "standard")]
+
+
+def reference_force_dist(run_a, run_b, snap_a, snap_b):
+    """Species-averaged x-space L2 of the p-mean of the squared difference of
+    the two forces, expanded on the full phase-space grid."""
+    config, grid = run_a.config, run_a.grid
+    total = 0.0
+    for s in config.species:
+        fa, fb = (force_field(snap.fields, grid, run.dt, s.q, s.m, config.c,
+                              config.relativistic, run.config.force_mode)
+                  for run, snap in ((run_a, snap_a), (run_b, snap_b)))
+        total += np.sum(np.mean((fa - fb) ** 2, axis=1)) * grid.dx
+    return math.sqrt(0.5 * total)
+
+
+MASS_RATIO_4 = replace(
+    landau_config(nx=32, n_p=64, amplitude=0.05, relativistic=False, temperature=0.25,
+                  output_every=5),
+    species=(SpeciesConfig("plus", PAIR_CHARGE, 4.0), SpeciesConfig("minus", -PAIR_CHARGE, 1.0)))
+
+
+@pytest.mark.parametrize("config", [
+    landau_config(nx=32, n_p=64, amplitude=0.05, drift=0.5, output_every=5),
+    MASS_RATIO_4,
+], ids=["landau_drift", "mass_ratio_4_nonrelativistic"])
+def test_compare_runs_force_dist_matches_phase_space_reference(config):
+    runs = both_modes(validate_config(config), 20)
+    for run_a, run_b in (runs, runs[::-1]):
+        rows = compare_runs(run_a, run_b)
+        assert len(rows) == 5
+        for row, sa, sb in zip(rows, run_a.snapshots, run_b.snapshots):
+            reference = reference_force_dist(run_a, run_b, sa, sb)
+            assert reference > 0.0
+            assert abs(row.force_dist - reference) <= 1e-13 * reference
+
+
+def test_compare_runs_rejects_configs_differing_beyond_force_mode(small_landau):
+    config = validate_config(small_landau)
+    run_a = run_simulation(config, collect_snapshots=True, n_steps=4)
+    other = replace(config, force_mode="standard",
+                    init=replace(config.init, amplitude=2e-3))
+    run_b = run_simulation(other, collect_snapshots=True, n_steps=4)
+    with pytest.raises(GridMismatchError, match="force_mode"):
+        compare_runs(run_a, run_b)
+
+
+def test_compare_runs_rejects_different_snapshot_steps(small_landau):
+    config = validate_config(small_landau)
+    run_a, _ = both_modes(config, 8)
+    _, run_b = both_modes(config, 4)
+    with pytest.raises(GridMismatchError, match="snapshot steps"):
+        compare_runs(run_a, run_b)
 
 def test_compare_runs_uniform_plasma_stays_coincident():
     config = validate_config(landau_config(nx=32, n_p=32, amplitude=0.0,

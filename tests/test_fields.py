@@ -5,20 +5,18 @@ import pytest
 
 from kinvlasov.config import Config
 from kinvlasov.fields import (
-    CflViolationError,
     FieldBlowupError,
     NonNeutralError,
-    WaveLevels,
     cfl_check,
     d1_periodic,
     d2_periodic,
-    ensure_cfl,
     field_energy_proxy,
     gauge_residual,
     poisson_init,
     wave_step,
 )
 from kinvlasov.grid import build_grid
+from kinvlasov.state import FieldState
 
 
 @pytest.fixture
@@ -33,8 +31,6 @@ def test_cfl_boundary_cases(grid):
     result = cfl_check(grid, 1.01 * grid.dx / c, c)
     assert not result.ok
     assert result.light_ratio == pytest.approx(1.01)
-    with pytest.raises(CflViolationError):
-        ensure_cfl(grid, 1.01 * grid.dx / c, c)
 
 
 def test_cfl_transport_bound(grid):
@@ -46,19 +42,18 @@ def test_cfl_transport_bound(grid):
 
 
 def test_wave_zero_stays_zero(grid):
-    levels = WaveLevels(np.zeros(grid.nx), np.zeros(grid.nx))
+    u_prev, u_curr = np.zeros(grid.nx), np.zeros(grid.nx)
     source = np.zeros(grid.nx)
     for _ in range(10):
-        new = wave_step(levels, source, grid, 0.01, 1.0)
+        new = wave_step(u_prev, u_curr, source, grid, 0.01, 1.0)
         assert np.all(new == 0.0)
-        levels = WaveLevels(levels.u_curr, new)
+        u_prev, u_curr = u_curr, new
 
 
 def test_wave_nonfinite_aborts(grid):
-    levels = WaveLevels(np.zeros(grid.nx), np.zeros(grid.nx))
     source = np.full(grid.nx, np.inf)
     with pytest.raises(FieldBlowupError):
-        wave_step(levels, source, grid, 0.01, 1.0)
+        wave_step(np.zeros(grid.nx), np.zeros(grid.nx), source, grid, 0.01, 1.0)
 
 
 def test_wave_static_source_fixed_point(grid):
@@ -69,16 +64,14 @@ def test_wave_static_source_fixed_point(grid):
     k_d_sq = (2.0 - 2.0 * np.cos(k * grid.dx)) / grid.dx**2
     phi = source / k_d_sq
     dt = 0.5 * grid.dx
-    levels = WaveLevels(phi.copy(), phi.copy())
+    u_prev, u_curr = phi.copy(), phi.copy()
     for _ in range(50):
-        new = wave_step(levels, source, grid, dt, 1.0)
-        levels = WaveLevels(levels.u_curr, new)
-    assert np.max(np.abs(levels.u_curr - phi)) <= 1e-12 * np.max(np.abs(phi))
+        u_prev, u_curr = u_curr, wave_step(u_prev, u_curr, source, grid, dt, 1.0)
+    assert np.max(np.abs(u_curr - phi)) <= 1e-12 * np.max(np.abs(phi))
 
     # The analytically matched solution drifts by at most O(dx^2) per step.
     phi_analytic = source / k**2
-    levels = WaveLevels(phi_analytic.copy(), phi_analytic.copy())
-    new = wave_step(levels, source, grid, dt, 1.0)
+    new = wave_step(phi_analytic.copy(), phi_analytic.copy(), source, grid, dt, 1.0)
     per_step = np.max(np.abs(new - phi_analytic))
     bound = (1.0 * dt) ** 2 * 4.0 * np.pi * rho0 * (k * grid.dx) ** 2 / 6.0
     assert per_step <= bound
@@ -87,12 +80,11 @@ def test_wave_static_source_fixed_point(grid):
 def test_wave_linearity(grid):
     rng = np.random.default_rng(0)
     dt, c = 0.4 * grid.dx, 1.0
-    la = WaveLevels(rng.normal(size=grid.nx), rng.normal(size=grid.nx))
-    lb = WaveLevels(rng.normal(size=grid.nx), rng.normal(size=grid.nx))
+    la = rng.normal(size=grid.nx), rng.normal(size=grid.nx)
+    lb = rng.normal(size=grid.nx), rng.normal(size=grid.nx)
     sa, sb = rng.normal(size=grid.nx), rng.normal(size=grid.nx)
-    combined = wave_step(WaveLevels(la.u_prev + lb.u_prev, la.u_curr + lb.u_curr),
-                         sa + sb, grid, dt, c)
-    separate = wave_step(la, sa, grid, dt, c) + wave_step(lb, sb, grid, dt, c)
+    combined = wave_step(la[0] + lb[0], la[1] + lb[1], sa + sb, grid, dt, c)
+    separate = wave_step(*la, sa, grid, dt, c) + wave_step(*lb, sb, grid, dt, c)
     assert np.allclose(combined, separate, atol=1e-12 * np.max(np.abs(combined)))
 
 
@@ -106,10 +98,10 @@ def test_wave_energy_bounded_without_source(grid):
     source = np.zeros(grid.nx)
     proxies = []
     for _ in range(1000):
-        u_next = wave_step(WaveLevels(u_prev, u_curr), source, grid, dt, c)
+        u_next = wave_step(u_prev, u_curr, source, grid, dt, c)
         u_prev, u_curr = u_curr, u_next
-        proxies.append(field_energy_proxy(WaveLevels(u_prev, u_curr),
-                                          WaveLevels(zeros, zeros), grid, dt, c))
+        proxies.append(field_energy_proxy(FieldState(u_prev, u_curr, zeros, zeros),
+                                          grid, dt, c))
     proxies = np.array(proxies)
     spread = (proxies.max() - proxies.min()) / proxies.mean()
     assert spread <= 0.01  # oscillates within +-1%, no secular growth
@@ -137,16 +129,14 @@ def test_poisson_rejects_non_neutral(grid):
 def test_gauge_residual_static_phi_zero_a(grid):
     phi = np.sin(grid.x_nodes)
     zero = np.zeros(grid.nx)
-    r = gauge_residual(WaveLevels(phi, phi.copy()), WaveLevels(zero, zero.copy()),
-                       grid, 0.1, 2.0)
+    r = gauge_residual(FieldState(phi, phi.copy(), zero, zero.copy()), grid, 0.1, 2.0)
     assert np.all(r.field == 0.0) and r.l2 == 0.0
 
 
 def test_gauge_residual_uniform_a(grid):
     phi = np.cos(grid.x_nodes)
     a = np.full(grid.nx, 0.7)
-    r = gauge_residual(WaveLevels(phi, phi.copy()), WaveLevels(a, a.copy()),
-                       grid, 0.1, 2.0)
+    r = gauge_residual(FieldState(phi, phi.copy(), a, a.copy()), grid, 0.1, 2.0)
     assert np.all(r.field == 0.0)
 
 
@@ -155,9 +145,9 @@ def test_gauge_residual_manufactured_convergence():
     def residual(nx):
         g = build_grid(Config(nx=nx, x_max=2.0 * math.pi, np=8, p_max=8.0))
         c, k, dt = 2.0, 1.0, 0.01
-        phi = WaveLevels(np.zeros(g.nx), c * dt * np.sin(k * g.x_nodes))
         a = np.cos(k * g.x_nodes) / k
-        return gauge_residual(phi, WaveLevels(a, a.copy()), g, dt, c).l2
+        fields = FieldState(np.zeros(g.nx), c * dt * np.sin(k * g.x_nodes), a, a.copy())
+        return gauge_residual(fields, g, dt, c).l2
 
     order = math.log2(residual(32) / residual(64))
     assert order >= 1.8

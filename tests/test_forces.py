@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from kinvlasov.config import Config
 from kinvlasov.fields import d1_periodic
-from kinvlasov.forces import (
-    force_coefficients,
-    force_field,
-    modified_force,
-    standard_force,
-    velocity_from_momentum,
-)
+from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.state import FieldState
 
@@ -65,7 +59,7 @@ def test_nonrelativistic_consistency_bound(p, m, c):
 def test_modified_force_constant_potentials(grid):
     a0 = np.full(grid.nx, 1.7)
     fields = fields_of(grid, a_prev=a0, a_curr=a0.copy())
-    force = modified_force(fields, grid, 0.1, 0.5, 1.0, 2.0, True)
+    force = force_field(fields, grid, 0.1, 0.5, 1.0, 2.0, True, "modified")
     assert np.all(force == 0.0)
 
 
@@ -74,7 +68,7 @@ def test_modified_force_uniform_da_dt(grid):
     q, c = 0.5, 2.0
     fields = fields_of(grid, a_prev=np.full(grid.nx, a0 * t1),
                        a_curr=np.full(grid.nx, a0 * t2))
-    force = modified_force(fields, grid, t2 - t1, q, 1.0, c, True)
+    force = force_field(fields, grid, t2 - t1, q, 1.0, c, True, "modified")
     assert np.allclose(force, -(q / c) * a0, rtol=1e-13)
 
 
@@ -82,7 +76,7 @@ def test_modified_force_linear_static_a(grid):
     a1, q, c = 0.4, -0.7, 3.0
     a = a1 * grid.x_nodes
     fields = fields_of(grid, a_prev=a, a_curr=a.copy())
-    force = modified_force(fields, grid, 0.1, q, 1.0, c, False)
+    force = force_field(fields, grid, 0.1, q, 1.0, c, False, "modified")
     v = grid.p_nodes / 1.0
     interior = slice(1, grid.nx - 1)  # the periodic wrap corrupts the edge rows
     assert np.allclose(force[interior, :], -(q / c) * v[None, :] * a1, rtol=1e-12)
@@ -95,8 +89,8 @@ def test_modified_force_ignores_phi(grid):
     swapped = fields_of(grid, phi_prev=rng.normal(size=grid.nx),
                         phi_curr=rng.normal(size=grid.nx),
                         a_prev=a_prev.copy(), a_curr=a_curr.copy())
-    f1 = modified_force(base, grid, 0.05, 0.5, 1.0, 2.0, True)
-    f2 = modified_force(swapped, grid, 0.05, 0.5, 1.0, 2.0, True)
+    f1 = force_field(base, grid, 0.05, 0.5, 1.0, 2.0, True, "modified")
+    f2 = force_field(swapped, grid, 0.05, 0.5, 1.0, 2.0, True, "modified")
     assert np.array_equal(f1, f2)
 
 
@@ -104,7 +98,7 @@ def test_standard_force_constant_potentials(grid):
     fields = fields_of(grid, phi_prev=np.full(grid.nx, 2.0),
                        phi_curr=np.full(grid.nx, 2.0),
                        a_prev=np.full(grid.nx, -1.0), a_curr=np.full(grid.nx, -1.0))
-    force = standard_force(fields, grid, 0.1, 0.5, 2.0)
+    force = force_field(fields, grid, 0.1, 0.5, 1.0, 2.0, True, "standard")
     assert np.allclose(force, 0.0, atol=1e-14)
 
 
@@ -112,7 +106,7 @@ def test_standard_force_electrostatic_slope(grid):
     e0, q = 0.9, 0.5
     phi = -e0 * grid.x_nodes
     fields = fields_of(grid, phi_prev=phi, phi_curr=phi.copy())
-    force = standard_force(fields, grid, 0.1, q, 2.0)
+    force = force_field(fields, grid, 0.1, q, 1.0, 2.0, True, "standard")
     interior = slice(1, grid.nx - 1)
     assert np.allclose(force[interior, :], q * e0, rtol=1e-12)
     # row-constant in p
@@ -127,8 +121,8 @@ def test_force_novelty_with_zero_a(grid):
     phi = rng.normal(size=grid.nx)
     fields = fields_of(grid, phi_prev=phi, phi_curr=phi.copy())
     q = -0.6
-    mod = modified_force(fields, grid, 0.1, q, 1.0, 2.0, True)
-    std = standard_force(fields, grid, 0.1, q, 2.0)
+    mod = force_field(fields, grid, 0.1, q, 1.0, 2.0, True, "modified")
+    std = force_field(fields, grid, 0.1, q, 1.0, 2.0, True, "standard")
     assert np.all(mod == 0.0)
     expected = -q * d1_periodic(phi, grid.dx)
     assert np.allclose(std, expected[:, None], rtol=1e-14, atol=0.0)
@@ -146,8 +140,8 @@ def test_forces_linear_in_potentials(grid):
         phi_prev=fa.phi_prev + fb.phi_prev, phi_curr=fa.phi_curr + fb.phi_curr,
         a_prev=fa.a_prev + fb.a_prev, a_curr=fa.a_curr + fb.a_curr,
     )
-    for law in (lambda f: modified_force(f, grid, dt, q, m, c, True),
-                lambda f: standard_force(f, grid, dt, q, c)):
+    for law in (lambda f: force_field(f, grid, dt, q, m, c, True, "modified"),
+                lambda f: force_field(f, grid, dt, q, 1.0, c, True, "standard")):
         together = law(combined)
         separate = law(fa) + law(fb)
         scale = np.max(np.abs(together)) or 1.0
@@ -158,10 +152,10 @@ def test_charge_antisymmetry(grid):
     rng = np.random.default_rng(9)
     fields = fields_of(grid, *(rng.normal(size=grid.nx) for _ in range(4)))
     q, m, c, dt = 0.8, 1.0, 2.0, 0.05
-    assert np.array_equal(modified_force(fields, grid, dt, -q, m, c, True),
-                          -modified_force(fields, grid, dt, q, m, c, True))
-    assert np.array_equal(standard_force(fields, grid, dt, -q, c),
-                          -standard_force(fields, grid, dt, q, c))
+    assert np.array_equal(force_field(fields, grid, dt, -q, m, c, True, "modified"),
+                          -force_field(fields, grid, dt, q, m, c, True, "modified"))
+    assert np.array_equal(force_field(fields, grid, dt, -q, 1.0, c, True, "standard"),
+                          -force_field(fields, grid, dt, q, 1.0, c, True, "standard"))
 
 
 @pytest.mark.parametrize("relativistic", [True, False])
@@ -178,9 +172,7 @@ def test_force_field_is_the_expansion_of_its_coefficients(grid, mode, relativist
     assert np.array_equal(force, a[:, None] + b[:, None] * v[None, :])
     if mode == "standard":
         assert np.all(b == 0.0)
-        assert np.array_equal(force, standard_force(fields, grid, dt, q, c))
     else:
-        assert np.array_equal(force, modified_force(fields, grid, dt, q, m, c, relativistic))
         assert np.array_equal(a, -(q / c) * ((fields.a_curr - fields.a_prev) / dt))
 
 

@@ -1,5 +1,6 @@
-"""Every diagnostics column of four short runs agrees with the committed golden
-rows to roundoff, so a kernel rewrite cannot change what the solver computes.
+"""Every diagnostics column of four short runs, and every divergence column of
+two short comparisons, agrees with the committed golden rows to roundoff, so a
+kernel rewrite cannot change what the solver computes.
 
 The golden file is written by ``make_golden_diagnostics.py``; regenerate it
 only for an intended change to what the solver computes.
@@ -11,8 +12,17 @@ import numpy as np
 import pytest
 
 from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS
+from kinvlasov.output import DIVERGENCE_FIELDS
 
-from make_golden_diagnostics import CASES, GOLDEN_PATH, N_STEPS, case_rows
+from make_golden_diagnostics import (
+    CASES,
+    DIVERGENCE_CASES,
+    DIVERGENCE_EVERY,
+    GOLDEN_PATH,
+    N_STEPS,
+    case_rows,
+    divergence_rows,
+)
 
 ATOL = 1e-13
 RTOL = 1e-12
@@ -22,17 +32,31 @@ RTOL = 1e-12
 def golden():
     data = json.loads(GOLDEN_PATH.read_text())
     assert tuple(data["columns"]) == DIAGNOSTICS_FIELDS
-    return data["cases"]
+    assert tuple(data["divergence_columns"]) == DIVERGENCE_FIELDS
+    return data
+
+
+def assert_rows_match(got, expected, columns):
+    got = np.array(got, dtype=float)
+    expected = np.array(expected, dtype=float)
+    assert got.shape == expected.shape
+    excess = np.abs(got - expected) - (ATOL + RTOL * np.abs(expected))
+    for column, name in enumerate(columns):
+        worst = int(np.argmax(excess[:, column]))
+        assert excess[worst, column] <= 0.0, (
+            f"{name} in row {worst}: {got[worst, column]!r} against golden "
+            f"{expected[worst, column]!r}")
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
 def test_diagnostics_match_golden_rows(golden, case):
-    expected = np.array(golden[case[0]], dtype=float)
-    got = np.array(case_rows(case), dtype=float)
-    assert got.shape == expected.shape == (N_STEPS + 1, len(DIAGNOSTICS_FIELDS))
-    excess = np.abs(got - expected) - (ATOL + RTOL * np.abs(expected))
-    for column, name in enumerate(DIAGNOSTICS_FIELDS):
-        worst = int(np.argmax(excess[:, column]))
-        assert excess[worst, column] <= 0.0, (
-            f"{name} at step {worst}: {got[worst, column]!r} against golden "
-            f"{expected[worst, column]!r}")
+    expected = golden["cases"][case[0]]
+    assert np.shape(expected) == (N_STEPS + 1, len(DIAGNOSTICS_FIELDS))
+    assert_rows_match(case_rows(case), expected, DIAGNOSTICS_FIELDS)
+
+
+@pytest.mark.parametrize("case", DIVERGENCE_CASES, ids=[case[0] for case in DIVERGENCE_CASES])
+def test_divergence_matches_golden_rows(golden, case):
+    expected = golden["divergence_cases"][case[0]]
+    assert np.shape(expected) == (N_STEPS // DIVERGENCE_EVERY + 1, len(DIVERGENCE_FIELDS))
+    assert_rows_match(divergence_rows(case), expected, DIVERGENCE_FIELDS)

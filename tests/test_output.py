@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -10,11 +9,10 @@ from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS, DiagnosticsRecord
 from kinvlasov.grid import build_grid
 from kinvlasov import output
 from kinvlasov.output import (
+    DiagnosticsWriter,
     format_float,
     manifest_payload,
     read_snapshot,
-    write_diagnostics,
-    write_diagnostics_header,
     write_manifest,
     write_snapshot,
 )
@@ -37,11 +35,15 @@ def sample_record():
     )
 
 
-def test_diagnostics_header_and_row():
-    sink = io.StringIO()
-    write_diagnostics_header(sink)
-    write_diagnostics(sample_record(), sink)
-    lines = sink.getvalue().splitlines()
+def written_lines(tmp_path, record):
+    writer = DiagnosticsWriter(tmp_path / "diagnostics.csv")
+    writer.write(record)
+    writer.close()
+    return (tmp_path / "diagnostics.csv").read_text().splitlines()
+
+
+def test_diagnostics_header_and_row(tmp_path):
+    lines = written_lines(tmp_path, sample_record())
     assert lines[0] == ",".join(DIAGNOSTICS_FIELDS)
     assert lines[0].startswith("step,time,n_total_plus")
     values = lines[1].split(",")
@@ -49,12 +51,9 @@ def test_diagnostics_header_and_row():
     assert len(values) == len(DIAGNOSTICS_FIELDS)
 
 
-def test_diagnostics_round_trip():
+def test_diagnostics_round_trip(tmp_path):
     record = sample_record()
-    sink = io.StringIO()
-    write_diagnostics_header(sink)
-    write_diagnostics(record, sink)
-    row = sink.getvalue().splitlines()[1].split(",")
+    row = written_lines(tmp_path, record)[1].split(",")
     for name, text in zip(DIAGNOSTICS_FIELDS[1:], row[1:]):
         assert float(text) == getattr(record, name)
 

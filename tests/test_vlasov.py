@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from kinvlasov.config import Config, InitConfig, validate_config
+from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
+from kinvlasov.fields import cfl_check
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
@@ -15,6 +16,7 @@ from kinvlasov.vlasov import (
     KickDisplacementError,
     advect_x,
     kick_p,
+    max_velocity,
     step,
     time_step,
 )
@@ -325,3 +327,19 @@ def test_time_step_respects_both_speeds():
     dt_kinetic = time_step(slow, build_grid(slow))
     v_char = slow.p_max / slow.minus.m
     assert v_char * dt_kinetic / grid.dx <= slow.cfl_fraction * (1 + 1e-12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(m_plus=st.floats(1e-3, 1e3), m_minus=st.floats(1e-3, 1e3), c=st.floats(1e-2, 1e3),
+       relativistic=st.booleans(), cfl_fraction=st.floats(0.0, 1.0, exclude_min=True),
+       nx=st.integers(4, 512), n_p=st.integers(4, 512), x_max=st.floats(1e-2, 1e3),
+       p_max=st.floats(1e-2, 1e3))
+def test_derived_time_step_satisfies_both_cfl_bounds(m_plus, m_minus, c, relativistic,
+                                                     cfl_fraction, nx, n_p, x_max, p_max):
+    # time_step derives dt from the bounds themselves, so no run can violate them.
+    config = Config(nx=nx, x_max=x_max, np=n_p, p_max=p_max, c=c,
+                    relativistic=relativistic, cfl_fraction=cfl_fraction,
+                    species=(SpeciesConfig("plus", 0.2, m_plus),
+                             SpeciesConfig("minus", -0.2, m_minus)))
+    grid = build_grid(config)
+    assert cfl_check(grid, time_step(config, grid), c, max_velocity(config, grid)).ok
