@@ -71,8 +71,9 @@ def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _natural_spline_ldlt(n: int) -> tuple:
-    """``dpttrf`` factors of tridiag(1, 4, 1), the moment matrix of n nodes."""
-    d, e, _ = dpttrf(np.full(n - 2, 4.0), np.ones(n - 3))
+    """``dpttrf`` factors of [1] + tridiag(1, 4, 1) + [1], the moment matrix of n
+    nodes; its borders factor exactly, so its interior is tridiag's, bit for bit."""
+    d, e, _ = dpttrf(np.r_[1.0, np.full(n - 2, 4.0), 1.0], np.r_[0.0, np.ones(n - 3), 0.0])
     d.flags.writeable = False
     e.flags.writeable = False
     return d, e
@@ -86,17 +87,18 @@ def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
     """
     if f.shape[1] < 4:
         raise ValueError(f"a natural spline needs at least 4 nodes (got {f.shape[1]})")
-    # Second differences; the system is linear, so their 6/h^2 is applied to
-    # the solution as it is copied out.
-    rhs = np.subtract(f[:, 2:], f[:, 1:-1], out=work_array(1, (f.shape[0], f.shape[1] - 2)))
-    rhs -= f[:, 1:-1]
-    rhs += f[:, :-2]
-    # rhs.T is Fortran-ordered, so dpttrs solves every row in place.
-    solution, _ = dpttrs(*_natural_spline_ldlt(f.shape[1]), rhs.T, overwrite_b=1)
-    moments = np.empty_like(f)
-    moments[:, 0] = 0.0
-    moments[:, -1] = 0.0
-    np.multiply(solution.T, 6.0 / (h * h), out=moments[:, 1:-1])
+    # Second differences of the raveled f; those that straddle two rows fall
+    # in the end columns, whose right-hand side is 0.  6/h^2 is applied last.
+    moments = np.empty(f.shape)
+    flat, rhs = np.ravel(f), moments.reshape(-1)[1:-1]
+    np.subtract(flat[2:], flat[1:-1], out=rhs)
+    rhs -= flat[1:-1]
+    rhs += flat[:-2]
+    moments[:, [0, -1]] = 0.0
+    # moments.T is Fortran-ordered, so dpttrs solves every row in place.
+    dpttrs(*_natural_spline_ldlt(f.shape[1]), moments.T, overwrite_b=1)
+    moments[:, [0, -1]] = 0.0      # a NaN row's forward sweep reaches its end
+    moments *= 6.0 / (h * h)
     return moments
 
 
@@ -106,9 +108,9 @@ def _locate_cells(nodes: np.ndarray, queries: np.ndarray) -> tuple:
 
     Returns the flat index of the interval's left node (intervals clamped to
     the node range) and the query's offset from that node in cells, which is
-    in [0, 1] inside the range.  A NaN query gets a NaN offset.  Both are the
-    work arrays of slots 1 and 2.
-    """
+    in [0, 1] inside the range, in the work arrays of slots 1 and 2; and the
+    edge columns, which hold a query outside [nodes[0], nodes[-2]] or a NaN.
+    Only they can need the clamp.  A NaN query gets a NaN offset."""
     t = work_array(2, queries.shape)
     np.subtract(queries, nodes[0], out=t)
     t /= nodes[1] - nodes[0]
@@ -116,10 +118,12 @@ def _locate_cells(nodes: np.ndarray, queries: np.ndarray) -> tuple:
     # that the clip brings into range.
     k = work_array(1, queries.shape, np.intp)
     np.copyto(k, t, casting="unsafe")
-    np.clip(k, 0, nodes.size - 2, out=k)
+    edges = np.flatnonzero(~((np.min(queries, axis=0) >= nodes[0])
+                             & (np.max(queries, axis=0) <= nodes[-2])))
+    k[:, edges] = np.clip(k[:, edges], 0, nodes.size - 2)
     t -= k
     k += np.arange(0, queries.shape[0] * nodes.size, nodes.size)[:, None]
-    return k, t
+    return k, t, edges
 
 
 def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
@@ -130,9 +134,8 @@ def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
     resolved momentum range); a NaN query returns NaN.
     """
     h = nodes[1] - nodes[0]
-    k, t = _locate_cells(nodes, queries)
-    flat = np.ravel(f)
-    flat_moments = np.ravel(moments)
+    k, t, edges = _locate_cells(nodes, queries)
+    flat, flat_moments = np.ravel(f), np.ravel(moments)
 
     # S = lo + t (hi - lo) - (h^2/6) t (1-t) [(2-t) mlo + (1+t) mhi], which is
     # (1-t) lo + t hi + (h^2/6) [((1-t)^3 - (1-t)) mlo + (t^3 - t) mhi]
@@ -156,7 +159,6 @@ def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
     bracket *= t
     bracket *= h * h / 6.0
     values -= bracket
-    outside = np.less(queries, nodes[0], out=work_array(1, queries.shape, bool))
-    outside |= np.greater(queries, nodes[-1], out=work_array(2, queries.shape, bool))
-    values[outside] = 0.0
+    edge = queries[:, edges]
+    values[:, edges] = np.where((edge < nodes[0]) | (edge > nodes[-1]), 0.0, values[:, edges])
     return values

@@ -16,18 +16,18 @@ import numpy as np
 from .fields import ResidualField, d1_periodic
 from .forces import velocity_from_momentum
 from .grid import PhaseSpaceGrid
-from .workspace import work_array
 
 
 def number_density(f, grid: PhaseSpaceGrid) -> np.ndarray:
-    return np.sum(f, axis=1) * grid.dp
+    return np.einsum("ij->i", f) * grid.dp
 
 
 def particle_flux(f, m: float, c: float, relativistic: bool,
                   grid: PhaseSpaceGrid) -> np.ndarray:
     v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
-    weighted = np.multiply(f, v[None, :], out=work_array(0, np.shape(f)))
-    return np.sum(weighted, axis=1) * grid.dp
+    # einsum takes the product and the sum in one pass, without BLAS, whose
+    # reductions may be ordered by the thread count.
+    return np.einsum("ij,j->i", f, v) * grid.dp
 
 
 def charge_density(f_plus, f_minus, q_plus: float, q_minus: float,

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import Config, validate_config
 from .diagnostics import (
     StateHistory,
@@ -25,7 +27,12 @@ from .output import (
 from .state import SimulationState, clone_state, initialize_state
 from .vlasov import KickDisplacementError, max_velocity, step, time_step
 
-SOLVER_ABORTS = (KickDisplacementError, FieldBlowupError)
+
+class NonFiniteStateError(RuntimeError):
+    """A distribution function holds a NaN or an infinity."""
+
+
+SOLVER_ABORTS = (KickDisplacementError, FieldBlowupError, NonFiniteStateError)
 
 
 @dataclass
@@ -40,6 +47,7 @@ class RunResult:
     final_state: SimulationState
     aborted: bool = False
     abort_reason: str = ""
+    abort_step: int = 0     # the step being computed or checked when it aborted
 
 
 def planned_steps(config: Config, dt: float) -> int:
@@ -76,6 +84,10 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
 
     def emit(current: SimulationState, write_files: bool) -> None:
         nonlocal written
+        # A NaN or an inf in f makes its row's density non-finite: an O(nx) check.
+        for label, species in zip(("plus", "minus"), current.species):
+            if not np.all(np.isfinite(species.n)):
+                raise NonFiniteStateError(f"non-finite value in f_{label} at step {current.step}")
         record = make_record(current, history, config, grid, dt)
         records.append(record)
         if write_files and writer is not None:
@@ -90,9 +102,11 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     result = RunResult(config=config, grid=grid, dt=dt, n_steps=total,
                        records=records, snapshots=snapshots, history=history,
                        final_state=state)
+    attempt = state.step
     try:
         emit(state, True)
         for k in range(1, total + 1):
+            attempt = state.step + 1
             state = step(state, config, grid)
             history.push(snapshot_state(state))
             emit(state, k % config.output_every == 0)
@@ -100,6 +114,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     except SOLVER_ABORTS as exc:
         result.aborted = True
         result.abort_reason = str(exc)
+        result.abort_step = attempt
         # flush the last computed record so the file shows where the run died
         if writer is not None and records and written < len(records):
             writer.write(records[-1])
@@ -129,7 +144,7 @@ def _command(simulate, config_path, out_dir) -> int:
 def _run(config: Config, out_dir) -> int:
     result = run_simulation(config, out_dir=out_dir)
     if result.aborted:
-        print(f"solver aborted at step {result.final_state.step}: {result.abort_reason}")
+        print(f"solver aborted at step {result.abort_step}: {result.abort_reason}")
         return 1
     print(
         f"completed {result.n_steps} steps to t = {result.final_state.time:.6g}; "
@@ -172,8 +187,10 @@ def compare_simulations(config: Config, *, out_dir=None):
 def _compare(config: Config, out_dir) -> int:
     rows, run_mod, run_std = compare_simulations(config, out_dir=out_dir)
     if run_mod.aborted or run_std.aborted:
-        print("comparison aborted: "
-              + (run_mod.abort_reason or run_std.abort_reason))
+        print("comparison aborted: " + "; ".join(
+            f"{mode} run aborted at step {run.abort_step}: {run.abort_reason}" if run.aborted
+            else f"{mode} run completed {run.n_steps} steps"
+            for mode, run in (("modified", run_mod), ("standard", run_std))))
         return 1
     final = rows[-1]
     print(

@@ -106,7 +106,7 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
     v_at = v[None, :]
     for sweep in range(1 + refine):
         if sweep:  # refine: v at the foot, linear between its two nodes
-            k, t = _locate_cells(grid.p_nodes, queries)
+            k, t, _ = _locate_cells(grid.p_nodes, queries)
             k -= np.arange(0, f.size, grid.np)[:, None]
             np.clip(t, 0.0, 1.0, out=t)
             v_at = v.take(k, out=work_array(3, f.shape), mode="clip")

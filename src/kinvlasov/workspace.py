@@ -11,15 +11,15 @@ The slot of every intermediate is fixed where it is used.  Intermediates whose
 lifetimes never overlap share a slot, and no function asks for a slot that a
 caller of it still holds:
 
-    slot 0  kick_p's foot points; particle_flux's f*v; vlasov_residual's sum
-    slot 1  natural_spline_moments' right-hand side; the cell indices and the
-            range mask of eval_natural_spline; vlasov_residual's transport
-            term (dt/dx) v [D_x f + (dx/dp) b D_p f]
-    slot 2  the cell offsets t; the second range mask; vlasov_residual's
-            p-difference D_p f
+    slot 0  kick_p's foot points; vlasov_residual's sum
+    slot 1  eval_natural_spline's cell indices; vlasov_residual's transport
+            term (dt/dx) v D_x f
+    slot 2  the cell offsets t; vlasov_residual's p-difference D_p f
     slot 3  eval_natural_spline's work array; kick_p's v at the refined foot;
-            vlasov_residual's b D_p f
+            vlasov_residual's (dt/dp) (a + b v)
     slot 4  eval_natural_spline's moment bracket
+
+natural_spline_moments and particle_flux use no slot; vlasov_residual's are full rows.
 
 A work array is never returned by a public function, so no later call can
 overwrite a result.

@@ -4,18 +4,25 @@ that ``test_golden_diagnostics.py`` holds the solver to within roundoff.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_golden_diagnostics.py
+    PYTHONPATH=src python tests/make_golden_diagnostics.py [--check]
 
 Regenerate the file only for an intended change to what the solver computes
 (a new scheme, source or force term), never to make a kernel rewrite pass;
-name that change where the project records its changes.
+name that change where the project records its changes.  ``--check`` writes
+nothing: it recomputes every case, prints each column's worst absolute and
+relative deviation from the committed rows, and exits 1 if any deviation
+exceeds the test tolerance ATOL + RTOL * |golden|.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from dataclasses import astuple, replace
 from pathlib import Path
+
+import numpy as np
 
 from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS
 from kinvlasov.grid import build_grid
@@ -26,6 +33,10 @@ from kinvlasov.vlasov import time_step
 from conftest import landau_config
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_diagnostics.json"
+
+# A recomputed value v matches its golden value g when |v - g| <= ATOL + RTOL |g|.
+ATOL = 1e-13
+RTOL = 1e-12
 
 N_STEPS = 60
 
@@ -83,7 +94,41 @@ def _json_cases(cases: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}"
 
 
+def excess(got, expected) -> np.ndarray:
+    """How far each value lies beyond the tolerance; <= 0 where it matches."""
+    got, expected = np.array(got, dtype=float), np.array(expected, dtype=float)
+    return np.abs(got - expected) - (ATOL + RTOL * np.abs(expected))
+
+
+def check() -> int:
+    """Print each column's worst deviation from the committed rows over every
+    case; 1 if any value lies outside the tolerance."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    failed = False
+    for kind, cases, compute, columns in (
+            ("cases", CASES, case_rows, DIAGNOSTICS_FIELDS),
+            ("divergence_cases", DIVERGENCE_CASES, divergence_rows, DIVERGENCE_FIELDS)):
+        got = np.concatenate([compute(case) for case in cases])
+        expected = np.concatenate([golden[kind][case[0]] for case in cases])
+        deviation = np.abs(got - expected)
+        relative = deviation / np.where(expected == 0.0, 1.0, np.abs(expected))
+        worst_excess = excess(got, expected).max(axis=0)
+        print(f"{kind}: worst over {len(cases)} cases")
+        for column, name in enumerate(columns):
+            bad = worst_excess[column] > 0.0
+            failed |= bad
+            print(f"{name:26s} abs {deviation[:, column].max():.3e}  "
+                  f"rel {relative[:, column].max():.3e}{'  FAIL' if bad else ''}")
+    print(f"{'FAIL' if failed else 'ok'}: tolerance {ATOL:g} + {RTOL:g} |golden|")
+    return int(failed)
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed file instead of writing it")
+    if parser.parse_args().check:
+        sys.exit(check())
     cases = {case[0]: case_rows(case) for case in CASES}
     divergence = {case[0]: divergence_rows(case) for case in DIVERGENCE_CASES}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

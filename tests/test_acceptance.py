@@ -6,11 +6,15 @@ summary lines alongside the pytest verdicts.
 
 import filecmp
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 
-from kinvlasov.config import Config, InitConfig, validate_config
+import kinvlasov
+from kinvlasov.config import Config, InitConfig, load_config, validate_config
 from kinvlasov.diagnostics import compare_runs, residual_report
 from kinvlasov.fields import d1_periodic
 from kinvlasov.forces import force_field
@@ -191,3 +195,33 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
     ok = not mismatch and not errors and len(match) == len(names)
     report(8, "byte-identical reruns", ok,
            f"{len(match)} files identical across reruns ({', '.join(mismatch) or 'no mismatches'})")
+
+
+THREAD_CAP_CONFIG = RERUN_CONFIG.replace("np = 32", "np = 64").replace(
+    "preset = landau\namplitude = 0.001",
+    "preset = two_stream\namplitude = 0.01\ndrift = 2.0\ntemperature = 0.25")
+
+
+def test_reruns_byte_identical_across_thread_caps(tmp_path):
+    # No output may depend on the thread caps, as a BLAS reduction ordered by
+    # the thread count could make it.
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(THREAD_CAP_CONFIG)
+    config = validate_config(load_config(config_path))
+    dt = time_step(config, build_grid(config))
+    config_path.write_text(THREAD_CAP_CONFIG.replace("t_end = 0.8", f"t_end = {20 * dt!r}"))
+    src = os.path.dirname(os.path.dirname(kinvlasov.__file__))
+    dirs = [tmp_path / "threads1", tmp_path / "threads2"]
+    for threads, out in zip(("1", "2"), dirs):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-m", "kinvlasov.cli", "run", "--config",
+                               str(config_path), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "completed 20 steps" in done.stdout
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert "f_minus_20.dat" in names
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names, shallow=False)
+    assert not mismatch and not errors and len(match) == len(names)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from kinvlasov import runner
 from kinvlasov.cli import main
 from kinvlasov.output import read_snapshot
+from kinvlasov.state import refresh_moments
 
 GOOD_CONFIG = """
 [grid]
@@ -170,9 +172,48 @@ def test_compare_one_mode_aborting_exits_1_with_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("comparison aborted:")
+    assert "standard run aborted at step 1: momentum displacement" in lines[0]
+    assert "modified run completed 36 steps" in lines[0]
     assert "Traceback" not in captured.out + captured.err
     # the rows cover the snapshots both runs recorded: the initial state only
     divergence = (out / "divergence.csv").read_text().splitlines()
     assert len(divergence) == 2 and divergence[1].startswith("0,")
     modified = (out / "modified" / "diagnostics.csv").read_text().splitlines()
     assert modified[-1].startswith("36,")
+
+
+def test_compare_both_modes_aborting_names_each_on_one_line(tmp_path, capsys):
+    config = write_config(tmp_path, ABORTING_CONFIG)
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("comparison aborted:")
+    modified, standard = lines[0].removeprefix("comparison aborted: ").split("; standard ")
+    assert modified.startswith("modified run aborted at step ")
+    assert standard.startswith("run aborted at step 1: momentum displacement")
+    assert "momentum displacement" in modified
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_run_non_finite_f_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # A NaN that a step leaves in f_minus stops the run after that step.
+    real_step = runner.step
+
+    def poisoned_step(state, config, grid):
+        new = real_step(state, config, grid)
+        if new.step == 2:
+            new.minus.f[3, 5] = np.nan
+            new = refresh_moments(new, config, grid)
+        return new
+
+    monkeypatch.setattr(runner, "step", poisoned_step)
+    config = write_config(tmp_path)
+    out = tmp_path / "nan"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "solver aborted at step 2: non-finite value in f_minus at step 2"]
+    assert "Traceback" not in captured.out + captured.err
+    # the last finite state's row was flushed; the poisoned state has none
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert rows[-1].startswith("1,")

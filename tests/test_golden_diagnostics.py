@@ -22,10 +22,8 @@ from make_golden_diagnostics import (
     N_STEPS,
     case_rows,
     divergence_rows,
+    excess,
 )
-
-ATOL = 1e-13
-RTOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +38,10 @@ def assert_rows_match(got, expected, columns):
     got = np.array(got, dtype=float)
     expected = np.array(expected, dtype=float)
     assert got.shape == expected.shape
-    excess = np.abs(got - expected) - (ATOL + RTOL * np.abs(expected))
+    beyond = excess(got, expected)
     for column, name in enumerate(columns):
-        worst = int(np.argmax(excess[:, column]))
-        assert excess[worst, column] <= 0.0, (
+        worst = int(np.argmax(beyond[:, column]))
+        assert beyond[worst, column] <= 0.0, (
             f"{name} in row {worst}: {got[worst, column]!r} against golden "
             f"{expected[worst, column]!r}")
 

@@ -13,7 +13,8 @@ from kinvlasov.moments import (
     number_density,
     particle_flux,
 )
-from kinvlasov.state import clone_state, initialize_state
+from kinvlasov.runner import run_simulation
+from kinvlasov.state import clone_state, initialize_state, refresh_moments
 from kinvlasov.vlasov import step
 
 from conftest import landau_config, pair_species
@@ -169,3 +170,15 @@ def test_poisson_solution_satisfies_discrete_equation():
     residual = np.max(np.abs(-d2_periodic(phi, grid.dx) - 4.0 * np.pi * rho))
     assert residual <= 1e-10 * 4.0 * np.pi * np.max(np.abs(rho))
     assert abs(phi.mean()) <= 1e-12 * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_run_from_a_state_with_one_non_finite_value_aborts(value):
+    config = validate_config(landau_config(nx=16, n_p=16))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    state.minus.f[3, 5] = value
+    result = run_simulation(config, initial_state=refresh_moments(state, config, grid))
+    assert result.aborted and result.abort_step == 0
+    assert result.abort_reason == "non-finite value in f_minus at step 0"
+    assert result.records == []

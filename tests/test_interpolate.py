@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from kinvlasov.interpolate import (
     eval_natural_spline,
@@ -155,3 +156,60 @@ def test_natural_spline_on_the_fewest_nodes_matches_scipy(n):
 def test_natural_spline_rejects_fewer_than_four_nodes(n):
     with pytest.raises(ValueError, match="at least 4 nodes"):
         natural_spline_moments(np.ones((2, n)), 0.5)
+
+
+def interior_solve_moments(f, h):
+    """The natural spline moments as one dpttrf/dpttrs solve of tridiag(1, 4, 1)
+    on the interior second differences, scaled by 6/h^2 as they are copied out."""
+    d, e, _ = dpttrf(np.full(f.shape[1] - 2, 4.0), np.ones(f.shape[1] - 3))
+    rhs = f[:, 2:] - f[:, 1:-1]
+    rhs -= f[:, 1:-1]
+    rhs += f[:, :-2]
+    solution, _ = dpttrs(d, e, rhs.T)
+    moments = np.zeros_like(f)
+    moments[:, 1:-1] = solution.T * (6.0 / (h * h))
+    return moments
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 5), (9, 17), (64, 128), (256, 512)])
+def test_block_factored_moments_equal_the_interior_solve_bitwise(shape):
+    rows = np.random.default_rng(shape[1]).normal(size=shape)
+    assert np.array_equal(natural_spline_moments(rows, 0.37), interior_solve_moments(rows, 0.37))
+
+
+def test_nan_row_keeps_its_nan_and_zero_ends():
+    rows = np.random.default_rng(3).normal(size=(9, 17))
+    rows[4, 8] = np.nan
+    with np.errstate(invalid="ignore"):
+        moments = natural_spline_moments(rows, 0.37)
+    assert np.isnan(moments[4, 1:-1]).all()
+    assert np.all(moments[4, [0, -1]] == 0.0)
+    finite = np.arange(9) != 4
+    assert np.array_equal(moments[finite], interior_solve_moments(rows[finite], 0.37))
+
+
+def test_zero_extension_and_nan_only_where_queries_leave_the_range():
+    rng = np.random.default_rng(11)
+    nodes = np.linspace(-1.0, 2.0, 24)
+    rows = rng.normal(size=(6, 24))
+    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
+    queries = rng.uniform(-0.9, 1.9, size=(6, 30))
+    queries[1, 3] = -1.2                        # below the range in one row only
+    queries[2, 7] = 2.0 + 1e-12                 # just above it
+    queries[3, 7] = 2.0                         # exactly at each end
+    queries[4, 9] = -1.0
+    queries[5, 12] = np.nan
+    queries[0, 20] = 1.99                       # in the last interval
+    queries[1, 25] = 2.0                        # a column's only end query
+    with np.errstate(invalid="ignore"):
+        values = eval_natural_spline(nodes, rows, moments, queries)
+    outside = (queries < -1.0) | (queries > 2.0)
+    for i in range(6):
+        reference = CubicSpline(nodes, rows[i], bc_type="natural")(np.nan_to_num(queries[i]))
+        reference[outside[i]] = 0.0
+        inside = ~np.isnan(queries[i])
+        assert np.allclose(values[i, inside], reference[inside], atol=1e-12, rtol=0.0)
+    assert np.isnan(values[5, 12]) and np.isnan(values).sum() == 1
+    assert values[1, 3] == 0.0 and values[2, 7] == 0.0
+    assert values[3, 7] == pytest.approx(rows[3, -1]) and values[4, 9] == pytest.approx(rows[4, 0])
+    assert values[1, 25] == pytest.approx(rows[1, -1])
