@@ -13,7 +13,8 @@ Two variants are needed:
   arbitrary per-point foot locations, with zero extension outside the node
   range.  Every row's moment system has the same matrix, tridiag(1, 4, 1),
   which is symmetric positive definite: it is LDL^T-factored (``dpttrf``, no
-  pivots) once per node count.
+  pivots) once per node count.  Feet within one cell of their own nodes are
+  evaluated from node-local Taylor terms instead, with no cell search.
 """
 
 from __future__ import annotations
@@ -161,4 +162,59 @@ def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
     values -= bracket
     edge = queries[:, edges]
     values[:, edges] = np.where((edge < nodes[0]) | (edge > nodes[-1]), 0.0, values[:, edges])
+    return values
+
+
+def eval_natural_spline_near_nodes(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
+                                   cells: np.ndarray, end_queries: np.ndarray) -> np.ndarray:
+    """Each row's natural spline at its nodes moved back by ``cells`` cells.
+
+    Node j of row i is evaluated at nodes[j] - cells[i, j] * h.  For
+    |cells| <= 1 that foot lies in one of the node's two cells, where the
+    spline is a cubic, so its Taylor expansion at the node is exact:
+
+        S_j = f_j - s g_j + s^2 (h^2/2) M_j - s^3 (h^2/6) dM_j
+
+    with s = cells, g_j = h f'(p_j) and dM_j the moment difference across the
+    foot's cell (M_j - M_{j-1} for s > 0, M_{j+1} - M_j otherwise).  No foot
+    point is located and nothing is gathered.  ``moments`` comes from
+    ``natural_spline_moments`` (zero end columns).  ``end_queries``, shape
+    (rows, 2), holds the foot points of the first and last columns: a foot
+    outside [nodes[0], nodes[-1]] returns 0, decided as in
+    ``eval_natural_spline``.
+    """
+    h = nodes[1] - nodes[0]
+    c = h * h / 6.0
+    flat, flat_moments, s = np.ravel(f), np.ravel(moments), np.ravel(cells)
+    # diffs[e] = M_e - M_{e-1} over the raveled moments.  A difference that
+    # straddles two rows joins two zero end moments, so it is 0 too.
+    diffs = work_array(2, (f.size + 1,))
+    diffs[[0, -1]] = 0.0
+    np.subtract(flat_moments[1:], flat_moments[:-1], out=diffs[1:-1])
+    right, left = diffs[1:], diffs[:-1]
+    bracket = work_array(3, (f.size,))
+    np.copyto(bracket, right)
+    np.copyto(bracket, left, where=np.greater(s, 0.0, out=work_array(4, (f.size,), bool)))
+
+    # S = f - s (g - c s (3M - s dM)), where g = (f_{j+1} - f_j) - c (3M + dM_right)
+    # from the node's right cell, so S = f - s ((f_{j+1} - f_j) - bracket) with
+    # bracket = c (3M + dM_right + s (3M - s dM)).
+    three_m = np.multiply(flat_moments, 3.0, out=work_array(1, (f.size,)))
+    bracket *= s
+    np.subtract(three_m, bracket, out=bracket)
+    bracket *= s
+    bracket += three_m
+    bracket += right
+    bracket *= c
+    values = np.empty(f.shape)
+    flat_values = values.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=flat_values[:-1])
+    # The last column has no right cell.  Its bracket's 3M + dM_right is 0, and
+    # its g comes from the left cell: (f_{n-1} - f_{n-2}) + c (2 M_{n-1} + M_{n-2}).
+    values[:, -1] = f[:, -1] - f[:, -2] + c * (2.0 * moments[:, -1] + moments[:, -2])
+    flat_values -= bracket
+    flat_values *= s
+    np.subtract(flat, flat_values, out=flat_values)
+    values[:, [0, -1]] = np.where((end_queries < nodes[0]) | (end_queries > nodes[-1]),
+                                  0.0, values[:, [0, -1]])
     return values

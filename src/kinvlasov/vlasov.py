@@ -26,6 +26,7 @@ from .grid import PhaseSpaceGrid
 from .interpolate import (
     _locate_cells,
     eval_natural_spline,
+    eval_natural_spline_near_nodes,
     natural_spline_moments,
     periodic_shift_columns,
     periodic_shift_transfer,
@@ -88,6 +89,13 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
     the species' v on the p nodes.  The characteristic is frozen at the
     pre-kick p; with refine = 1 the foot point gets one fixed-point update
     using the force at the foot.
+
+    With refine = 0 and every |F dt| <= dp (the bound below, from each row's
+    two ends), each foot lies within one cell of its node, and the spline is
+    evaluated from node-local Taylor terms
+    (``interpolate.eval_natural_spline_near_nodes``).  Otherwise the foot
+    points are built and ``interpolate.eval_natural_spline`` locates and
+    gathers them.  Both evaluate the same cubic, so they agree to roundoff.
     """
     if dt == 0.0 or not np.any(coefficients):
         return f.copy()
@@ -103,6 +111,15 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
             f"momentum displacement {worst:.3e} exceeds sanity bound {limit:.3e} "
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
+    moments = natural_spline_moments(f, grid.dp)
+    if refine == 0 and worst <= grid.dp:
+        # The end columns' foot points take the arithmetic of the queries
+        # below, so both paths zero-extend the same cells.
+        end_queries = grid.p_nodes[[0, -1]] - b[:, None] * v[[0, -1]]
+        end_queries -= a[:, None]
+        cells = np.einsum("ki,kj->ij", coefficients * (dt / grid.dp),
+                          np.vstack((np.ones_like(v), v)), out=work_array(0, f.shape))
+        return eval_natural_spline_near_nodes(grid.p_nodes, f, moments, cells, end_queries)
     v_at = v[None, :]
     for sweep in range(1 + refine):
         if sweep:  # refine: v at the foot, linear between its two nodes
@@ -114,7 +131,6 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
         queries = np.multiply(b[:, None], v_at, out=work_array(0, f.shape))
         np.subtract(grid.p_nodes, queries, out=queries)
         queries -= a[:, None]
-    moments = natural_spline_moments(f, grid.dp)
     return eval_natural_spline(grid.p_nodes, f, moments, queries)
 
 

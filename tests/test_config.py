@@ -4,10 +4,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kinvlasov.config import (
     _SCHEMA,
     _SECTIONS,
+    FORCE_MODES,
+    PRESETS,
     Config,
     ConfigError,
     InitConfig,
@@ -229,15 +233,51 @@ def _render(config_dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_manifest_config_round_trips_through_the_file_format():
-    config = validate_config(Config(
-        nx=32, x_max=10.0, np=64, p_max=6.0, c=3.0, relativistic=False,
-        force_mode="standard", cfl_fraction=0.5, t_end=2.0, output_every=5,
-        kick_refine=1,
-        species=(SpeciesConfig("plus", 0.25, 1.5), SpeciesConfig("minus", -0.25, 0.5)),
-        init=InitConfig(preset="two_stream", n0=2.0, amplitude=0.01, k_mode=2,
-                        temperature=0.4, drift=1.0),
-    ))
+@st.composite
+def valid_configs(draw):
+    """Configs that pass validation with every field off its default, so a
+    key the parser dropped would come back as the default and differ."""
+    defaults = Config()
+
+    def off_default(strategy, default):
+        return draw(strategy.filter(lambda value: value != default))
+
+    q = off_default(st.floats(-5.0, 5.0), defaults.plus.q)
+    m_plus = off_default(st.floats(0.01, 100.0), defaults.plus.m)
+    m_minus = off_default(st.floats(0.01, 100.0), defaults.minus.m)
+    init = InitConfig(
+        preset=draw(st.sampled_from([p for p in PRESETS if p != defaults.init.preset])),
+        n0=off_default(st.floats(0.01, 10.0), defaults.init.n0),
+        amplitude=off_default(st.floats(-1.0, 1.0), defaults.init.amplitude),
+        k_mode=off_default(st.integers(1, 16), defaults.init.k_mode),
+        temperature=off_default(st.floats(0.01, 10.0), defaults.init.temperature),
+        drift=off_default(st.floats(-5.0, 5.0), defaults.init.drift),
+    )
+    # Both initial tails must fall below TAIL_RATIO_LIMIT (e^-27.6) at p_max.
+    tail = math.sqrt(2.0 * 28.0 * max(m_plus, m_minus) * init.temperature)
+    p_max = abs(init.drift) + tail * draw(st.floats(1.0, 3.0))
+    assume(p_max != defaults.p_max)
+    return Config(
+        nx=off_default(st.integers(8, 512), defaults.nx),
+        x_max=off_default(st.floats(0.1, 100.0), defaults.x_max),
+        np=off_default(st.integers(8, 512), defaults.np),
+        p_max=p_max,
+        c=off_default(st.floats(0.1, 100.0), defaults.c),
+        relativistic=not defaults.relativistic,
+        force_mode=next(m for m in FORCE_MODES if m != defaults.force_mode),
+        cfl_fraction=off_default(st.floats(0.01, 1.0), defaults.cfl_fraction),
+        t_end=off_default(st.floats(0.01, 1000.0), defaults.t_end),
+        output_every=off_default(st.integers(1, 1000), defaults.output_every),
+        kick_refine=1 - defaults.kick_refine,
+        species=(SpeciesConfig("plus", q, m_plus), SpeciesConfig("minus", -q, m_minus)),
+        init=init,
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(config=valid_configs())
+def test_manifest_config_round_trips_through_the_file_format(config):
+    config = validate_config(config)
     defaults = Config()
     pairs = [(config, defaults), (config.init, defaults.init),
              *zip(config.species, defaults.species)]

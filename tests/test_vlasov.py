@@ -11,6 +11,7 @@ from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.fields import cfl_check
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
+from kinvlasov.interpolate import eval_natural_spline, natural_spline_moments
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.vlasov import (
     KickDisplacementError,
@@ -174,6 +175,29 @@ def banded_take_along_axis_kick(f, force, grid, dt, refine):
     return np.where(inside, values, 0.0)
 
 
+def end_displacements(coefficients, v, dt):
+    """F dt at both ends of each row, in kick_p's arithmetic: v is monotone in
+    p, so kick_p bounds every |F dt| by the largest of these."""
+    a, b = coefficients * dt
+    return a[:, None] + b[:, None] * v[[0, -1]]
+
+
+def at_one_cell(coefficients, force, v, grid, dt):
+    """Nudge the a of the row whose end attains the bound, and that row of
+    the force, until the largest |F dt| is dp exactly."""
+    ends = end_displacements(coefficients, v, dt)
+    row, end = np.unravel_index(np.argmax(np.abs(ends)), ends.shape)
+    outward = np.sign(ends[row, end]) * np.inf
+    for _ in range(64):
+        worst = np.max(np.abs(end_displacements(coefficients, v, dt)))
+        if worst == grid.dp:
+            break
+        a = coefficients[0, row]
+        coefficients[0, row] = np.nextafter(a, outward if worst < grid.dp else -outward)
+        force[row] += coefficients[0, row] - a
+    assert np.max(np.abs(end_displacements(coefficients, v, dt))) == grid.dp
+
+
 @pytest.mark.parametrize("refine", [0, 1])
 @pytest.mark.parametrize("mode", ["modified", "standard"])
 def test_kick_matches_banded_take_along_axis_reference(mode, refine):
@@ -187,12 +211,54 @@ def test_kick_matches_banded_take_along_axis_reference(mode, refine):
     dt = 0.1
     q, m = config.minus.q, config.minus.m
     force = force_field(fields, grid, dt, q, m, config.c, config.relativistic, mode)
-    assert 2.0 * grid.dp < np.max(np.abs(force * dt)) < 0.25 * grid.np * grid.dp
-    expected = banded_take_along_axis_kick(f, force, grid, dt, refine)
-    out = kick_p(f, force_coefficients(fields, grid, dt, q, config.c, mode),
-                 velocity_from_momentum(grid.p_nodes, m, config.c, config.relativistic),
-                 grid, dt, refine)
-    assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+    coefficients = force_coefficients(fields, grid, dt, q, config.c, mode)
+    v = velocity_from_momentum(grid.p_nodes, m, config.c, config.relativistic)
+    multi_cell = np.max(np.abs(end_displacements(coefficients, v, dt))) / grid.dp
+    assert 2.0 < multi_cell < 0.25 * grid.np
+    # F is linear in the potentials, so scaling its rows and the reference's
+    # force scales the potentials.  Each input's largest |F dt| in cells: with
+    # refine = 0 the first three take the sub-cell path, the third at its
+    # bound, where a row end's foot lands on the neighbouring node.
+    for cells in (0.05, 0.5, 1.0, multi_cell):
+        scaled, scaled_force = (cells / multi_cell) * coefficients, (cells / multi_cell) * force
+        if cells == 1.0:
+            at_one_cell(scaled, scaled_force, v, grid, dt)
+        expected = banded_take_along_axis_kick(f, scaled_force, grid, dt, refine)
+        out = kick_p(f, scaled, v, grid, dt, refine)
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected)), cells
+
+
+@settings(deadline=None, max_examples=150)
+@given(nx=st.integers(8, 40), n_p=st.integers(8, 96), dp_exponent=st.integers(-4, 1),
+       dt=st.sampled_from([1.0, 0.5, 0.125]), nan_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sub_cell_kick_matches_gather_evaluation(nx, n_p, dp_exponent, dt, nan_row, seed):
+    # Node spacing, v and the end displacements are dyadic, so every foot
+    # point p - dt (a + b v) is exact: both evaluators see the same cubic at
+    # the same point, and what is compared is their own roundoff.
+    rng = np.random.default_rng(seed)
+    dp = 2.0**dp_exponent
+    grid = build_grid(Config(nx=nx, x_max=8.0, np=n_p, p_max=0.5 * n_p * dp))
+    assert grid.p_nodes[1] - grid.p_nodes[0] == dp
+    v = np.round(np.linspace(-1.0, 1.0, n_p) * 2**12) / 2**12
+    # F dt at p_min and at p_max of each row, in cells, |.| <= 1: the first
+    # rows take every sign pair, then both unit feet (outward and inward).
+    ends = rng.integers(-2**8, 2**8 + 1, (nx, 2)) / 2**8
+    ends[:4] = np.abs(ends[:4]) * [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+    ends[4:6] = [[1.0, -1.0], [-1.0, 1.0]]
+    coefficients = (dp / dt) * np.array([ends.mean(axis=1), 0.5 * (ends[:, 1] - ends[:, 0])])
+    f = rng.random((nx, n_p))
+    if nan_row:
+        f[3, rng.integers(n_p)] = np.nan
+
+    out = kick_p(f, coefficients, v, grid, dt)
+    a, b = coefficients
+    queries = grid.p_nodes - dt * (a[:, None] + b[:, None] * v)
+    expected = eval_natural_spline(grid.p_nodes, f, natural_spline_moments(f, dp), queries)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(out), nan)
+    assert np.array_equal(np.any(nan, axis=1), np.any(np.isnan(f), axis=1))
+    assert np.max(np.abs(out - expected), where=~nan, initial=0.0) <= 1e-14 * np.nanmax(f)
 
 
 def test_kick_refine_close_to_plain_for_uniform_force(grid):

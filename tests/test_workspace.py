@@ -26,7 +26,8 @@ def small_grid(nx, n_p):
 
 def kernel_results(grid, seed):
     """Every function whose intermediates use the work arrays, on random
-    inputs; the kicks move each foot point by up to a tenth of a cell."""
+    inputs.  The kicks move each foot point by up to a tenth of a cell (the
+    sub-cell path) or by up to one and a half cells (the gather path)."""
     rng = np.random.default_rng(seed)
     f = rng.random((grid.nx, grid.np))
     fields = FieldState(*(0.01 * rng.standard_normal(grid.nx) for _ in range(4)))
@@ -38,7 +39,8 @@ def kernel_results(grid, seed):
     queries = grid.p_nodes[None, :] + grid.dp * rng.uniform(-1.5, 1.5, f.shape)
     return {
         "advect_x": advect_x(f, grid, 0.05, 1.0, 4.0, True),
-        "kick_p": kick_p(f, coefficients, v, grid, dt),
+        "kick_p sub-cell": kick_p(f, coefficients, v, grid, dt),
+        "kick_p multi-cell": kick_p(f, coefficients, v, grid, 15.0 * dt),
         "kick_p refine": kick_p(f, coefficients, v, grid, dt, refine=1),
         "natural_spline_moments": moments,
         "eval_natural_spline": eval_natural_spline(grid.p_nodes, f, moments, queries),
