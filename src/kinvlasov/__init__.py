@@ -21,11 +21,9 @@ from .config import (  # noqa: F401
     validate_config,
 )
 from .diagnostics import (  # noqa: F401
+    LEDGER_LAYOUT,
     DiagnosticsRecord,
-    EquationLedger,
     FrequencyEstimate,
-    LedgerEntry,
-    StateHistory,
     compare_runs,
     conserved_totals,
     oscillation_frequency,
@@ -33,8 +31,6 @@ from .diagnostics import (  # noqa: F401
     vlasov_residual,
 )
 from .fields import (  # noqa: F401
-    CflResult,
-    cfl_check,
     field_energy_proxy,
     gauge_residual,
     poisson_init,

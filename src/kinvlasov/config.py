@@ -153,6 +153,9 @@ def config_violations(config: Config) -> list[str]:
         v.append(f"n0 must be positive (got {init.n0})")
     if init.k_mode < 1:
         v.append(f"k_mode must be a positive integer (got {init.k_mode})")
+    # At nx/2 the cosine vanishes at every cell centre; above it, modes alias.
+    if 2 * init.k_mode >= config.nx:
+        v.append(f"k_mode must be below nx/2 (got k_mode = {init.k_mode}, nx = {config.nx})")
     if init.temperature <= 0:
         v.append(f"temperature must be positive (got {init.temperature})")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import Config
-from .fields import d2_periodic, field_energy_proxy, gauge_residual
+from .fields import d2_periodic, field_energy_proxy, gauge_residual, l2_x
 from .forces import force_coefficients, velocity_from_momentum
 from .grid import PhaseSpaceGrid
 from .moments import continuity_residual
@@ -59,38 +59,6 @@ class DiagnosticsRecord:
 DIAGNOSTICS_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-@dataclass
-class LedgerEntry:
-    equation: str            # c+, c-, d1, d2, e, f, g, h, h/c
-    status: str              # evolved | definition | monitored
-    residual_l2: float
-    reduced_multiplicity: int  # count in this 1D geometry
-    full_multiplicity: int     # count in the full 3D vector system
-
-
-@dataclass
-class EquationLedger:
-    entries: list
-    unknowns_full: dict
-    unknowns_reduced: dict
-
-    @property
-    def full_equation_total(self) -> int:
-        return sum(e.full_multiplicity for e in self.entries)
-
-    @property
-    def reduced_equation_total(self) -> int:
-        return sum(e.reduced_multiplicity for e in self.entries)
-
-    @property
-    def full_unknown_total(self) -> int:
-        return sum(self.unknowns_full.values())
-
-    @property
-    def reduced_unknown_total(self) -> int:
-        return sum(self.unknowns_reduced.values())
-
-
 # (equation, status, full multiplicity, reduced multiplicity).  The h/c row
 # repeats the continuity residual with its time term scaled by 1/c; it is
 # informational and carries no multiplicity of its own.
@@ -109,6 +77,21 @@ LEDGER_LAYOUT = (
 UNKNOWNS_FULL = {"f+-": 2, "phi,A": 4, "rho,j": 4}
 UNKNOWNS_REDUCED = {"f+-": 2, "phi,A": 2, "rho,j": 2}
 
+# The static partition of the system, as the manifest records it.
+EQUATION_PARTITION = {
+    "entries": [
+        {"equation": eq, "status": status,
+         "full_multiplicity": full, "reduced_multiplicity": reduced}
+        for eq, status, full, reduced in LEDGER_LAYOUT
+    ],
+    "full_equation_total": sum(row[2] for row in LEDGER_LAYOUT),
+    "full_unknown_total": sum(UNKNOWNS_FULL.values()),
+    "reduced_equation_total": sum(row[3] for row in LEDGER_LAYOUT),
+    "reduced_unknown_total": sum(UNKNOWNS_REDUCED.values()),
+    "unknowns_full": UNKNOWNS_FULL,
+    "unknowns_reduced": UNKNOWNS_REDUCED,
+}
+
 
 def snapshot_state(state: SimulationState) -> SimulationState:
     """The history entry of a state: the state itself.  States are never
@@ -117,32 +100,10 @@ def snapshot_state(state: SimulationState) -> SimulationState:
     return state
 
 
-class StateHistory:
-    """Ring buffer of the three most recent states."""
-
-    def __init__(self):
-        self._snaps = deque(maxlen=3)
-
-    def push(self, state: SimulationState) -> None:
-        self._snaps.append(state)
-
-    @property
-    def full(self) -> bool:
-        return len(self._snaps) == 3
-
-    @property
-    def snapshots(self):
-        return tuple(self._snaps)
-
-
 def _l2_phase(field: np.ndarray, grid: PhaseSpaceGrid) -> float:
     # einsum sums the squares in one pass without storing them, and unlike a
     # BLAS dot its result does not depend on the thread count.
     return float(np.sqrt(np.einsum("ij,ij->", field, field) * grid.dx * grid.dp))
-
-
-def _l2_x(field: np.ndarray, grid: PhaseSpaceGrid) -> float:
-    return float(np.sqrt(np.sum(field * field) * grid.dx))
 
 
 def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
@@ -180,23 +141,23 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
     return _l2_phase(residual, grid) / float(2.0 * dt)
 
 
-def history_residuals(history: StateHistory, config: Config, grid: PhaseSpaceGrid,
+def history_residuals(history: deque, config: Config, grid: PhaseSpaceGrid,
                       dt: float) -> dict:
     """The kinetic residuals c+, c- and the minus-species continuity residual h,
-    all centered at the middle of the three stored states."""
-    s0, s1, s2 = history.snapshots
+    all centered at the middle of the three states in ``history``."""
+    s0, s1, s2 = history
     return {
         "c+": vlasov_residual(s0.plus.f, s1.plus.f, s2.plus.f, s1.fields,
                               config.plus.q, config.plus.m, config, grid, dt),
         "c-": vlasov_residual(s0.minus.f, s1.minus.f, s2.minus.f, s1.fields,
                               config.minus.q, config.minus.m, config, grid, dt),
-        "h": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, dt).l2,
+        "h": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, dt),
     }
 
 
-def residual_report(history: StateHistory, config: Config,
-                    grid: PhaseSpaceGrid) -> EquationLedger:
-    """Fill the equation ledger from three consecutive steps.
+def residual_report(history: deque, config: Config, grid: PhaseSpaceGrid) -> dict:
+    """The equation ledger ``{equation: residual_l2}``, in ``LEDGER_LAYOUT``
+    order, from three consecutive states (a run's ``history``, oldest first).
 
     Kinetic, gauge, and continuity residuals are centered at the middle step;
     the wave-equation residuals are centered between the last two steps (where
@@ -208,9 +169,9 @@ def residual_report(history: StateHistory, config: Config,
     rho and j come from its own f in one moment pass (``refresh_moments``) and
     states are never mutated, so recomputing them could only read 0.
     """
-    if not history.full:
+    if len(history) < 3:
         raise InsufficientHistoryError("residual_report needs three stored steps")
-    s0, s1, s2 = history.snapshots
+    s0, s1, s2 = history
     dt = time_step(config, grid)
     c = config.c
     measured = history_residuals(history, config, grid, dt)
@@ -219,7 +180,7 @@ def residual_report(history: StateHistory, config: Config,
     # curr of step 2); sources averaged onto the middle level time.
     def wave_residual(u0, u1, u2, source):
         r = (u2 - 2.0 * u1 + u0) / (c * dt) ** 2 - d2_periodic(u1, grid.dx) - source
-        return _l2_x(r, grid)
+        return l2_x(r, grid)
 
     res_d1 = wave_residual(s1.fields.phi_prev, s1.fields.phi_curr,
                            s2.fields.phi_curr,
@@ -231,19 +192,13 @@ def residual_report(history: StateHistory, config: Config,
     measured.update({
         "d1": res_d1,
         "d2": res_d2,
-        "e": gauge_residual(s1.fields, grid, dt, c).l2,
+        "e": gauge_residual(s1.fields, grid, dt, c),
         "f": 0.0,
         "g": 0.0,
         "h/c": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, dt,
-                                   time_factor=1.0 / c).l2,
+                                   time_factor=1.0 / c),
     })
-    entries = [
-        LedgerEntry(equation=eq, status=status, residual_l2=measured[eq],
-                    reduced_multiplicity=reduced, full_multiplicity=full)
-        for eq, status, full, reduced in LEDGER_LAYOUT
-    ]
-    return EquationLedger(entries=entries, unknowns_full=dict(UNKNOWNS_FULL),
-                          unknowns_reduced=dict(UNKNOWNS_REDUCED))
+    return {eq: measured[eq] for eq, *_ in LEDGER_LAYOUT}
 
 
 def conserved_totals(state: SimulationState, grid: PhaseSpaceGrid,
@@ -353,14 +308,14 @@ def compare_runs(run_a, run_b) -> list:
             time=sa.time,
             f_plus_dist=_l2_phase(sa.plus.f - sb.plus.f, grid),
             f_minus_dist=_l2_phase(sa.minus.f - sb.minus.f, grid),
-            phi_dist=_l2_x(phi_a - phi_b, grid),
-            a_dist=_l2_x(a_a - a_b, grid),
+            phi_dist=l2_x(phi_a - phi_b, grid),
+            a_dist=l2_x(a_a - a_b, grid),
             force_dist=float(np.sqrt(0.5 * force_sq)),
         ))
     return rows
 
 
-def make_record(state: SimulationState, history: StateHistory, config: Config,
+def make_record(state: SimulationState, history: deque, config: Config,
                 grid: PhaseSpaceGrid, dt: float) -> DiagnosticsRecord:
     """Per-step diagnostics row.
 
@@ -368,8 +323,8 @@ def make_record(state: SimulationState, history: StateHistory, config: Config,
     continuity residuals need three snapshots, so they are centered one step
     back and report 0 until enough history exists.
     """
-    gauge = gauge_residual(state.fields, grid, dt, config.c).l2
-    centered = (history_residuals(history, config, grid, dt) if history.full
+    gauge = gauge_residual(state.fields, grid, dt, config.c)
+    centered = (history_residuals(history, config, grid, dt) if len(history) == 3
                 else dict.fromkeys(("c+", "c-", "h"), 0.0))
     return DiagnosticsRecord(
         step=state.step,

@@ -1,5 +1,5 @@
 """Lorenz-gauge wave-equation field solver: explicit leapfrog, periodic Poisson
-initialization, the CFL ratios, and the gauge-condition monitor.
+initialization, and the gauge-condition monitor.
 
 Both potentials obey u_tt / c^2 - u_xx = s with s = 4 pi rho for phi and
 s = (4 pi / c) j for A.  The gauge condition phi_t / c + A_x = 0 is never
@@ -10,8 +10,6 @@ in practice a ``state.FieldState``, which this module cannot import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import PhaseSpaceGrid
@@ -19,23 +17,6 @@ from .grid import PhaseSpaceGrid
 
 class FieldBlowupError(RuntimeError):
     """Non-finite field values produced by a wave update."""
-
-
-class NonNeutralError(ValueError):
-    """Charge density with nonzero mean; the periodic Poisson problem is unsolvable."""
-
-
-@dataclass
-class ResidualField:
-    field: np.ndarray
-    l2: float
-
-
-@dataclass
-class CflResult:
-    ok: bool
-    light_ratio: float      # c * dt / dx
-    transport_ratio: float  # max |v| * dt / dx
 
 
 # Centered periodic differences used throughout the solver.
@@ -48,18 +29,9 @@ def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
 
 
-# Admit the exact stability boundary, with a small allowance for the roundoff
-# incurred when dt is derived from the ratio itself.
-_CFL_SLACK = 1e-9
-
-
-def cfl_check(grid: PhaseSpaceGrid, dt: float, c: float, v_max: float = 0.0) -> CflResult:
-    """Stability bounds of the explicit schemes: light signal and kinetic transport.
-    ``vlasov.time_step`` derives dt so that both hold; a run records the ratios."""
-    light = c * dt / grid.dx
-    transport = v_max * dt / grid.dx
-    ok = light <= 1.0 + _CFL_SLACK and transport <= 1.0 + _CFL_SLACK
-    return CflResult(ok=ok, light_ratio=light, transport_ratio=transport)
+def l2_x(u: np.ndarray, grid: PhaseSpaceGrid) -> float:
+    """Discrete L2 norm over the x cells."""
+    return float(np.sqrt(np.sum(u * u) * grid.dx))
 
 
 def wave_step(u_prev: np.ndarray, u_curr: np.ndarray, source: np.ndarray,
@@ -77,20 +49,14 @@ def wave_step(u_prev: np.ndarray, u_curr: np.ndarray, source: np.ndarray,
 
 
 def poisson_init(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Solve -D2 phi = 4 pi rho exactly in the discrete sense, zero-mean.
+    """Solve -D2 phi = 4 pi (rho - mean rho) exactly in the discrete sense, zero-mean.
 
     D2 is diagonal in the discrete Fourier basis with symbol
-    (2 - 2 cos(2 pi k / nx)) / dx^2, so the solve is exact for every resolved mode.
+    (2 - 2 cos(2 pi k / nx)) / dx^2, so the solve is exact for every resolved
+    mode; the k = 0 mode, which the periodic problem cannot balance, is dropped.
+    Neutrality is judged by ``state.initialize_state``, not here.
     """
     rho = np.asarray(rho, dtype=float)
-    scale = np.max(np.abs(rho))
-    if scale == 0.0:
-        return np.zeros_like(rho)
-    if abs(np.mean(rho)) > 1e-12 * scale:
-        raise NonNeutralError(
-            f"non-neutral charge density (mean {np.mean(rho):.3e}, max |rho| {scale:.3e}); "
-            "periodic Poisson problem unsolvable"
-        )
     nx = grid.nx
     rho_hat = np.fft.rfft(rho)
     theta = 2.0 * np.pi * np.arange(rho_hat.size) / nx
@@ -101,15 +67,15 @@ def poisson_init(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     return phi - phi.mean()
 
 
-def gauge_residual(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> ResidualField:
-    """Residual of phi_t / c + A_x, centered at the midpoint of the two levels.
+def gauge_residual(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> float:
+    """L2 norm of phi_t / c + A_x, centered at the midpoint of the two levels.
 
     The A term uses the level average so both terms sit at the same time.
     """
     r = (fields.phi_curr - fields.phi_prev) / (c * dt) + d1_periodic(
         0.5 * (fields.a_prev + fields.a_curr), grid.dx
     )
-    return ResidualField(field=r, l2=float(np.sqrt(np.sum(r * r) * grid.dx)))
+    return l2_x(r, grid)
 
 
 def field_energy_proxy(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> float:

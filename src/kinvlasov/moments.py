@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ResidualField, d1_periodic
+from .fields import d1_periodic, l2_x
 from .forces import velocity_from_momentum
 from .grid import PhaseSpaceGrid
 
@@ -43,12 +43,12 @@ def current_density(f_plus, f_minus, q_plus: float, q_minus: float,
 
 
 def continuity_residual(n_prev, n_next, flux_mid, grid: PhaseSpaceGrid,
-                        dt: float, time_factor: float = 1.0) -> ResidualField:
-    """Residual of the species continuity equation, centered at flux_mid's time.
+                        dt: float, time_factor: float = 1.0) -> float:
+    """L2 norm of the species continuity residual, centered at flux_mid's time.
 
     The default time_factor of 1 gives the dimensionally consistent
     dn/dt + d(flux)/dx; time_factor = 1/c reproduces the alternative form that
     scales the time term by 1/c (both are reported by the equation ledger).
     """
     r = time_factor * (n_next - n_prev) / (2.0 * dt) + d1_periodic(flux_mid, grid.dx)
-    return ResidualField(field=r, l2=float(np.sqrt(np.sum(r * r) * grid.dx)))
+    return l2_x(r, grid)

@@ -19,14 +19,13 @@ from . import __version__
 from .config import Config
 from .diagnostics import (
     DIAGNOSTICS_FIELDS,
-    LEDGER_LAYOUT,
-    UNKNOWNS_FULL,
-    UNKNOWNS_REDUCED,
+    EQUATION_PARTITION,
     DiagnosticsRecord,
     DivergenceRow,
 )
 from .grid import PhaseSpaceGrid
 from .state import SimulationState
+from .vlasov import max_velocity
 
 
 def format_float(x) -> str:
@@ -130,8 +129,9 @@ def read_snapshot(path):
 
 
 def manifest_payload(config: Config, grid: PhaseSpaceGrid, dt: float,
-                     n_steps: int, cfl) -> dict:
-    """Everything needed to reproduce and interpret the run bit-exactly."""
+                     n_steps: int) -> dict:
+    """Everything needed to reproduce and interpret the run bit-exactly,
+    including the two stability ratios c·dt/dx and max|v|·dt/dx."""
     return {
         "version": __version__,
         "config": asdict(config),
@@ -140,26 +140,10 @@ def manifest_payload(config: Config, grid: PhaseSpaceGrid, dt: float,
             "dp": grid.dp,
             "dt": dt,
             "n_steps": n_steps,
-            "cfl_light_ratio": cfl.light_ratio,
-            "cfl_transport_ratio": cfl.transport_ratio,
+            "cfl_light_ratio": config.c * dt / grid.dx,
+            "cfl_transport_ratio": max_velocity(config, grid) * dt / grid.dx,
         },
-        "equation_partition": {
-            "entries": [
-                {
-                    "equation": eq,
-                    "status": status,
-                    "full_multiplicity": full,
-                    "reduced_multiplicity": reduced,
-                }
-                for eq, status, full, reduced in LEDGER_LAYOUT
-            ],
-            "full_equation_total": sum(r[2] for r in LEDGER_LAYOUT),
-            "full_unknown_total": sum(UNKNOWNS_FULL.values()),
-            "reduced_equation_total": sum(r[3] for r in LEDGER_LAYOUT),
-            "reduced_unknown_total": sum(UNKNOWNS_REDUCED.values()),
-            "unknowns_full": UNKNOWNS_FULL,
-            "unknowns_reduced": UNKNOWNS_REDUCED,
-        },
+        "equation_partition": EQUATION_PARTITION,
         "notes": {
             "continuity_residual_forms": (
                 "The ledger reports the dimensionally consistent residual "

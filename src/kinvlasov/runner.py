@@ -3,19 +3,15 @@ two-force-mode comparison run."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import Config, validate_config
-from .diagnostics import (
-    StateHistory,
-    compare_runs,
-    make_record,
-    snapshot_state,
-)
-from .fields import FieldBlowupError, cfl_check
+from .diagnostics import compare_runs, make_record, snapshot_state
+from .fields import FieldBlowupError
 from .grid import PhaseSpaceGrid, build_grid
 from .output import (
     DiagnosticsWriter,
@@ -24,8 +20,8 @@ from .output import (
     write_manifest,
     write_snapshot,
 )
-from .state import SimulationState, clone_state, initialize_state
-from .vlasov import KickDisplacementError, max_velocity, step, time_step
+from .state import SimulationState, initialize_state
+from .vlasov import KickDisplacementError, step, time_step
 
 
 class NonFiniteStateError(RuntimeError):
@@ -43,7 +39,7 @@ class RunResult:
     n_steps: int
     records: list
     snapshots: list
-    history: StateHistory
+    history: deque          # the last three states, oldest first
     final_state: SimulationState
     aborted: bool = False
     abort_reason: str = ""
@@ -67,16 +63,14 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     config = validate_config(config)
     grid = build_grid(config)
     dt = time_step(config, grid)
-    cfl = cfl_check(grid, dt, config.c, max_velocity(config, grid))
     total = planned_steps(config, dt) if n_steps is None else n_steps
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
-    history = StateHistory()
-    history.push(snapshot_state(state))
+    history = deque([snapshot_state(state)], maxlen=3)
 
     writer = DiagnosticsWriter(Path(out_dir) / "diagnostics.csv") if out_dir else None
     if out_dir:
-        write_manifest(manifest_payload(config, grid, dt, total, cfl), out_dir)
+        write_manifest(manifest_payload(config, grid, dt, total), out_dir)
 
     records = []
     snapshots = []
@@ -108,7 +102,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
         for k in range(1, total + 1):
             attempt = state.step + 1
             state = step(state, config, grid)
-            history.push(snapshot_state(state))
+            history.append(snapshot_state(state))
             emit(state, k % config.output_every == 0)
             result.final_state = state
     except SOLVER_ABORTS as exc:
@@ -159,9 +153,9 @@ def run_command(config_path, out_dir) -> int:
 
 def compare_simulations(config: Config, *, out_dir=None):
     """Run the same configuration under both force modes from one shared
-    initial state and return (rows, run_modified, run_standard).  If a run
-    aborts, its snapshot steps are a prefix of the other's, and the rows
-    cover the snapshots that both runs recorded."""
+    initial state, which neither run mutates, and return (rows, run_modified,
+    run_standard).  If a run aborts, its snapshot steps are a prefix of the
+    other's, and the rows cover the snapshots that both runs recorded."""
     config = validate_config(config)
     grid = build_grid(config)
     state0 = initialize_state(config, grid)
@@ -174,7 +168,7 @@ def compare_simulations(config: Config, *, out_dir=None):
             mode_config,
             out_dir=mode_dir,
             collect_snapshots=True,
-            initial_state=clone_state(state0),
+            initial_state=state0,
         )
     shared = min(len(run.snapshots) for run in runs.values())
     rows = compare_runs(*(replace(run, snapshots=run.snapshots[:shared])

@@ -227,7 +227,7 @@ def _gauge_manufactured_l2(nx: int) -> float:
     fields = FieldState(phi_prev=c * 0.0 * np.sin(k * grid.x_nodes),
                         phi_curr=c * dt * np.sin(k * grid.x_nodes),
                         a_prev=a_static, a_curr=a_static.copy())
-    return gauge_residual(fields, grid, dt, c).l2
+    return gauge_residual(fields, grid, dt, c)
 
 
 def _continuity_manufactured_l2(nx: int) -> float:
@@ -241,7 +241,7 @@ def _continuity_manufactured_l2(nx: int) -> float:
         return 1.0 + eps * np.cos(k * grid.x_nodes - omega * tt)
 
     flux = (omega / k) * eps * np.cos(k * grid.x_nodes - omega * t)
-    return continuity_residual(n_of(t - dt), n_of(t + dt), flux, grid, dt).l2
+    return continuity_residual(n_of(t - dt), n_of(t + dt), flux, grid, dt)
 
 
 def manufactured_residual_orders():

@@ -71,6 +71,13 @@ def test_verify_single_fast_case(capsys):
     assert out.startswith("PASS poisson_mode")
 
 
+@pytest.mark.parametrize("case", ["moment_oracles", "manufactured_residuals"])
+def test_verify_oracle_cases_pass(capsys, case):
+    # The acceptance tests run the other three cases through kinvlasov.verify.
+    assert main(["verify", "--case", case]) == 0
+    assert capsys.readouterr().out.startswith(f"PASS {case}")
+
+
 def test_verify_unknown_case(capsys):
     assert main(["verify", "--case", "nope"]) == 2
     assert "unknown case" in capsys.readouterr().out
@@ -104,6 +111,28 @@ def test_non_neutral_config_exits_2_with_one_line(tmp_path, capsys, command):
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "neutral" in lines[0]
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("k_mode", [16, 32])
+def test_k_mode_from_half_nx_exits_2_with_one_line(tmp_path, capsys, command, k_mode):
+    # nx = 32: k_mode = 32 makes the minus species uniform and non-neutral.
+    config = write_config(tmp_path, GOOD_CONFIG.replace("k_mode = 1", f"k_mode = {k_mode}"))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "k_mode" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("preset", ["free_stream", "landau", "two_stream"])
+def test_small_amplitude_config_completes(tmp_path, capsys, command, preset):
+    text = GOOD_CONFIG.replace("amplitude = 0.001", "amplitude = 1e-05").replace(
+        "preset = landau", f"preset = {preset}").replace("np = 32", "np = 64")
+    config = write_config(tmp_path, text)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 ABORTING_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 40.0").replace(

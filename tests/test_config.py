@@ -19,7 +19,6 @@ from kinvlasov.config import (
     parse_config,
     validate_config,
 )
-from kinvlasov.fields import cfl_check
 from kinvlasov.grid import build_grid
 from kinvlasov.output import manifest_payload
 from kinvlasov.vlasov import time_step
@@ -74,6 +73,15 @@ def test_cfl_fraction_bounds():
         validate_config(Config(cfl_fraction=0.0))
     with pytest.raises(ConfigError, match="cfl_fraction"):
         validate_config(Config(cfl_fraction=1.1))
+
+
+@pytest.mark.parametrize("nx,k_mode", [(8, 4), (8, 8), (33, 17), (64, 100)])
+def test_k_mode_at_or_above_half_nx_rejected(nx, k_mode):
+    # At nx/2 the cosine vanishes at every cell centre, and above it modes alias.
+    with pytest.raises(ConfigError, match="k_mode must be below nx/2") as err:
+        validate_config(Config(nx=nx, init=InitConfig(k_mode=k_mode)))
+    assert len(err.value.violations) == 1
+    validate_config(Config(nx=nx, init=InitConfig(k_mode=(nx - 1) // 2)))
 
 
 def test_all_violations_reported_at_once():
@@ -242,6 +250,7 @@ def valid_configs(draw):
     def off_default(strategy, default):
         return draw(strategy.filter(lambda value: value != default))
 
+    nx = off_default(st.integers(8, 512), defaults.nx)
     q = off_default(st.floats(-5.0, 5.0), defaults.plus.q)
     m_plus = off_default(st.floats(0.01, 100.0), defaults.plus.m)
     m_minus = off_default(st.floats(0.01, 100.0), defaults.minus.m)
@@ -249,7 +258,8 @@ def valid_configs(draw):
         preset=draw(st.sampled_from([p for p in PRESETS if p != defaults.init.preset])),
         n0=off_default(st.floats(0.01, 10.0), defaults.init.n0),
         amplitude=off_default(st.floats(-1.0, 1.0), defaults.init.amplitude),
-        k_mode=off_default(st.integers(1, 16), defaults.init.k_mode),
+        # k_mode must be below nx/2
+        k_mode=off_default(st.integers(1, min(16, (nx - 1) // 2)), defaults.init.k_mode),
         temperature=off_default(st.floats(0.01, 10.0), defaults.init.temperature),
         drift=off_default(st.floats(-5.0, 5.0), defaults.init.drift),
     )
@@ -258,7 +268,7 @@ def valid_configs(draw):
     p_max = abs(init.drift) + tail * draw(st.floats(1.0, 3.0))
     assume(p_max != defaults.p_max)
     return Config(
-        nx=off_default(st.integers(8, 512), defaults.nx),
+        nx=nx,
         x_max=off_default(st.floats(0.1, 100.0), defaults.x_max),
         np=off_default(st.integers(8, 512), defaults.np),
         p_max=p_max,
@@ -288,7 +298,7 @@ def test_manifest_config_round_trips_through_the_file_format(config):
 
     grid = build_grid(config)
     dt = time_step(config, grid)
-    payload = manifest_payload(config, grid, dt, 1, cfl_check(grid, dt, config.c))
+    payload = manifest_payload(config, grid, dt, 1)
     assert parse_config(_render(payload["config"])) == config
 
 

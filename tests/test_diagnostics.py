@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.diagnostics import (
+    EQUATION_PARTITION,
+    LEDGER_LAYOUT,
     FrequencyError,
     GridMismatchError,
     InsufficientHistoryError,
-    StateHistory,
     compare_runs,
     conserved_totals,
     oscillation_frequency,
@@ -112,7 +114,7 @@ def test_vlasov_residual_matches_three_term_form(preset, force_mode):
         init=replace(landau_config().init, preset=preset, amplitude=0.05, drift=0.5)))
     result = run_simulation(config, n_steps=2)
     grid, dt = result.grid, result.dt
-    s0, s1, s2 = result.history.snapshots
+    s0, s1, s2 = result.history
     x = 2.0 * np.pi * grid.x_nodes / grid.x_max
     # fields strong enough that the force term dominates the residual
     strong = FieldState(phi_prev=30.0 * np.sin(x), phi_curr=32.0 * np.sin(x + 0.1),
@@ -137,12 +139,18 @@ def run_history(config, steps):
 def test_residual_report_structure(small_landau):
     result = run_history(validate_config(small_landau), 3)
     ledger = residual_report(result.history, result.config, result.grid)
-    assert len(ledger.entries) == 9
-    assert ledger.full_equation_total == 12
-    assert ledger.full_unknown_total == 10
-    assert ledger.reduced_equation_total == 8
-    assert ledger.reduced_unknown_total == 6
-    statuses = {e.equation: e.status for e in ledger.entries}
+    assert list(ledger) == [eq for eq, *_ in LEDGER_LAYOUT]
+    assert len(ledger) == 9
+    assert all(isinstance(r, float) for r in ledger.values())
+    entries = EQUATION_PARTITION["entries"]
+    assert [e["equation"] for e in entries] == list(ledger)
+    assert EQUATION_PARTITION["full_equation_total"] == 12
+    assert EQUATION_PARTITION["full_unknown_total"] == 10
+    assert EQUATION_PARTITION["reduced_equation_total"] == 8
+    assert EQUATION_PARTITION["reduced_unknown_total"] == 6
+    assert sum(e["full_multiplicity"] for e in entries) == 12
+    assert sum(e["reduced_multiplicity"] for e in entries) == 8
+    statuses = {e["equation"]: e["status"] for e in entries}
     assert statuses == {
         "c+": "evolved", "c-": "evolved", "d1": "evolved", "d2": "evolved",
         "e": "monitored", "f": "definition", "g": "definition",
@@ -154,8 +162,7 @@ def test_definition_residuals_are_roundoff(small_landau):
     # Each state's rho and j come from its own f in one moment pass, so the
     # definition rows are exactly 0 by construction.
     result = run_history(validate_config(small_landau), 4)
-    ledger = residual_report(result.history, result.config, result.grid)
-    by_eq = {e.equation: e.residual_l2 for e in ledger.entries}
+    by_eq = residual_report(result.history, result.config, result.grid)
     assert by_eq["f"] == 0.0
     assert by_eq["g"] == 0.0
 
@@ -164,8 +171,7 @@ def test_definition_residuals_are_roundoff(small_landau):
 def test_record_residuals_equal_ledger_entries(small_landau, force_mode):
     config = validate_config(replace(small_landau, force_mode=force_mode))
     result = run_simulation(config, n_steps=5)
-    ledger = residual_report(result.history, result.config, result.grid)
-    by_eq = {e.equation: e.residual_l2 for e in ledger.entries}
+    by_eq = residual_report(result.history, result.config, result.grid)
     last = result.records[-1]
     assert by_eq["c+"] > 0.0 and by_eq["h"] > 0.0
     assert last.vlasov_residual_plus_l2 == by_eq["c+"]
@@ -176,8 +182,7 @@ def test_record_residuals_equal_ledger_entries(small_landau, force_mode):
 def test_residual_report_needs_three_steps(small_landau):
     config = validate_config(small_landau)
     grid = build_grid(config)
-    history = StateHistory()
-    history.push(snapshot_state(initialize_state(config, grid)))
+    history = deque([snapshot_state(initialize_state(config, grid))], maxlen=3)
     with pytest.raises(InsufficientHistoryError):
         residual_report(history, config, grid)
 
@@ -189,8 +194,7 @@ def test_evolved_residuals_converge_second_order():
         config = validate_config(landau_config(nx=nx, n_p=n_p,
                                                force_mode="standard", t_end=t_end))
         result = run_simulation(config)
-        ledger = residual_report(result.history, result.config, result.grid)
-        return {e.equation: e.residual_l2 for e in ledger.entries}
+        return residual_report(result.history, result.config, result.grid)
 
     coarse_cfg = validate_config(landau_config(nx=32, n_p=64))
     t_end = 20 * time_step(coarse_cfg, build_grid(coarse_cfg))

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
-from kinvlasov.fields import NonNeutralError, d2_periodic, poisson_init
+from kinvlasov.config import PRESETS, Config, InitConfig, SpeciesConfig, validate_config
+from kinvlasov.fields import d2_periodic, poisson_init
 from kinvlasov.grid import build_grid
 from kinvlasov.moments import (
     charge_density,
@@ -13,8 +13,8 @@ from kinvlasov.moments import (
     number_density,
     particle_flux,
 )
-from kinvlasov.runner import run_simulation
-from kinvlasov.state import clone_state, initialize_state, refresh_moments
+from kinvlasov.runner import compare_simulations, run_simulation
+from kinvlasov.state import NonNeutralError, initialize_state, refresh_moments
 from kinvlasov.vlasov import step
 
 from conftest import landau_config, pair_species
@@ -149,15 +149,44 @@ def test_cached_moments_match_f_after_init_and_step(preset, amplitude):
     assert_moments_cached(step(state, config, grid), config, grid, initial=False)
 
 
-def test_clone_state_copies_cached_moments():
-    config = validate_config(landau_config(nx=16, n_p=32, amplitude=0.05))
+def state_bytes(state):
+    """Every array of a state, as bytes, in a fixed order."""
+    arrays = [getattr(s, name) for s in state.species for name in ("f", "n", "flux")]
+    arrays += [state.rho, state.j, *vars(state.fields).values()]
+    return [a.tobytes() for a in arrays]
+
+
+def test_runs_leave_their_initial_state_unchanged():
+    # States are never mutated, so the two runs of a comparison share one
+    # initial state and a run may start from a caller's state without a copy.
+    config = validate_config(landau_config(nx=16, n_p=32, amplitude=0.05, output_every=2))
+    grid = build_grid(config)
+    want = state_bytes(initialize_state(config, grid))
+    state = initialize_state(config, grid)
+    result = run_simulation(config, initial_state=state)
+    assert result.final_state.step >= 3 and not result.aborted
+    assert state_bytes(state) == want
+
+    _, run_mod, run_std = compare_simulations(config)
+    shared = run_mod.snapshots[0]
+    assert shared is run_std.snapshots[0] and shared.step == 0
+    assert len(run_mod.snapshots) >= 2 and len(run_std.snapshots) >= 2
+    assert state_bytes(shared) == want
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_small_amplitude_state_is_neutral(preset):
+    # The mean of rho is roundoff of two O(q n0) densities; it is judged against
+    # q n0, not against max|rho|, which is only O(amplitude).
+    config = landau_config(nx=32, n_p=64, amplitude=1e-5, drift=0.5)
+    config = validate_config(replace(config, init=replace(config.init, preset=preset)))
     grid = build_grid(config)
     state = initialize_state(config, grid)
-    clone = clone_state(state)
-    for a, b in zip(state.species, clone.species):
-        for name in ("f", "n", "flux"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+    scale = config.plus.q * config.init.n0 * config.init.amplitude
+    k = 2.0 * np.pi * config.init.k_mode / config.x_max
+    expected = -scale * np.cos(k * grid.x_nodes)
+    assert np.max(np.abs(state.rho - expected)) <= 1e-9 * scale
+    assert not run_simulation(config, initial_state=state, n_steps=2).aborted
 
 
 def test_poisson_solution_satisfies_discrete_equation():

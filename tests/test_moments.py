@@ -111,11 +111,21 @@ def test_agreement_with_fine_quadrature():
     assert flux_c == pytest.approx(flux_f, rel=1e-6)
 
 
+def pointwise_continuity_residual(n_prev, n_next, flux_mid, grid, dt, time_factor=1.0):
+    """Reference: time_factor dn/dt + d(flux)/dx on every cell, centered."""
+    flux_x = (np.roll(flux_mid, -1) - np.roll(flux_mid, 1)) / (2.0 * grid.dx)
+    return time_factor * (n_next - n_prev) / (2.0 * dt) + flux_x
+
+
+def l2(r, grid):
+    return math.sqrt(np.sum(r * r) * grid.dx)
+
+
 def test_continuity_residual_static_uniform(grid):
     n = np.full(grid.nx, 1.5)
     flux = np.zeros(grid.nx)
-    r = continuity_residual(n, n.copy(), flux, grid, 0.1)
-    assert np.all(r.field == 0.0) and r.l2 == 0.0
+    assert np.all(pointwise_continuity_residual(n, n.copy(), flux, grid, 0.1) == 0.0)
+    assert continuity_residual(n, n.copy(), flux, grid, 0.1) == 0.0
 
 
 def test_continuity_residual_linear(grid):
@@ -124,7 +134,9 @@ def test_continuity_residual_linear(grid):
     flux = rng.normal(size=grid.nx)
     base = continuity_residual(n_prev, n_next, flux, grid, 0.1)
     double = continuity_residual(2 * n_prev, 2 * n_next, 2 * flux, grid, 0.1)
-    assert np.allclose(double.field, 2.0 * base.field, atol=1e-14)
+    expected = l2(pointwise_continuity_residual(n_prev, n_next, flux, grid, 0.1), grid)
+    assert base == pytest.approx(expected, rel=1e-14)
+    assert double == pytest.approx(2.0 * expected, rel=1e-14)
 
 
 def test_continuity_residual_manufactured_convergence():
@@ -137,7 +149,7 @@ def test_continuity_residual_manufactured_convergence():
             return 1.0 + eps * np.cos(k * grid.x_nodes - omega * tt)
 
         flux = (omega / k) * eps * np.cos(k * grid.x_nodes - omega * t)
-        return continuity_residual(n_of(t - dt), n_of(t + dt), flux, grid, dt).l2
+        return continuity_residual(n_of(t - dt), n_of(t + dt), flux, grid, dt)
 
     order = math.log2(residual(32) / residual(64))
     assert order >= 1.8
@@ -150,4 +162,7 @@ def test_continuity_time_factor_scales_time_term(grid):
     dt, c = 0.5, 4.0
     consistent = continuity_residual(n_prev, n_next, flux, grid, dt)
     literal = continuity_residual(n_prev, n_next, flux, grid, dt, time_factor=1.0 / c)
-    assert np.allclose(literal.field, consistent.field / c, atol=1e-15)
+    pointwise = pointwise_continuity_residual(n_prev, n_next, flux, grid, dt)
+    assert np.all(pointwise == 2.0)
+    assert consistent == pytest.approx(l2(pointwise, grid), rel=1e-15)
+    assert literal == pytest.approx(l2(pointwise / c, grid), rel=1e-15)

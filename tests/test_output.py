@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kinvlasov.config import validate_config
-from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS, DiagnosticsRecord
+from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS, EQUATION_PARTITION, DiagnosticsRecord
 from kinvlasov.grid import build_grid
 from kinvlasov import output
 from kinvlasov.output import (
@@ -19,7 +19,6 @@ from kinvlasov.output import (
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import initialize_state
 from kinvlasov.vlasov import time_step
-from kinvlasov.fields import cfl_check
 
 from conftest import landau_config
 
@@ -134,14 +133,22 @@ def test_manifest_contents(tmp_path):
     config = validate_config(landau_config(nx=32, n_p=32))
     grid = build_grid(config)
     dt = time_step(config, grid)
-    payload = manifest_payload(config, grid, dt, 100,
-                               cfl_check(grid, dt, config.c))
+    payload = manifest_payload(config, grid, dt, 100)
     path = write_manifest(payload, tmp_path)
     loaded = json.loads(path.read_text())
     assert loaded["config"]["nx"] == 32
     assert loaded["config"]["init"]["preset"] == "landau"
     assert loaded["derived"]["dt"] == dt
+    # c = 4 exceeds every speed v(p) = p / sqrt(1 + (p/c)^2), so the light ratio
+    # is the cfl_fraction and the transport ratio is v/c of it, with v at the
+    # outermost momentum node.
+    p_edge = config.p_max - 0.5 * grid.dp
+    v_edge = p_edge / math.sqrt(1.0 + (p_edge / config.c) ** 2)
+    assert loaded["derived"]["cfl_light_ratio"] == pytest.approx(config.cfl_fraction, rel=1e-12)
+    assert loaded["derived"]["cfl_transport_ratio"] == pytest.approx(
+        config.cfl_fraction * v_edge / config.c, rel=1e-12)
     partition = loaded["equation_partition"]
+    assert partition == EQUATION_PARTITION
     assert partition["full_equation_total"] == 12
     assert partition["full_unknown_total"] == 10
     assert partition["reduced_equation_total"] == 8
@@ -152,7 +159,7 @@ def test_manifest_deterministic(tmp_path):
     config = validate_config(landau_config(nx=32, n_p=32))
     grid = build_grid(config)
     dt = time_step(config, grid)
-    payload = manifest_payload(config, grid, dt, 50, cfl_check(grid, dt, config.c))
+    payload = manifest_payload(config, grid, dt, 50)
     a = write_manifest(payload, tmp_path / "a")
     b = write_manifest(payload, tmp_path / "b")
     assert a.read_bytes() == b.read_bytes()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
-from kinvlasov.fields import cfl_check
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.interpolate import eval_natural_spline, natural_spline_moments
@@ -408,4 +407,7 @@ def test_derived_time_step_satisfies_both_cfl_bounds(m_plus, m_minus, c, relativ
                     species=(SpeciesConfig("plus", 0.2, m_plus),
                              SpeciesConfig("minus", -0.2, m_minus)))
     grid = build_grid(config)
-    assert cfl_check(grid, time_step(config, grid), c, max_velocity(config, grid)).ok
+    dt = time_step(config, grid)
+    # dt is derived from the ratio itself, so allow for that roundoff only.
+    assert c * dt / grid.dx <= 1.0 + 1e-9
+    assert max_velocity(config, grid) * dt / grid.dx <= 1.0 + 1e-9

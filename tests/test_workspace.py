@@ -4,12 +4,13 @@ them, and a step with its diagnostics row stays within an allocation budget."""
 import sys
 import threading
 import tracemalloc
+from collections import deque
 
 import numpy as np
 
 from kinvlasov import workspace
 from kinvlasov.config import Config, validate_config
-from kinvlasov.diagnostics import StateHistory, make_record, vlasov_residual
+from kinvlasov.diagnostics import make_record, vlasov_residual
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.interpolate import eval_natural_spline, natural_spline_moments
@@ -126,17 +127,16 @@ def test_step_and_record_allocation_budget():
     grid = build_grid(config)
     dt = time_step(config, grid)
     state = initialize_state(config, grid)
-    history = StateHistory()
-    history.push(state)
+    history = deque([state], maxlen=3)
     for _ in range(3):
         state = step(state, config, grid)
-        history.push(state)
+        history.append(state)
         make_record(state, history, config, grid, dt)
 
     tracemalloc.start()
     try:
         state = step(state, config, grid)
-        history.push(state)
+        history.append(state)
         make_record(state, history, config, grid, dt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
