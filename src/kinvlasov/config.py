@@ -67,7 +67,6 @@ class Config:
     cfl_fraction: float = 0.9
     t_end: float = 10.0
     output_every: int = 10
-    kick_refine: int = 0
     species: tuple = field(default_factory=_default_species)
     init: InitConfig = field(default_factory=InitConfig)
 
@@ -122,8 +121,6 @@ def config_violations(config: Config) -> list[str]:
         v.append(f"output_every must be a positive integer (got {config.output_every})")
     if config.force_mode not in FORCE_MODES:
         v.append(f"unknown force_mode {config.force_mode!r}")
-    if config.kick_refine not in (0, 1):
-        v.append(f"kick_refine must be 0 or 1 (got {config.kick_refine})")
 
     labels = [s.label for s in config.species]
     if sorted(labels) != sorted(SPECIES_LABELS):
@@ -151,6 +148,9 @@ def config_violations(config: Config) -> list[str]:
         v.append(f"unknown preset {init.preset!r}")
     if init.n0 <= 0:
         v.append(f"n0 must be positive (got {init.n0})")
+    # f- = n0 (1 + amplitude cos kx) g(p) must stay non-negative.
+    if abs(init.amplitude) > 1.0:
+        v.append(f"amplitude must lie in [-1, 1] (got {init.amplitude})")
     if init.k_mode < 1:
         v.append(f"k_mode must be a positive integer (got {init.k_mode})")
     # At nx/2 the cosine vanishes at every cell centre; above it, modes alias.
@@ -191,7 +191,7 @@ def validate_config(config: Config) -> Config:
 
 _SECTIONS = {
     "grid": ("nx", "x_max", "np", "p_max"),
-    "time": ("cfl_fraction", "t_end", "output_every", "kick_refine"),
+    "time": ("cfl_fraction", "t_end", "output_every"),
     "physics": ("c", "relativistic", "force_mode"),
 }
 

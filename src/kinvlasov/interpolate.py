@@ -103,30 +103,6 @@ def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
     return moments
 
 
-def _locate_cells(nodes: np.ndarray, queries: np.ndarray) -> tuple:
-    """Each query's interval on the uniform nodes, for rows of a C-ordered
-    (queries.shape[0], nodes.size) array.
-
-    Returns the flat index of the interval's left node (intervals clamped to
-    the node range) and the query's offset from that node in cells, which is
-    in [0, 1] inside the range, in the work arrays of slots 1 and 2; and the
-    edge columns, which hold a query outside [nodes[0], nodes[-2]] or a NaN.
-    Only they can need the clamp.  A NaN query gets a NaN offset."""
-    t = work_array(2, queries.shape)
-    np.subtract(queries, nodes[0], out=t)
-    t /= nodes[1] - nodes[0]
-    # Truncation is floor wherever the clip keeps it; NaN casts to an index
-    # that the clip brings into range.
-    k = work_array(1, queries.shape, np.intp)
-    np.copyto(k, t, casting="unsafe")
-    edges = np.flatnonzero(~((np.min(queries, axis=0) >= nodes[0])
-                             & (np.max(queries, axis=0) <= nodes[-2])))
-    k[:, edges] = np.clip(k[:, edges], 0, nodes.size - 2)
-    t -= k
-    k += np.arange(0, queries.shape[0] * nodes.size, nodes.size)[:, None]
-    return k, t, edges
-
-
 def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
                         queries: np.ndarray) -> np.ndarray:
     """Evaluate each row's natural spline at that row's query points.
@@ -134,8 +110,23 @@ def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
     Queries outside [nodes[0], nodes[-1]] return 0 (zero extension beyond the
     resolved momentum range); a NaN query returns NaN.
     """
+    # Each query's cell, clamped to the node range, as the flat index of its
+    # left node (slot 1), and its offset from that node in cells (slot 2),
+    # which is in [0, 1] inside the range.  Only the edge columns, which hold
+    # a query outside [nodes[0], nodes[-2]] or a NaN, can need the clamp.
+    # Truncation is floor wherever the clip keeps it; NaN casts to an index
+    # that the clip brings into range, and keeps a NaN offset.
     h = nodes[1] - nodes[0]
-    k, t, edges = _locate_cells(nodes, queries)
+    t = work_array(2, queries.shape)
+    np.subtract(queries, nodes[0], out=t)
+    t /= h
+    k = work_array(1, queries.shape, np.intp)
+    np.copyto(k, t, casting="unsafe")
+    edges = np.flatnonzero(~((np.min(queries, axis=0) >= nodes[0])
+                             & (np.max(queries, axis=0) <= nodes[-2])))
+    k[:, edges] = np.clip(k[:, edges], 0, nodes.size - 2)
+    t -= k
+    k += np.arange(0, f.size, nodes.size)[:, None]
     flat, flat_moments = np.ravel(f), np.ravel(moments)
 
     # S = lo + t (hi - lo) - (h^2/6) t (1-t) [(2-t) mlo + (1+t) mhi], which is

@@ -98,8 +98,7 @@ def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> lis
     fields_path = out_dir / f"fields_{step}.dat"
     phi = 0.5 * (state.fields.phi_prev + state.fields.phi_curr)
     a = 0.5 * (state.fields.a_prev + state.fields.a_curr)
-    x = (np.arange(grid.nx) + 0.5) * grid.dx
-    table = np.column_stack([x, phi, a, state.rho, state.j])
+    table = np.column_stack([grid.x_nodes, phi, a, state.rho, state.j])
     header = (
         f"# t={format_float(state.time)} nx={grid.nx} "
         f"x_max={format_float(grid.x_max)} columns=x,phi,a,rho,j"

@@ -24,7 +24,6 @@ from .fields import wave_step
 from .forces import force_coefficients, velocity_from_momentum
 from .grid import PhaseSpaceGrid
 from .interpolate import (
-    _locate_cells,
     eval_natural_spline,
     eval_natural_spline_near_nodes,
     natural_spline_moments,
@@ -81,21 +80,30 @@ def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float, m: float,
     return periodic_shift_columns(f, advection_transfer(grid, dt, m, c, relativistic))
 
 
+def _foot_points(p: np.ndarray, a: np.ndarray, b: np.ndarray, v: np.ndarray,
+                 out=None) -> np.ndarray:
+    """p - (b v) - a for each row's (a, b) at momenta p with velocities v: the
+    frozen characteristic's feet.  Both kick paths take them from here, so
+    they zero-extend the same cells."""
+    feet = np.multiply(b[:, None], v, out=out)
+    np.subtract(p, feet, out=feet)
+    feet -= a[:, None]
+    return feet
+
+
 def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
-           grid: PhaseSpaceGrid, dt: float, refine: int = 0) -> np.ndarray:
+           grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     """f(x, p) <- f(x, p - F(x, p) dt), natural cubic splines in p, zero outside.
 
     F = a(x) + b(x) v(p) from the rows of ``forces.force_coefficients`` and
     the species' v on the p nodes.  The characteristic is frozen at the
-    pre-kick p; with refine = 1 the foot point gets one fixed-point update
-    using the force at the foot.
+    pre-kick p.
 
-    With refine = 0 and every |F dt| <= dp (the bound below, from each row's
-    two ends), each foot lies within one cell of its node, and the spline is
-    evaluated from node-local Taylor terms
-    (``interpolate.eval_natural_spline_near_nodes``).  Otherwise the foot
-    points are built and ``interpolate.eval_natural_spline`` locates and
-    gathers them.  Both evaluate the same cubic, so they agree to roundoff.
+    When every |F dt| <= dp (the bound below, from each row's two ends), each
+    foot lies within one cell of its node, and the spline is evaluated from
+    node-local Taylor terms (``interpolate.eval_natural_spline_near_nodes``).
+    Otherwise ``interpolate.eval_natural_spline`` locates and gathers the foot
+    points.  Both evaluate the same cubic, so they agree to roundoff.
     """
     if dt == 0.0 or not np.any(coefficients):
         return f.copy()
@@ -112,26 +120,13 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
     moments = natural_spline_moments(f, grid.dp)
-    if refine == 0 and worst <= grid.dp:
-        # The end columns' foot points take the arithmetic of the queries
-        # below, so both paths zero-extend the same cells.
-        end_queries = grid.p_nodes[[0, -1]] - b[:, None] * v[[0, -1]]
-        end_queries -= a[:, None]
+    if worst <= grid.dp:
         cells = np.einsum("ki,kj->ij", coefficients * (dt / grid.dp),
                           np.vstack((np.ones_like(v), v)), out=work_array(0, f.shape))
-        return eval_natural_spline_near_nodes(grid.p_nodes, f, moments, cells, end_queries)
-    v_at = v[None, :]
-    for sweep in range(1 + refine):
-        if sweep:  # refine: v at the foot, linear between its two nodes
-            k, t, _ = _locate_cells(grid.p_nodes, queries)
-            k -= np.arange(0, f.size, grid.np)[:, None]
-            np.clip(t, 0.0, 1.0, out=t)
-            v_at = v.take(k, out=work_array(3, f.shape), mode="clip")
-            v_at += np.multiply(t, np.diff(v).take(k, out=queries, mode="clip"), out=t)
-        queries = np.multiply(b[:, None], v_at, out=work_array(0, f.shape))
-        np.subtract(grid.p_nodes, queries, out=queries)
-        queries -= a[:, None]
-    return eval_natural_spline(grid.p_nodes, f, moments, queries)
+        end_feet = _foot_points(grid.p_nodes[[0, -1]], a, b, v[[0, -1]])
+        return eval_natural_spline_near_nodes(grid.p_nodes, f, moments, cells, end_feet)
+    feet = _foot_points(grid.p_nodes, a, b, v, out=work_array(0, f.shape))
+    return eval_natural_spline(grid.p_nodes, f, moments, feet)
 
 
 def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:
@@ -164,7 +159,7 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
             coefficients = force_coefficients(straddle, grid, 2.0 * dt, species.q, c,
                                               config.force_mode)
             v = velocity_from_momentum(grid.p_nodes, species.m, c, rel)
-            return kick_p(f, coefficients, v, grid, dt, config.kick_refine)
+            return kick_p(f, coefficients, v, grid, dt)
 
         f_plus, f_minus = kicked(f_plus, plus), kicked(f_minus, minus)
 

@@ -18,8 +18,7 @@ caller of it still holds:
     slot 2  the cell offsets t; eval_natural_spline_near_nodes' moment
             differences; vlasov_residual's p-difference D_p f
     slot 3  eval_natural_spline's work array; eval_natural_spline_near_nodes'
-            bracket; kick_p's v at the refined foot; vlasov_residual's
-            (dt/dp) (a + b v)
+            bracket; vlasov_residual's (dt/dp) (a + b v)
     slot 4  eval_natural_spline's moment bracket; eval_natural_spline_near_nodes'
             mask of feet left of their node
 

@@ -176,6 +176,25 @@ def test_non_finite_config_exits_2_with_one_line(tmp_path, capsys, command, sett
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("setting, bad, line", [
+    # Beyond |amplitude| = 1 the perturbed f is negative somewhere.
+    ("amplitude = 0.001", "amplitude = 1e5", "amplitude must lie in [-1, 1] (got 100000.0)"),
+    ("amplitude = 0.001", "amplitude = -1.5", "amplitude must lie in [-1, 1] (got -1.5)"),
+    # A key that left the schema is unknown; it lands on line 11.
+    *(("output_every = 4", f"output_every = 4\nkick_refine = {value}",
+       "unknown key 'kick_refine' in [time] at line 11") for value in (0, 1)),
+], ids=["amplitude_1e5", "amplitude_-1.5", "kick_refine_0", "kick_refine_1"])
+def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command, setting,
+                                                       bad, line):
+    config = write_config(tmp_path, GOOD_CONFIG.replace(setting, bad))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"error: {line}"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
 def test_unwritable_out_exits_3_with_one_line(tmp_path, capsys, command):
     config = write_config(tmp_path)
     out = tmp_path / "taken"

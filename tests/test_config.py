@@ -84,6 +84,15 @@ def test_k_mode_at_or_above_half_nx_rejected(nx, k_mode):
     validate_config(Config(nx=nx, init=InitConfig(k_mode=(nx - 1) // 2)))
 
 
+@pytest.mark.parametrize("amplitude", [-1.5, 1.0 + 2**-52, 1e5])
+def test_amplitude_outside_unit_interval_rejected(amplitude):
+    with pytest.raises(ConfigError) as err:
+        validate_config(Config(init=InitConfig(amplitude=amplitude)))
+    assert err.value.violations == [f"amplitude must lie in [-1, 1] (got {amplitude})"]
+    for bound in (-1.0, 1.0):
+        validate_config(Config(init=InitConfig(amplitude=bound)))
+
+
 def test_all_violations_reported_at_once():
     bad = Config(nx=2, np=4, c=-1.0)
     with pytest.raises(ConfigError) as err:
@@ -137,7 +146,6 @@ p_max = 6.0
 cfl_fraction = 0.5
 t_end = 2.0
 output_every = 5
-kick_refine = 1
 [physics]
 c = 3.0
 relativistic = false
@@ -160,7 +168,6 @@ drift = 1.0
     assert config.nx == 32 and config.np == 64
     assert config.relativistic is False
     assert config.force_mode == "standard"
-    assert config.kick_refine == 1
     assert config.plus.m == 1.5
     assert config.init.preset == "two_stream"
     assert config.init.amplitude == 0.01
@@ -278,7 +285,6 @@ def valid_configs(draw):
         cfl_fraction=off_default(st.floats(0.01, 1.0), defaults.cfl_fraction),
         t_end=off_default(st.floats(0.01, 1000.0), defaults.t_end),
         output_every=off_default(st.integers(1, 1000), defaults.output_every),
-        kick_refine=1 - defaults.kick_refine,
         species=(SpeciesConfig("plus", q, m_plus), SpeciesConfig("minus", -q, m_minus)),
         init=init,
     )

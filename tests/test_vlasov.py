@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from kinvlasov import vlasov
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.interpolate import eval_natural_spline, natural_spline_moments
+from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.vlasov import (
     KickDisplacementError,
@@ -135,20 +137,10 @@ def test_kick_rejects_non_finite_force(grid, bad):
             kick_p(f, coefficients, grid.p_nodes, grid, 0.05)
 
 
-def banded_take_along_axis_kick(f, force, grid, dt, refine):
+def banded_take_along_axis_kick(f, force, grid, dt):
     """Reference: the kick as a per-call banded solve and four take_along_axis
     gathers, driven by the force on every phase-space node."""
-    displacement = force * dt
-    p = grid.p_nodes[None, :]
-    if refine:
-        foot_guess = p - displacement
-        k = np.clip(np.floor((foot_guess - grid.p_nodes[0]) / grid.dp).astype(int),
-                    0, grid.np - 2)
-        t = np.clip((foot_guess - (grid.p_nodes[0] + k * grid.dp)) / grid.dp, 0.0, 1.0)
-        f_lo = np.take_along_axis(force, k, axis=1)
-        f_hi = np.take_along_axis(force, k + 1, axis=1)
-        displacement = (f_lo * (1.0 - t) + f_hi * t) * dt
-    queries = p - displacement
+    queries = grid.p_nodes[None, :] - force * dt
 
     n, h = grid.np, grid.dp
     rhs = 6.0 * (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / (h * h)
@@ -197,9 +189,8 @@ def at_one_cell(coefficients, force, v, grid, dt):
     assert np.max(np.abs(end_displacements(coefficients, v, dt))) == grid.dp
 
 
-@pytest.mark.parametrize("refine", [0, 1])
 @pytest.mark.parametrize("mode", ["modified", "standard"])
-def test_kick_matches_banded_take_along_axis_reference(mode, refine):
+def test_kick_matches_banded_take_along_axis_reference(mode):
     config = validate_config(landau_config(nx=32, n_p=64, amplitude=0.1))
     grid = build_grid(config)
     f = initialize_state(config, grid).minus.f
@@ -215,16 +206,38 @@ def test_kick_matches_banded_take_along_axis_reference(mode, refine):
     multi_cell = np.max(np.abs(end_displacements(coefficients, v, dt))) / grid.dp
     assert 2.0 < multi_cell < 0.25 * grid.np
     # F is linear in the potentials, so scaling its rows and the reference's
-    # force scales the potentials.  Each input's largest |F dt| in cells: with
-    # refine = 0 the first three take the sub-cell path, the third at its
-    # bound, where a row end's foot lands on the neighbouring node.
+    # force scales the potentials.  Each input's largest |F dt| in cells: the
+    # first three take the sub-cell path, the third at its bound, where a row
+    # end's foot lands on the neighbouring node.
     for cells in (0.05, 0.5, 1.0, multi_cell):
         scaled, scaled_force = (cells / multi_cell) * coefficients, (cells / multi_cell) * force
         if cells == 1.0:
             at_one_cell(scaled, scaled_force, v, grid, dt)
-        expected = banded_take_along_axis_kick(f, scaled_force, grid, dt, refine)
-        out = kick_p(f, scaled, v, grid, dt, refine)
+        expected = banded_take_along_axis_kick(f, scaled_force, grid, dt)
+        out = kick_p(f, scaled, v, grid, dt)
         assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected)), cells
+
+
+@pytest.mark.parametrize("mode", ["modified", "standard"])
+def test_run_takes_the_gather_path_and_matches_the_reference(mode, monkeypatch):
+    # Nonrelativistic at np = 512, dt is bound by the fastest node, and the
+    # amplitude-0.9 fields kick by more than one cell on many steps.
+    config = replace(Config(nx=16, np=512, relativistic=False, force_mode=mode, t_end=3.0),
+                     init=InitConfig(amplitude=0.9))
+    multi_cell = []
+
+    def checked_kick(f, coefficients, v, grid, dt):
+        out = kick_p(f, coefficients, v, grid, dt)
+        if np.max(np.abs(end_displacements(coefficients, v, dt))) > grid.dp:
+            force = coefficients[0][:, None] + coefficients[1][:, None] * v
+            expected = banded_take_along_axis_kick(f, force, grid, dt)
+            multi_cell.append(np.max(np.abs(out - expected)) / np.max(np.abs(f)))
+        return out
+
+    monkeypatch.setattr(vlasov, "kick_p", checked_kick)
+    result = run_simulation(config)
+    assert not result.aborted
+    assert multi_cell and max(multi_cell) <= 1e-14
 
 
 @settings(deadline=None, max_examples=150)
@@ -258,14 +271,6 @@ def test_sub_cell_kick_matches_gather_evaluation(nx, n_p, dp_exponent, dt, nan_r
     assert np.array_equal(np.isnan(out), nan)
     assert np.array_equal(np.any(nan, axis=1), np.any(np.isnan(f), axis=1))
     assert np.max(np.abs(out - expected), where=~nan, initial=0.0) <= 1e-14 * np.nanmax(f)
-
-
-def test_kick_refine_close_to_plain_for_uniform_force(grid):
-    f = gaussian_f(grid)
-    coefficients = row_constant(grid, 0.3)
-    plain = kick_p(f, coefficients, grid.p_nodes, grid, 0.05, refine=0)
-    refined = kick_p(f, coefficients, grid.p_nodes, grid, 0.05, refine=1)
-    assert np.allclose(plain, refined, atol=1e-12 * np.max(f))
 
 
 def test_step_zero_charge_reduces_to_free_streaming():
@@ -315,18 +320,6 @@ def test_uniform_neutral_pair_plasma_is_fixed_point(nx, n_p, c, m, relativistic)
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(old)
         assert np.all(state.fields.phi_curr == 0.0)
         assert np.all(state.fields.a_curr == 0.0)
-
-
-def test_step_with_kick_refinement():
-    base = validate_config(landau_config(nx=32, n_p=64, amplitude=1e-2))
-    refined = validate_config(replace(base, kick_refine=1))
-    grid = build_grid(base)
-    s_plain = step(initialize_state(base, grid), base, grid)
-    s_refined = step(initialize_state(refined, grid), refined, grid)
-    scale = np.max(s_plain.minus.f)
-    # refinement is a higher-order correction, not a different trajectory
-    assert np.allclose(s_refined.minus.f, s_plain.minus.f, atol=1e-6 * scale)
-    assert not np.array_equal(s_refined.minus.f, s_plain.minus.f)
 
 
 @pytest.mark.parametrize("change", [{"x_max": 30.0}, {"c": 6.0}, {"cfl_fraction": 0.5},

@@ -42,7 +42,6 @@ def kernel_results(grid, seed):
         "advect_x": advect_x(f, grid, 0.05, 1.0, 4.0, True),
         "kick_p sub-cell": kick_p(f, coefficients, v, grid, dt),
         "kick_p multi-cell": kick_p(f, coefficients, v, grid, 15.0 * dt),
-        "kick_p refine": kick_p(f, coefficients, v, grid, dt, refine=1),
         "natural_spline_moments": moments,
         "eval_natural_spline": eval_natural_spline(grid.p_nodes, f, moments, queries),
         "force_field": force,
