@@ -94,9 +94,9 @@ EQUATION_PARTITION = {
 
 
 def snapshot_state(state: SimulationState) -> SimulationState:
-    """The history entry of a state: the state itself.  States are never
-    mutated (``step`` returns a new one) and already cache the moments the
-    residuals read, so an entry needs no copy and no array work."""
+    """The history entry of a state: the state itself.  Nothing the residuals
+    read is ever mutated (``step`` returns a new state), and states cache the
+    moments, so an entry needs no copy and no array work."""
     return state
 
 

@@ -58,16 +58,27 @@ def periodic_shift_transfer(nx: int, alpha: np.ndarray) -> np.ndarray:
     return transfer
 
 
-def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray, spectrum=None,
+                           keep: dict | None = None) -> np.ndarray:
     """Spline-interpolated periodic shift of each column of f along axis 0.
 
     ``transfer`` comes from ``periodic_shift_transfer(f.shape[0], alpha)``:
     column j is resampled at x_i - alpha[j] * dx, i.e. values move forward by
     alpha[j] cells.  Exact at nodes (up to FFT roundoff) for integer alpha.
+
+    A given ``spectrum`` stands in for rfft(f, axis=0) and is overwritten.
+    ``keep`` maps id(result) to (result, the spectrum irfft read with the
+    Nyquist row's ignored imaginary part zeroed), which is rfft(result) to roundoff.
     """
-    spectrum = np.fft.rfft(f, axis=0)
+    if spectrum is None:
+        spectrum = np.fft.rfft(f, axis=0)
     spectrum *= transfer
-    return np.fft.irfft(spectrum, n=f.shape[0], axis=0)
+    shifted = np.fft.irfft(spectrum, n=f.shape[0], axis=0)
+    if keep is not None:
+        if f.shape[0] % 2 == 0:
+            spectrum[-1].imag = 0.0
+        keep[id(shifted)] = shifted, spectrum
+    return shifted
 
 
 @lru_cache(maxsize=8)

@@ -20,7 +20,7 @@ from .output import (
     write_manifest,
     write_snapshot,
 )
-from .state import SimulationState, initialize_state
+from .state import SimulationState, initialize_state, release_handoffs
 from .vlasov import KickDisplacementError, step, time_step
 
 
@@ -39,15 +39,11 @@ class RunResult:
     n_steps: int
     records: list
     snapshots: list
-    history: deque          # the last three states, oldest first
+    history: deque          # the last three states, oldest first (two if a step aborted)
     final_state: SimulationState
     aborted: bool = False
     abort_reason: str = ""
     abort_step: int = 0     # the step being computed or checked when it aborted
-
-
-def planned_steps(config: Config, dt: float) -> int:
-    return max(1, round(config.t_end / dt))
 
 
 def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = False,
@@ -63,9 +59,10 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     config = validate_config(config)
     grid = build_grid(config)
     dt = time_step(config, grid)
-    total = planned_steps(config, dt) if n_steps is None else n_steps
+    total = max(1, round(config.t_end / dt)) if n_steps is None else n_steps
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
+    release_handoffs(state)     # every run from one state steps the same
     history = deque([snapshot_state(state)], maxlen=3)
 
     writer = DiagnosticsWriter(Path(out_dir) / "diagnostics.csv") if out_dir else None
@@ -101,6 +98,8 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
         emit(state, True)
         for k in range(1, total + 1):
             attempt = state.step + 1
+            if len(history) == history.maxlen:
+                history.popleft()   # no residual reads it again: free it before the step
             state = step(state, config, grid)
             history.append(snapshot_state(state))
             emit(state, k % config.output_every == 0)
@@ -113,6 +112,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
         if writer is not None and records and written < len(records):
             writer.write(records[-1])
     finally:
+        release_handoffs(state)
         if writer is not None:
             writer.close()
     return result

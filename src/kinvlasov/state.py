@@ -14,7 +14,7 @@ third order because phi_t(0) = 0 and the Poisson solve makes phi_tt(0) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,9 @@ class SpeciesState:
     f: np.ndarray  # (nx, np), particles per (length * momentum)
     n: np.ndarray | None = None     # cached moments of f, filled by refresh_moments
     flux: np.ndarray | None = None
+    # {id(f): (f, rfft(f))}, left by ``step`` for the next step's first half
+    # advection of f to take once (``vlasov.advect_x``); the one mutable part.
+    handoff: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -58,6 +61,12 @@ class SimulationState:
     @property
     def species(self):
         return (self.plus, self.minus)
+
+
+def release_handoffs(state: SimulationState) -> None:
+    """Drop the spectra a state holds for its next step, which then does its own rfft."""
+    for species in state.species:
+        species.handoff.clear()
 
 
 def momentum_gaussian(p_nodes: np.ndarray, m: float, temperature: float,
@@ -139,11 +148,6 @@ def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
             "a periodic domain requires zero total charge"
         )
     phi0 = poisson_init(rho, grid)
-    zeros = np.zeros(grid.nx)
-    fields = FieldState(
-        phi_prev=phi0.copy(),
-        phi_curr=phi0,
-        a_prev=zeros.copy(),
-        a_curr=zeros.copy(),
-    )
+    fields = FieldState(phi_prev=phi0.copy(), phi_curr=phi0,
+                        a_prev=np.zeros(grid.nx), a_curr=np.zeros(grid.nx))
     return replace(state, fields=fields, rho=rho, j=j)

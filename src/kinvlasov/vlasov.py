@@ -10,6 +10,10 @@ holds to first order in dt only: the kick moves j by O(dt), so the source lags
 its level (ROADMAP: "time-centre the current source").  The kick force is
 built from the two field levels that straddle the kick time, a centered
 difference spanning 2 dt.
+
+The closing half advection hands its spectrum to the next step's opening one
+(``SpeciesState.handoff``), which then skips its ``rfft``: 3 FFTs per species
+and step instead of 4, with f the same to roundoff.
 """
 
 from __future__ import annotations
@@ -73,11 +77,19 @@ def advection_transfer(grid: PhaseSpaceGrid, dt: float, m: float, c: float,
 
 
 def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float, m: float,
-             c: float, relativistic: bool) -> np.ndarray:
-    """f(x, p) <- f(x - v(p) dt, p), periodic cubic-spline interpolation in x."""
+             c: float, relativistic: bool, take: dict | None = None,
+             keep: dict | None = None) -> np.ndarray:
+    """f(x, p) <- f(x - v(p) dt, p), periodic cubic-spline interpolation in x.
+
+    One ``irfft`` of rfft(f) times the transfer.  The ``rfft`` is skipped for a
+    spectrum that ``take`` (a ``SpeciesState.handoff``) holds for this very f
+    object, taken out of it; ``keep`` receives the result's.
+    """
     if dt == 0.0:
         return f.copy()
-    return periodic_shift_columns(f, advection_transfer(grid, dt, m, c, relativistic))
+    spectrum = take.pop(id(f), (None, None))[1] if take else None
+    transfer = advection_transfer(grid, dt, m, c, relativistic)
+    return periodic_shift_columns(f, transfer, spectrum, keep)
 
 
 def _foot_points(p: np.ndarray, a: np.ndarray, b: np.ndarray, v: np.ndarray,
@@ -130,16 +142,17 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
 
 
 def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:
-    """Advance the coupled system by one dt; returns a new state, input untouched."""
+    """Advance the coupled system by one dt; returns a new state.  Of the input,
+    only its spectrum hand-off is taken (emptied); nothing else is touched."""
     dt = time_step(config, grid)
     half = 0.5 * dt
     c = config.c
     rel = config.relativistic
     plus, minus = state.plus, state.minus
 
-    # Stage 1: half advection in x.
-    f_plus = advect_x(plus.f, grid, half, plus.m, c, rel)
-    f_minus = advect_x(minus.f, grid, half, minus.m, c, rel)
+    # Stage 1: half advection in x, from the spectra the last step handed off.
+    f_plus = advect_x(plus.f, grid, half, plus.m, c, rel, take=plus.handoff)
+    f_minus = advect_x(minus.f, grid, half, minus.m, c, rel, take=minus.handoff)
 
     # Stage 2: field update, sourced by the mid-step moments.
     rho_mid = charge_density(f_plus, f_minus, plus.q, minus.q, grid)
@@ -163,15 +176,16 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
 
         f_plus, f_minus = kicked(f_plus, plus), kicked(f_minus, minus)
 
-    # Stage 4: half advection in x.
-    f_plus = advect_x(f_plus, grid, half, plus.m, c, rel)
-    f_minus = advect_x(f_minus, grid, half, minus.m, c, rel)
+    # Stage 4: half advection in x, each spectrum handed off to the next step.
+    kept = {}, {}
+    f_plus = advect_x(f_plus, grid, half, plus.m, c, rel, keep=kept[0])
+    f_minus = advect_x(f_minus, grid, half, minus.m, c, rel, keep=kept[1])
 
     new_state = SimulationState(
         time=state.time + dt,
         step=state.step + 1,
-        plus=SpeciesState(plus.q, plus.m, f_plus),
-        minus=SpeciesState(minus.q, minus.m, f_minus),
+        plus=SpeciesState(plus.q, plus.m, f_plus, handoff=kept[0]),
+        minus=SpeciesState(minus.q, minus.m, f_minus, handoff=kept[1]),
         fields=FieldState(phi_prev=old.phi_curr, phi_curr=phi_new,
                           a_prev=old.a_curr, a_curr=a_new),
     )
