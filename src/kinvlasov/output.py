@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -59,20 +60,28 @@ class DiagnosticsWriter:
             self._fh = None
 
 
-def _write_matrix(path: Path, header: str, matrix: np.ndarray) -> None:
-    """Write into a temporary sibling of ``path``, then rename it into place, so
-    a write that fails midway leaves neither a truncated file nor the
-    temporary behind."""
+@contextmanager
+def _replace_on_success(path: Path):
+    """Write a temporary sibling of ``path``, then rename it into place or delete it."""
     partial = path.with_name(path.name + ".tmp")
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for row in matrix:
-                fh.write(" ".join(format_float(v) for v in row) + "\n")
+            yield fh
         os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    finally:
+        partial.unlink(missing_ok=True)     # a no-op after the rename
+
+
+def _write_matrix(path: Path, header: str, matrix: np.ndarray) -> None:
+    """One text line per row; a row bitwise equal to the row above reuses its
+    line (bytes, not values, so -0.0 after 0.0 and NaN rows keep their own)."""
+    with _replace_on_success(path) as fh:
+        fh.write(header + "\n")
+        last = None
+        for row in matrix:
+            if (raw := row.tobytes()) != last:
+                last, line = raw, " ".join(map(repr, row.tolist())) + "\n"
+            fh.write(line)
 
 
 def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> list:
@@ -169,7 +178,7 @@ def write_manifest(payload: dict, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_on_success(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -179,7 +188,7 @@ DIVERGENCE_FIELDS = tuple(f.name for f in fields(DivergenceRow))
 
 
 def write_divergence(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_on_success(Path(path)) as fh:
         fh.write(",".join(DIVERGENCE_FIELDS) + "\n")
         for row in rows:
             fh.write(csv_row(row))

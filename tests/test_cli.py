@@ -149,6 +149,20 @@ def test_run_command_solver_abort(tmp_path, capsys):
     assert len(lines) >= 2
 
 
+def test_free_stream_run_writes_one_distinct_plus_row(tmp_path):
+    # The x-uniform plus species stays bitwise uniform under free streaming
+    # (test_output), so each of its snapshot files repeats a single line.
+    text = GOOD_CONFIG.replace("preset = landau", "preset = free_stream").replace(
+        "output_every = 4", "output_every = 1")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+    files = sorted(out.glob("f_plus_*.dat"))
+    assert len(files) > 2
+    for path in files:
+        data = path.read_text().splitlines()[1:]
+        assert len(data) == 32 and len(set(data)) == 1, path.name
+
+
 def test_run_outputs_self_describing(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -197,14 +211,15 @@ def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_unwritable_out_exits_3_with_one_line(tmp_path, capsys, command):
     config = write_config(tmp_path)
-    out = tmp_path / "taken"
-    out.write_text("not a directory\n")
-    code = main([command, "--config", str(config), "--out", str(out)])
-    assert code == 3
-    captured = capsys.readouterr()
-    lines = captured.out.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs:")
-    assert "Traceback" not in captured.out + captured.err
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out in (taken, taken / "out"):    # a regular file, and a path beneath one
+        code = main([command, "--config", str(config), "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write outputs:")
+        assert "Traceback" not in captured.out + captured.err
 
 
 ONE_MODE_ABORTS_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 2.0").replace(

@@ -1,11 +1,17 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kinvlasov.config import validate_config
-from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS, EQUATION_PARTITION, DiagnosticsRecord
+from kinvlasov.diagnostics import (
+    DIAGNOSTICS_FIELDS,
+    EQUATION_PARTITION,
+    DiagnosticsRecord,
+    DivergenceRow,
+)
 from kinvlasov.grid import build_grid
 from kinvlasov import output
 from kinvlasov.output import (
@@ -13,12 +19,13 @@ from kinvlasov.output import (
     format_float,
     manifest_payload,
     read_snapshot,
+    write_divergence,
     write_manifest,
     write_snapshot,
 )
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import initialize_state
-from kinvlasov.vlasov import time_step
+from kinvlasov.vlasov import step, time_step
 
 from conftest import landau_config
 
@@ -84,22 +91,84 @@ def test_snapshot_round_trip(tmp_path):
     assert np.array_equal(table[:, 3], state.rho)
 
 
+def fail_on_write(monkeypatch, k):
+    """Make every file that ``output`` opens raise OSError on its k-th write."""
+    def open_failing(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        real_write, count = fh.write, [0]
+
+        def write(text):
+            count[0] += 1
+            if count[0] == k:
+                raise OSError("no space left on device")
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(output, "open", open_failing, raising=False)
+
+
 def test_interrupted_snapshot_leaves_no_file(tmp_path, monkeypatch):
     config = validate_config(landau_config(nx=16, n_p=16, amplitude=1e-2))
     grid = build_grid(config)
     state = initialize_state(config, grid)
-    formatted = []
-
-    def fail_in_first_matrix(x):
-        formatted.append(x)
-        if len(formatted) == 100:
-            raise OSError("no space left on device")
-        return format_float(x)
-
-    monkeypatch.setattr(output, "format_float", fail_in_first_matrix)
+    fail_on_write(monkeypatch, 5)   # the header and three rows of f_plus are written
     with pytest.raises(OSError, match="no space"):
         write_snapshot(state, grid, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["manifest", "divergence"])
+def test_interrupted_manifest_and_divergence_leave_no_file(tmp_path, monkeypatch, target):
+    config = validate_config(landau_config(nx=16, n_p=16))
+    grid = build_grid(config)
+    rows = [DivergenceRow(k, 0.1 * k, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3) for k in range(6)]
+    fail_on_write(monkeypatch, 4)
+    with pytest.raises(OSError, match="no space"):
+        if target == "manifest":
+            write_manifest(manifest_payload(config, grid, time_step(config, grid), 10),
+                           tmp_path)
+        else:
+            write_divergence(rows, tmp_path / "divergence.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def per_value_text(header, matrix):
+    """The snapshot format written one value at a time, with no row reuse."""
+    lines = [header] + [" ".join(repr(float(v)) for v in row) for row in matrix]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_matrix_bytes_match_per_value_writer(tmp_path):
+    nan, inf = math.nan, math.inf
+    m = np.array([
+        [0.0, 1.5, -2.25, 1e-300],
+        [0.0, 1.5, -2.25, 1e-300],
+        [0.0, 1.5, -2.25, 1e-300],
+        [-0.0, 1.5, -2.25, 1e-300],     # == the row above, but not bitwise
+        [-0.0, 1.5, -2.25, 1e-300],
+        [0.0, 1.5, -2.25, 1e-300],
+        [nan, nan, nan, nan],
+        [nan, nan, nan, nan],
+        [inf, -inf, inf, -inf],
+        [inf, -inf, inf, -inf],
+        [5e-324, -5e-324, 5e-324, 0.1],
+        [5e-324, -5e-324, 5e-324, 0.1],
+        [0.1, 1.0 / 3.0, 2.0 / 3.0, math.pi],
+    ])
+    views = {
+        "rows": m,
+        "strided": m[:, ::2],
+        "transposed": m.T,
+        # rows that differ only in the odd columns the view leaves out
+        "odd_columns_dropped": np.array([[1.0, k, 2.0, -k] for k in range(4)])[:, ::2],
+    }
+    for name, matrix in views.items():
+        path = tmp_path / f"{name}.dat"
+        output._write_matrix(path, "# header", matrix)
+        assert path.read_bytes() == per_value_text("# header", matrix).encode(), name
+    assert "\n-0.0 1.5" in (tmp_path / "rows.dat").read_text()
 
 
 def test_snapshot_header_value_count(tmp_path):
@@ -163,3 +232,28 @@ def test_manifest_deterministic(tmp_path):
     a = write_manifest(payload, tmp_path / "a")
     b = write_manifest(payload, tmp_path / "b")
     assert a.read_bytes() == b.read_bytes()
+
+
+# Every preset's plus species is a uniform, stationary background.  With no
+# force acting (free_stream), its x-advection keeps every row bitwise equal to
+# the row above when nx has only the prime factors 2 and 3, so its snapshot
+# files cost one formatted row each.  At a power of two the rows also stay
+# bitwise equal to the initial f; a radix-3 pass rounds the constant's mean by
+# an ulp or so per step, the same in every row.  An nx with a factor of 5 does
+# not keep the rows equal: pocketfft's radix-5 twiddles leave x-dependent
+# roundoff in them.
+@pytest.mark.parametrize("relativistic", [True, False])
+@pytest.mark.parametrize("nx", [24, 64])
+def test_free_stream_plus_species_stays_bitwise_uniform(nx, relativistic):
+    config = landau_config(nx=nx, n_p=32, relativistic=relativistic, amplitude=0.1,
+                           drift=0.3)
+    config = validate_config(replace(config, init=replace(config.init, preset="free_stream")))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    initial = state.plus.f.copy().view(np.int64)
+    for _ in range(50):
+        state = step(state, config, grid)
+        bits = state.plus.f.view(np.int64)
+        assert np.array_equal(bits, np.broadcast_to(bits[:1], bits.shape)), state.step
+        if nx == 64:
+            assert np.array_equal(bits, initial), state.step
