@@ -276,5 +276,9 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path} is not UTF-8 ({exc.reason} at byte {exc.start})"]) from None
+    return parse_config(text)

@@ -10,11 +10,12 @@ Two variants are needed:
   per column, the transfer function, built once per shift;
 
 * natural splines (zero second derivative at both ends) along p, evaluated at
-  arbitrary per-point foot locations, with zero extension outside the node
-  range.  Every row's moment system has the same matrix, tridiag(1, 4, 1),
-  which is symmetric positive definite: it is LDL^T-factored (``dpttrf``, no
-  pivots) once per node count.  Feet within one cell of their own nodes are
-  evaluated from node-local Taylor terms instead, with no cell search.
+  each node moved back by its own displacement in cells, with zero extension
+  outside the node range.  Every row's moment system has the same matrix,
+  tridiag(1, 4, 1), which is symmetric positive definite: it is LDL^T-factored
+  (``dpttrf``, no pivots) once per node count.  Each foot is evaluated from
+  the Taylor terms of the node whose cells hold it, with no cell search: its
+  own node while every displacement is within one cell.
 """
 
 from __future__ import annotations
@@ -114,109 +115,72 @@ def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
     return moments
 
 
-def eval_natural_spline(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
-                        queries: np.ndarray) -> np.ndarray:
-    """Evaluate each row's natural spline at that row's query points.
-
-    Queries outside [nodes[0], nodes[-1]] return 0 (zero extension beyond the
-    resolved momentum range); a NaN query returns NaN.
-    """
-    # Each query's cell, clamped to the node range, as the flat index of its
-    # left node (slot 1), and its offset from that node in cells (slot 2),
-    # which is in [0, 1] inside the range.  Only the edge columns, which hold
-    # a query outside [nodes[0], nodes[-2]] or a NaN, can need the clamp.
-    # Truncation is floor wherever the clip keeps it; NaN casts to an index
-    # that the clip brings into range, and keeps a NaN offset.
-    h = nodes[1] - nodes[0]
-    t = work_array(2, queries.shape)
-    np.subtract(queries, nodes[0], out=t)
-    t /= h
-    k = work_array(1, queries.shape, np.intp)
-    np.copyto(k, t, casting="unsafe")
-    edges = np.flatnonzero(~((np.min(queries, axis=0) >= nodes[0])
-                             & (np.max(queries, axis=0) <= nodes[-2])))
-    k[:, edges] = np.clip(k[:, edges], 0, nodes.size - 2)
-    t -= k
-    k += np.arange(0, f.size, nodes.size)[:, None]
-    flat, flat_moments = np.ravel(f), np.ravel(moments)
-
-    # S = lo + t (hi - lo) - (h^2/6) t (1-t) [(2-t) mlo + (1+t) mhi], which is
-    # (1-t) lo + t hi + (h^2/6) [((1-t)^3 - (1-t)) mlo + (t^3 - t) mhi]
-    # factored.  Every index is in range, so the gathers into work arrays use
-    # mode "clip", which numpy does not buffer.
-    values = flat.take(k)
-    work = flat[1:].take(k, out=work_array(3, k.shape), mode="clip")
-    work -= values
-    work *= t
-    values += work
-    bracket = flat_moments[1:].take(k, out=work_array(4, k.shape), mode="clip")
-    np.add(t, 1.0, out=work)
-    bracket *= work
-    flat_moments.take(k, out=work, mode="clip")
-    bracket += work
-    bracket += work
-    work *= t
-    bracket -= work
-    np.multiply(t, t, out=work)
-    t -= work
-    bracket *= t
-    bracket *= h * h / 6.0
-    values -= bracket
-    edge = queries[:, edges]
-    values[:, edges] = np.where((edge < nodes[0]) | (edge > nodes[-1]), 0.0, values[:, edges])
-    return values
-
-
-def eval_natural_spline_near_nodes(nodes: np.ndarray, f: np.ndarray, moments: np.ndarray,
-                                   cells: np.ndarray, end_queries: np.ndarray) -> np.ndarray:
+def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
+                        h: float) -> np.ndarray:
     """Each row's natural spline at its nodes moved back by ``cells`` cells.
 
-    Node j of row i is evaluated at nodes[j] - cells[i, j] * h.  For
-    |cells| <= 1 that foot lies in one of the node's two cells, where the
-    spline is a cubic, so its Taylor expansion at the node is exact:
+    Node j of row i, at p_j on nodes spaced h apart, is evaluated at
+    p_j - s h with s = cells[i, j]; a foot outside [p_0, p_{n-1}] returns 0.
+    ``moments`` comes from ``natural_spline_moments`` (zero end columns).  Each
+    row of ``cells`` must be monotone, as a kick's a + b v(p) is, so that its
+    two end columns hold its largest |s|.
 
-        S_j = f_j - s g_j + s^2 (h^2/2) M_j - s^3 (h^2/6) dM_j
+    Write s = k + r, with k the whole-cell part of s (k = 0 when no |s|
+    exceeds 1).  The foot lies within one cell of node e = j - k, where the
+    spline is a cubic, so its Taylor expansion at that node is exact:
 
-    with s = cells, g_j = h f'(p_j) and dM_j the moment difference across the
-    foot's cell (M_j - M_{j-1} for s > 0, M_{j+1} - M_j otherwise).  No foot
-    point is located and nothing is gathered.  ``moments`` comes from
-    ``natural_spline_moments`` (zero end columns).  ``end_queries``, shape
-    (rows, 2), holds the foot points of the first and last columns: a foot
-    outside [nodes[0], nodes[-1]] returns 0, decided as in
-    ``eval_natural_spline``.
+        S = f_e - r g_e + r^2 (h^2/2) M_e - r^3 (h^2/6) dM_e
+
+    with g_e = h f'(p_e) and dM_e the moment difference across the foot's cell
+    (M_e - M_{e-1} for r > 0, M_{e+1} - M_e otherwise).  The node terms are
+    contiguous passes over the raveled f and M; only when some |s| > 1 are
+    they gathered at e.
     """
-    h = nodes[1] - nodes[0]
+    n = f.shape[1]
     c = h * h / 6.0
-    flat, flat_moments, s = np.ravel(f), np.ravel(moments), np.ravel(cells)
+    flat, flat_moments = np.ravel(f), np.ravel(moments)
     # diffs[e] = M_e - M_{e-1} over the raveled moments.  A difference that
     # straddles two rows joins two zero end moments, so it is 0 too.
     diffs = work_array(2, (f.size + 1,))
     diffs[[0, -1]] = 0.0
     np.subtract(flat_moments[1:], flat_moments[:-1], out=diffs[1:-1])
-    right, left = diffs[1:], diffs[:-1]
-    bracket = work_array(3, (f.size,))
+    right, left = diffs[1:].reshape(f.shape), diffs[:-1].reshape(f.shape)
+    three_m = np.multiply(moments, 3.0, out=work_array(1, f.shape))
+    # f_{j+1} - f_j.  The last column has no right cell: its 3M + dM_right is 0,
+    # and its g comes from the left cell, (f_{n-1} - f_{n-2}) + c (2 M_{n-1} + M_{n-2}).
+    values = np.empty(f.shape)
+    np.subtract(flat[1:], flat[:-1], out=values.reshape(-1)[:-1])
+    values[:, -1] = f[:, -1] - f[:, -2] + c * (2.0 * moments[:, -1] + moments[:, -2])
+    # The foot of each evaluated node sits at column position - s.  Within one
+    # cell, only the end columns' feet can leave [0, n - 1].
+    position, edges = np.arange(n), [0, -1]
+    if np.max(np.abs(cells[:, edges])) > 1.0:
+        # From here on f and the node terms are those of node e = j - k, within
+        # one cell of the foot (clipped into the row: a foot beyond it reads 0
+        # below), and cells holds r = s - k, which is exact.
+        whole = np.trunc(cells)
+        position = position - whole
+        nodes = np.clip(position, 0, n - 1).astype(np.intp)
+        nodes += np.arange(0, f.size, n)[:, None]
+        f, values, three_m, right, left = (
+            np.take(term, nodes) for term in (f, values, three_m, right, left))
+        cells, edges = cells - whole, slice(None)
+    bracket = work_array(3, f.shape)
     np.copyto(bracket, right)
-    np.copyto(bracket, left, where=np.greater(s, 0.0, out=work_array(4, (f.size,), bool)))
+    np.copyto(bracket, left, where=np.greater(cells, 0.0, out=work_array(4, f.shape, bool)))
 
     # S = f - s (g - c s (3M - s dM)), where g = (f_{j+1} - f_j) - c (3M + dM_right)
     # from the node's right cell, so S = f - s ((f_{j+1} - f_j) - bracket) with
     # bracket = c (3M + dM_right + s (3M - s dM)).
-    three_m = np.multiply(flat_moments, 3.0, out=work_array(1, (f.size,)))
-    bracket *= s
+    bracket *= cells
     np.subtract(three_m, bracket, out=bracket)
-    bracket *= s
+    bracket *= cells
     bracket += three_m
     bracket += right
     bracket *= c
-    values = np.empty(f.shape)
-    flat_values = values.reshape(-1)
-    np.subtract(flat[1:], flat[:-1], out=flat_values[:-1])
-    # The last column has no right cell.  Its bracket's 3M + dM_right is 0, and
-    # its g comes from the left cell: (f_{n-1} - f_{n-2}) + c (2 M_{n-1} + M_{n-2}).
-    values[:, -1] = f[:, -1] - f[:, -2] + c * (2.0 * moments[:, -1] + moments[:, -2])
-    flat_values -= bracket
-    flat_values *= s
-    np.subtract(flat, flat_values, out=flat_values)
-    values[:, [0, -1]] = np.where((end_queries < nodes[0]) | (end_queries > nodes[-1]),
-                                  0.0, values[:, [0, -1]])
+    values -= bracket
+    values *= cells
+    np.subtract(f, values, out=values)
+    s, at = cells[:, edges], position[..., edges]
+    values[:, edges] = np.where((s > at) | (s < at - (n - 1)), 0.0, values[:, edges])
     return values

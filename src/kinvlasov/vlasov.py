@@ -29,7 +29,6 @@ from .forces import force_coefficients, velocity_from_momentum
 from .grid import PhaseSpaceGrid
 from .interpolate import (
     eval_natural_spline,
-    eval_natural_spline_near_nodes,
     natural_spline_moments,
     periodic_shift_columns,
     periodic_shift_transfer,
@@ -92,30 +91,15 @@ def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float, m: float,
     return periodic_shift_columns(f, transfer, spectrum, keep)
 
 
-def _foot_points(p: np.ndarray, a: np.ndarray, b: np.ndarray, v: np.ndarray,
-                 out=None) -> np.ndarray:
-    """p - (b v) - a for each row's (a, b) at momenta p with velocities v: the
-    frozen characteristic's feet.  Both kick paths take them from here, so
-    they zero-extend the same cells."""
-    feet = np.multiply(b[:, None], v, out=out)
-    np.subtract(p, feet, out=feet)
-    feet -= a[:, None]
-    return feet
-
-
 def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
            grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     """f(x, p) <- f(x, p - F(x, p) dt), natural cubic splines in p, zero outside.
 
     F = a(x) + b(x) v(p) from the rows of ``forces.force_coefficients`` and
     the species' v on the p nodes.  The characteristic is frozen at the
-    pre-kick p.
-
-    When every |F dt| <= dp (the bound below, from each row's two ends), each
-    foot lies within one cell of its node, and the spline is evaluated from
-    node-local Taylor terms (``interpolate.eval_natural_spline_near_nodes``).
-    Otherwise ``interpolate.eval_natural_spline`` locates and gathers the foot
-    points.  Both evaluate the same cubic, so they agree to roundoff.
+    pre-kick p.  Its displacement in cells, s = (a + b v) dt / dp, is formed
+    once; ``interpolate.eval_natural_spline`` evaluates the spline at each
+    node's foot p - s dp from node-local Taylor terms.
     """
     if dt == 0.0 or not np.any(coefficients):
         return f.copy()
@@ -131,14 +115,9 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
             f"momentum displacement {worst:.3e} exceeds sanity bound {limit:.3e} "
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
-    moments = natural_spline_moments(f, grid.dp)
-    if worst <= grid.dp:
-        cells = np.einsum("ki,kj->ij", coefficients * (dt / grid.dp),
-                          np.vstack((np.ones_like(v), v)), out=work_array(0, f.shape))
-        end_feet = _foot_points(grid.p_nodes[[0, -1]], a, b, v[[0, -1]])
-        return eval_natural_spline_near_nodes(grid.p_nodes, f, moments, cells, end_feet)
-    feet = _foot_points(grid.p_nodes, a, b, v, out=work_array(0, f.shape))
-    return eval_natural_spline(grid.p_nodes, f, moments, feet)
+    cells = np.einsum("ki,kj->ij", coefficients * (dt / grid.dp),
+                      np.vstack((np.ones_like(v), v)), out=work_array(0, f.shape))
+    return eval_natural_spline(f, natural_spline_moments(f, grid.dp), cells, grid.dp)
 
 
 def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:

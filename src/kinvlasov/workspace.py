@@ -11,16 +11,13 @@ The slot of every intermediate is fixed where it is used.  Intermediates whose
 lifetimes never overlap share a slot, and no function asks for a slot that a
 caller of it still holds:
 
-    slot 0  kick_p's foot points, or its displacements in cells;
-            vlasov_residual's sum
-    slot 1  eval_natural_spline's cell indices; eval_natural_spline_near_nodes'
-            3M; vlasov_residual's transport term (dt/dx) v D_x f
-    slot 2  the cell offsets t; eval_natural_spline_near_nodes' moment
-            differences; vlasov_residual's p-difference D_p f
-    slot 3  eval_natural_spline's work array; eval_natural_spline_near_nodes'
-            bracket; vlasov_residual's (dt/dp) (a + b v)
-    slot 4  eval_natural_spline's moment bracket; eval_natural_spline_near_nodes'
-            mask of feet left of their node
+    slot 0  kick_p's displacements in cells; vlasov_residual's sum
+    slot 1  eval_natural_spline's 3M; vlasov_residual's transport term
+            (dt/dx) v D_x f
+    slot 2  eval_natural_spline's moment differences; vlasov_residual's
+            p-difference D_p f
+    slot 3  eval_natural_spline's bracket; vlasov_residual's (dt/dp) (a + b v)
+    slot 4  eval_natural_spline's mask of feet left of their node
 
 natural_spline_moments and particle_flux use no slot; vlasov_residual's are full rows.
 

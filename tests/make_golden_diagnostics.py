@@ -1,17 +1,19 @@
-"""Write ``tests/data/golden_diagnostics.json``: every diagnostics row of four
+"""Write ``tests/data/golden_diagnostics.json``: every diagnostics row of six
 short runs and every divergence row of two short comparisons, the reference
 that ``test_golden_diagnostics.py`` holds the solver to within roundoff.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_golden_diagnostics.py [--check]
+    PYTHONPATH=src python tests/make_golden_diagnostics.py [--check | --add]
 
 Regenerate the file only for an intended change to what the solver computes
 (a new scheme, source or force term), never to make a kernel rewrite pass;
-name that change where the project records its changes.  ``--check`` writes
-nothing: it recomputes every case, prints each column's worst absolute and
-relative deviation from the committed rows, and exits 1 if any deviation
-exceeds the test tolerance ATOL + RTOL * |golden|.
+name that change where the project records its changes.  ``--add`` computes
+only the cases that the committed file lacks, so a new case joins without
+moving the committed rows.  ``--check`` writes nothing: it recomputes every
+case, prints each column's worst absolute and relative deviation from the
+committed rows, and exits 1 if any deviation exceeds the test tolerance
+ATOL + RTOL * |golden|.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from kinvlasov.config import Config, InitConfig
 from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS
 from kinvlasov.grid import build_grid
 from kinvlasov.output import DIVERGENCE_FIELDS
@@ -40,12 +43,30 @@ RTOL = 1e-12
 
 N_STEPS = 60
 
-# (case name, preset, force mode, amplitude, drift, temperature)
+
+def case_config(preset: str, force_mode: str, amplitude: float, drift: float,
+                temperature: float):
+    """The tests' 64x128 pair plasma with one preset's initial state."""
+    config = landau_config(amplitude=amplitude, drift=drift, temperature=temperature,
+                           force_mode=force_mode)
+    return replace(config, init=replace(config.init, preset=preset))
+
+
+def multi_cell_config(force_mode: str):
+    """A nonrelativistic 16x512 landau run whose amplitude-0.9 fields kick f by
+    more than one momentum cell on many of its first N_STEPS steps."""
+    return replace(Config(nx=16, np=512, relativistic=False, force_mode=force_mode),
+                   init=InitConfig(amplitude=0.9))
+
+
+# (case name, config)
 CASES = (
-    ("landau_modified", "landau", "modified", 0.05, 0.5, 1.0),
-    ("landau_standard", "landau", "standard", 0.05, 0.5, 1.0),
-    ("two_stream_modified", "two_stream", "modified", 0.01, 2.0, 0.25),
-    ("two_stream_standard", "two_stream", "standard", 0.01, 2.0, 0.25),
+    ("landau_modified", case_config("landau", "modified", 0.05, 0.5, 1.0)),
+    ("landau_standard", case_config("landau", "standard", 0.05, 0.5, 1.0)),
+    ("two_stream_modified", case_config("two_stream", "modified", 0.01, 2.0, 0.25)),
+    ("two_stream_standard", case_config("two_stream", "standard", 0.01, 2.0, 0.25)),
+    ("landau_multi_cell_modified", multi_cell_config("modified")),
+    ("landau_multi_cell_standard", multi_cell_config("standard")),
 )
 
 # (case name, preset, amplitude, drift, temperature) of the comparisons, which
@@ -57,19 +78,11 @@ DIVERGENCE_CASES = (
 DIVERGENCE_EVERY = 10
 
 
-def case_config(preset: str, force_mode: str, amplitude: float, drift: float,
-                temperature: float):
-    """The tests' 64x128 pair plasma with one preset's initial state."""
-    config = landau_config(amplitude=amplitude, drift=drift, temperature=temperature,
-                           force_mode=force_mode)
-    return replace(config, init=replace(config.init, preset=preset))
-
-
 def case_rows(case: tuple) -> list:
     """The diagnostics rows of one case's run, one list of column values per
     step in ``DIAGNOSTICS_FIELDS`` order."""
-    _, *params = case
-    result = run_simulation(case_config(*params), n_steps=N_STEPS)
+    _, config = case
+    result = run_simulation(config, n_steps=N_STEPS)
     assert not result.aborted, result.abort_reason
     return [list(astuple(record)) for record in result.records]
 
@@ -127,10 +140,17 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the committed file instead of writing it")
-    if parser.parse_args().check:
+    parser.add_argument("--add", action="store_true",
+                        help="compute only the cases the committed file lacks and "
+                             "keep its rows byte for byte")
+    args = parser.parse_args()
+    if args.check:
         sys.exit(check())
-    cases = {case[0]: case_rows(case) for case in CASES}
-    divergence = {case[0]: divergence_rows(case) for case in DIVERGENCE_CASES}
+    kept = json.loads(GOLDEN_PATH.read_text()) if args.add else {}
+    cases = {case[0]: kept.get("cases", {}).get(case[0]) or case_rows(case)
+             for case in CASES}
+    divergence = {case[0]: kept.get("divergence_cases", {}).get(case[0])
+                  or divergence_rows(case) for case in DIVERGENCE_CASES}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(
         f'{{"columns": {json.dumps(DIAGNOSTICS_FIELDS)},\n"cases": {_json_cases(cases)},\n'

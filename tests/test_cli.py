@@ -98,6 +98,19 @@ def test_compare_command_end_to_end(tmp_path, capsys):
     assert (out / "standard" / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_non_utf8_config_exits_2_with_one_line(tmp_path, capsys, command):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xff\xfe" + GOOD_CONFIG.encode())
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "UTF-8" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
+
+
 NON_NEUTRAL_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 0.3").replace(
     "q = -0.1995", "q = -0.2")
 

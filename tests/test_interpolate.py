@@ -97,59 +97,74 @@ def test_shift_preserves_constants_and_mass():
     assert np.sum(shifted[:, 1]) == pytest.approx(np.sum(f[:, 1]), abs=1e-11)
 
 
+def monotone_cells(rng, rows, n, reach):
+    """Per-row displacements in cells, monotone along each row as a kick's are,
+    within +-reach; every other row decreasing."""
+    cells = np.sort(rng.uniform(-reach, reach, size=(rows, n)), axis=1)
+    cells[1::2] = cells[1::2, ::-1]
+    return cells
+
+
+def scipy_at_feet(nodes, rows, cells):
+    """CubicSpline(bc_type="natural") at each node's foot p_j - s h, 0 outside
+    [nodes[0], nodes[-1]]."""
+    h = nodes[1] - nodes[0]
+    columns = np.arange(nodes.size)
+    outside = (cells > columns) | (cells < columns - (nodes.size - 1))
+    expected = np.array([CubicSpline(nodes, row, bc_type="natural")(nodes - s * h)
+                         for row, s in zip(rows, cells)])
+    return np.where(outside, 0.0, expected)
+
+
 def test_natural_spline_matches_scipy():
     rng = np.random.default_rng(1)
     n = 40
     nodes = np.linspace(-2.0, 2.0, n)
+    h = nodes[1] - nodes[0]
     rows = rng.normal(size=(5, n))
-    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
-    queries = rng.uniform(-2.0, 2.0, size=(5, 17))
-    mine = eval_natural_spline(nodes, rows, moments, queries)
-    for i in range(5):
-        reference = CubicSpline(nodes, rows[i], bc_type="natural")
-        assert np.allclose(mine[i], reference(queries[i]), atol=1e-12)
+    moments = natural_spline_moments(rows, h)
+    for reach in (1.0, 9.5):
+        cells = monotone_cells(rng, 5, n, reach)
+        mine = eval_natural_spline(rows, moments, cells, h)
+        assert np.allclose(mine, scipy_at_feet(nodes, rows, cells), atol=1e-12)
 
 
 def test_natural_spline_exact_at_nodes():
     rng = np.random.default_rng(8)
-    nodes = np.linspace(-1.0, 3.0, 25)
     rows = rng.normal(size=(3, 25))
-    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
-    values = eval_natural_spline(nodes, rows, moments,
-                                 np.tile(nodes, (3, 1)))
-    assert np.allclose(values, rows, atol=1e-13)
+    values = eval_natural_spline(rows, natural_spline_moments(rows, 0.16), np.zeros((3, 25)),
+                                 0.16)
+    assert np.array_equal(values, rows)
 
 
 def test_natural_spline_zero_outside():
-    nodes = np.linspace(-1.0, 1.0, 16)
-    rows = np.ones((2, 16))
-    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
-    outside = np.array([[-1.5, 1.0001, 2.0]] * 2)
-    assert np.all(eval_natural_spline(nodes, rows, moments, outside) == 0.0)
-
-
-def test_natural_spline_nan_query_is_not_zeroed():
-    nodes = np.linspace(-1.0, 1.0, 16)
-    rows = np.ones((1, 16))
-    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
-    with np.errstate(invalid="ignore"):
-        values = eval_natural_spline(nodes, rows, moments, np.array([[np.nan, 0.1]]))
-    assert np.isnan(values[0, 0])
-    assert values[0, 1] == pytest.approx(1.0)
+    # Rows of ones kicked by whole and half cells: every foot beyond an end
+    # reads 0, interior columns too once |s| > 1; every other foot reads 1.
+    n = 16
+    rows = np.ones((6, n))
+    cells = np.array([20.0, -20.0, 3.5, -3.5, 0.5, -1.0])[:, None] * np.ones(n)
+    values = eval_natural_spline(rows, natural_spline_moments(rows, 0.125), cells, 0.125)
+    outside = np.zeros((6, n), bool)
+    outside[:2] = True
+    outside[2, :4] = outside[3, 12:] = outside[4, 0] = outside[5, -1] = True
+    assert np.all(values[outside] == 0.0)
+    assert np.allclose(values[~outside], 1.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_natural_spline_on_the_fewest_nodes_matches_scipy(n):
     rng = np.random.default_rng(n)
     nodes = np.linspace(-1.0, 2.0, n)
-    rows = rng.normal(size=(3, n))
-    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
-    queries = rng.uniform(-1.0, 2.0, size=(3, 11))
-    mine = eval_natural_spline(nodes, rows, moments, queries)
-    for i in range(3):
+    rows = rng.normal(size=(4, n))
+    h = nodes[1] - nodes[0]
+    moments = natural_spline_moments(rows, h)
+    for reach in (1.0, n - 1.0):
+        cells = monotone_cells(rng, 4, n, reach)
+        mine = eval_natural_spline(rows, moments, cells, h)
+        assert np.allclose(mine, scipy_at_feet(nodes, rows, cells), atol=1e-12)
+    for i in range(4):
         reference = CubicSpline(nodes, rows[i], bc_type="natural")
         assert np.allclose(moments[i], reference(nodes, 2), atol=1e-12)
-        assert np.allclose(mine[i], reference(queries[i]), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -188,28 +203,24 @@ def test_nan_row_keeps_its_nan_and_zero_ends():
     assert np.array_equal(moments[finite], interior_solve_moments(rows[finite], 0.37))
 
 
-def test_zero_extension_and_nan_only_where_queries_leave_the_range():
+def test_zero_extension_only_where_feet_leave_the_range():
+    # Feet exactly on an end node read that node; a foot just beyond it reads 0.
     rng = np.random.default_rng(11)
     nodes = np.linspace(-1.0, 2.0, 24)
+    h = nodes[1] - nodes[0]
     rows = rng.normal(size=(6, 24))
-    moments = natural_spline_moments(rows, nodes[1] - nodes[0])
-    queries = rng.uniform(-0.9, 1.9, size=(6, 30))
-    queries[1, 3] = -1.2                        # below the range in one row only
-    queries[2, 7] = 2.0 + 1e-12                 # just above it
-    queries[3, 7] = 2.0                         # exactly at each end
-    queries[4, 9] = -1.0
-    queries[5, 12] = np.nan
-    queries[0, 20] = 1.99                       # in the last interval
-    queries[1, 25] = 2.0                        # a column's only end query
-    with np.errstate(invalid="ignore"):
-        values = eval_natural_spline(nodes, rows, moments, queries)
-    outside = (queries < -1.0) | (queries > 2.0)
-    for i in range(6):
-        reference = CubicSpline(nodes, rows[i], bc_type="natural")(np.nan_to_num(queries[i]))
-        reference[outside[i]] = 0.0
-        inside = ~np.isnan(queries[i])
-        assert np.allclose(values[i, inside], reference[inside], atol=1e-12, rtol=0.0)
-    assert np.isnan(values[5, 12]) and np.isnan(values).sum() == 1
-    assert values[1, 3] == 0.0 and values[2, 7] == 0.0
-    assert values[3, 7] == pytest.approx(rows[3, -1]) and values[4, 9] == pytest.approx(rows[4, 0])
-    assert values[1, 25] == pytest.approx(rows[1, -1])
+    moments = natural_spline_moments(rows, h)
+    cells = np.zeros((6, 24))
+    cells[0] = np.linspace(0.9, -0.9, 24)               # sub-cell, both ends leave
+    cells[1] = np.linspace(1e-12, 0.5, 24)              # only p_0's foot leaves
+    cells[2] = np.linspace(-0.5, -1e-12, 24)            # only p_{n-1}'s foot leaves
+    cells[3] = np.linspace(0.0, 0.7, 24)                # p_0's foot on p_0
+    cells[4] = 5.0                                      # whole cells, multi-cell
+    cells[5] = np.linspace(-7.0, -3.0, 24)              # multi-cell, p_0's foot on p_7
+    values = eval_natural_spline(rows, moments, cells, h)
+    assert np.allclose(values, scipy_at_feet(nodes, rows, cells), atol=1e-12, rtol=0.0)
+    assert values[0, 0] == values[0, -1] == values[1, 0] == values[2, -1] == 0.0
+    assert values[1, -1] != 0.0 and values[2, 0] != 0.0 and values[3, 0] == rows[3, 0]
+    assert np.all(values[4, :5] == 0.0) and np.array_equal(values[4, 5:], rows[4, :-5])
+    assert values[5, 0] == rows[5, 7]
+    assert np.all(values[5, 20:] == 0.0) and np.all(values[5, :20] != 0.0)

@@ -11,7 +11,6 @@ from kinvlasov import vlasov
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
-from kinvlasov.interpolate import eval_natural_spline, natural_spline_moments
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.vlasov import (
@@ -207,8 +206,8 @@ def test_kick_matches_banded_take_along_axis_reference(mode):
     assert 2.0 < multi_cell < 0.25 * grid.np
     # F is linear in the potentials, so scaling its rows and the reference's
     # force scales the potentials.  Each input's largest |F dt| in cells: the
-    # first three take the sub-cell path, the third at its bound, where a row
-    # end's foot lands on the neighbouring node.
+    # first three are within one cell, the third at one cell exactly, where a
+    # row end's foot lands on the neighbouring node.
     for cells in (0.05, 0.5, 1.0, multi_cell):
         scaled, scaled_force = (cells / multi_cell) * coefficients, (cells / multi_cell) * force
         if cells == 1.0:
@@ -242,20 +241,23 @@ def test_run_takes_the_gather_path_and_matches_the_reference(mode, monkeypatch):
 
 @settings(deadline=None, max_examples=150)
 @given(nx=st.integers(8, 40), n_p=st.integers(8, 96), dp_exponent=st.integers(-4, 1),
-       dt=st.sampled_from([1.0, 0.5, 0.125]), nan_row=st.booleans(),
+       dt=st.sampled_from([1.0, 0.5, 0.125]), sub_cell=st.booleans(), nan_row=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_sub_cell_kick_matches_gather_evaluation(nx, n_p, dp_exponent, dt, nan_row, seed):
+def test_kick_matches_banded_reference_up_to_a_quarter_grid(nx, n_p, dp_exponent, dt,
+                                                            sub_cell, nan_row, seed):
     # Node spacing, v and the end displacements are dyadic, so every foot
-    # point p - dt (a + b v) is exact: both evaluators see the same cubic at
-    # the same point, and what is compared is their own roundoff.
+    # point p - dt (a + b v) is exact: the kick and the reference see the same
+    # cubic at the same point, and what is compared is their own roundoff.
     rng = np.random.default_rng(seed)
     dp = 2.0**dp_exponent
     grid = build_grid(Config(nx=nx, x_max=8.0, np=n_p, p_max=0.5 * n_p * dp))
     assert grid.p_nodes[1] - grid.p_nodes[0] == dp
     v = np.round(np.linspace(-1.0, 1.0, n_p) * 2**12) / 2**12
-    # F dt at p_min and at p_max of each row, in cells, |.| <= 1: the first
-    # rows take every sign pair, then both unit feet (outward and inward).
-    ends = rng.integers(-2**8, 2**8 + 1, (nx, 2)) / 2**8
+    # F dt at p_min and at p_max of each row, in cells, |.| <= 1 or up to
+    # np/4 - 1: the first rows take every sign pair, then both unit feet
+    # (outward and inward).
+    reach = 2**8 if sub_cell else 2**6 * n_p - 2**8
+    ends = rng.integers(-reach, reach + 1, (nx, 2)) / 2**8
     ends[:4] = np.abs(ends[:4]) * [[1, 1], [1, -1], [-1, 1], [-1, -1]]
     ends[4:6] = [[1.0, -1.0], [-1.0, 1.0]]
     coefficients = (dp / dt) * np.array([ends.mean(axis=1), 0.5 * (ends[:, 1] - ends[:, 0])])
@@ -264,13 +266,30 @@ def test_sub_cell_kick_matches_gather_evaluation(nx, n_p, dp_exponent, dt, nan_r
         f[3, rng.integers(n_p)] = np.nan
 
     out = kick_p(f, coefficients, v, grid, dt)
-    a, b = coefficients
-    queries = grid.p_nodes - dt * (a[:, None] + b[:, None] * v)
-    expected = eval_natural_spline(grid.p_nodes, f, natural_spline_moments(f, dp), queries)
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(out), nan)
-    assert np.array_equal(np.any(nan, axis=1), np.any(np.isnan(f), axis=1))
-    assert np.max(np.abs(out - expected), where=~nan, initial=0.0) <= 1e-14 * np.nanmax(f)
+    force = coefficients[0][:, None] + coefficients[1][:, None] * v
+    expected = banded_take_along_axis_kick(np.nan_to_num(f), force, grid, dt)
+    finite = np.arange(nx) != 3 if nan_row else slice(None)
+    assert not nan_row or np.isnan(out[3]).any()
+    assert not np.isnan(out[finite]).any()
+    assert np.max(np.abs(out[finite] - expected[finite])) <= 1e-14 * np.nanmax(f)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_whole_cell_kick_moves_every_row_exactly(sign):
+    # p_max and np make dp non-dyadic, so the nodes p_j = p_min + (j + 1/2) dp
+    # are not exactly dp apart.  A kick by exactly k cells still lands every
+    # foot on a node: each row moves k columns, with zero fill, bit for bit.
+    grid = build_grid(Config(nx=6, x_max=8.0, np=62, p_max=8.2916))
+    f = np.random.default_rng(62).random((grid.nx, grid.np))
+    for k in range(2, 16):
+        coefficients = row_constant(grid, sign * k)
+        out = kick_p(f, coefficients, grid.p_nodes, grid, grid.dp)
+        expected = np.zeros_like(f)
+        if sign > 0:
+            expected[:, k:] = f[:, :-k]
+        else:
+            expected[:, :-k] = f[:, k:]
+        assert np.array_equal(out, expected), k
 
 
 def test_step_zero_charge_reduces_to_free_streaming():

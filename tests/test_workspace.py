@@ -27,8 +27,8 @@ def small_grid(nx, n_p):
 
 def kernel_results(grid, seed):
     """Every function whose intermediates use the work arrays, on random
-    inputs.  The kicks move each foot point by up to a tenth of a cell (the
-    sub-cell path) or by up to one and a half cells (the gather path)."""
+    inputs.  The kicks move each foot point by up to a tenth of a cell or by
+    up to one and a half cells, the direct evaluation by up to one and a half."""
     rng = np.random.default_rng(seed)
     f = rng.random((grid.nx, grid.np))
     fields = FieldState(*(0.01 * rng.standard_normal(grid.nx) for _ in range(4)))
@@ -37,13 +37,13 @@ def kernel_results(grid, seed):
     v = velocity_from_momentum(grid.p_nodes, 1.0, 4.0, True)
     dt = 0.1 * grid.dp / np.max(np.abs(force))
     moments = natural_spline_moments(f, grid.dp)
-    queries = grid.p_nodes[None, :] + grid.dp * rng.uniform(-1.5, 1.5, f.shape)
+    cells = np.sort(rng.uniform(-1.5, 1.5, f.shape), axis=1)
     return {
         "advect_x": advect_x(f, grid, 0.05, 1.0, 4.0, True),
         "kick_p sub-cell": kick_p(f, coefficients, v, grid, dt),
         "kick_p multi-cell": kick_p(f, coefficients, v, grid, 15.0 * dt),
         "natural_spline_moments": moments,
-        "eval_natural_spline": eval_natural_spline(grid.p_nodes, f, moments, queries),
+        "eval_natural_spline": eval_natural_spline(f, moments, cells, grid.dp),
         "force_field": force,
         "force_field standard": force_field(fields, grid, 0.1, 0.5, 1.0, 4.0, True,
                                             "standard"),
