@@ -36,8 +36,8 @@ from .fields import (  # noqa: F401
     poisson_init,
     wave_step,
 )
-from .forces import force_field, velocity_from_momentum  # noqa: F401
-from .grid import PhaseSpaceGrid, build_grid  # noqa: F401
+from .forces import force_field  # noqa: F401
+from .grid import PhaseSpaceGrid, build_grid, velocity_from_momentum  # noqa: F401
 from .moments import (  # noqa: F401
     charge_density,
     continuity_residual,
@@ -57,5 +57,4 @@ from .vlasov import (  # noqa: F401
     advect_x,
     kick_p,
     step,
-    time_step,
 )

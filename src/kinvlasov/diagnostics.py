@@ -19,11 +19,10 @@ import numpy as np
 
 from .config import Config
 from .fields import d2_periodic, field_energy_proxy, gauge_residual, l2_x
-from .forces import force_coefficients, velocity_from_momentum
+from .forces import force_coefficients
 from .grid import PhaseSpaceGrid
 from .moments import continuity_residual
 from .state import FieldState, SimulationState
-from .vlasov import max_velocity, time_step
 from .workspace import work_array
 
 
@@ -107,9 +106,10 @@ def _l2_phase(field: np.ndarray, grid: PhaseSpaceGrid) -> float:
 
 
 def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
-                    fields_mid: FieldState, q: float, m: float, config: Config,
+                    fields_mid: FieldState, q: float, v: np.ndarray, config: Config,
                     grid: PhaseSpaceGrid, dt: float) -> float:
-    """L2 norm of R = df/dt + v df/dx + F df/dp over interior phase-space nodes.
+    """L2 norm of R = df/dt + v df/dx + F df/dp over interior phase-space nodes,
+    for a species of charge q and velocity v on the p nodes (``grid.v``).
 
     All derivatives are centered at f_mid's time; the scheme does not
     collocate the equation, so the expected size is O(dt^2 + dx^2 + dp^2).
@@ -125,7 +125,6 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
     np.subtract(f_mid[2:], f_mid[:-2], out=transport[1:-1])
     np.subtract(f_mid[1], f_mid[-1], out=transport[0])
     np.subtract(f_mid[0], f_mid[-2], out=transport[-1])
-    v = velocity_from_momentum(grid.p_nodes, m, config.c, config.relativistic)
     transport *= (dt / grid.dx) * v
     residual += transport
     if config.forces_enabled:
@@ -141,17 +140,16 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
     return _l2_phase(residual, grid) / float(2.0 * dt)
 
 
-def history_residuals(history: deque, config: Config, grid: PhaseSpaceGrid,
-                      dt: float) -> dict:
+def history_residuals(history: deque, config: Config, grid: PhaseSpaceGrid) -> dict:
     """The kinetic residuals c+, c- and the minus-species continuity residual h,
     all centered at the middle of the three states in ``history``."""
     s0, s1, s2 = history
     return {
         "c+": vlasov_residual(s0.plus.f, s1.plus.f, s2.plus.f, s1.fields,
-                              config.plus.q, config.plus.m, config, grid, dt),
+                              config.plus.q, grid.v[0], config, grid, grid.dt),
         "c-": vlasov_residual(s0.minus.f, s1.minus.f, s2.minus.f, s1.fields,
-                              config.minus.q, config.minus.m, config, grid, dt),
-        "h": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, dt),
+                              config.minus.q, grid.v[1], config, grid, grid.dt),
+        "h": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, grid.dt),
     }
 
 
@@ -163,7 +161,7 @@ def residual_report(history: deque, config: Config, grid: PhaseSpaceGrid) -> dic
     the wave-equation residuals are centered between the last two steps (where
     three consecutive field levels are available) with the source interpolated
     to the level time from the adjacent cached moments.  The history must come
-    from a run of this config, whose step is ``time_step(config, grid)``.
+    from a run of this config, whose step is ``grid.dt``.
 
     The definition rows f (rho) and g (j) are 0.0 by construction: a state's
     rho and j come from its own f in one moment pass (``refresh_moments``) and
@@ -172,9 +170,8 @@ def residual_report(history: deque, config: Config, grid: PhaseSpaceGrid) -> dic
     if len(history) < 3:
         raise InsufficientHistoryError("residual_report needs three stored steps")
     s0, s1, s2 = history
-    dt = time_step(config, grid)
-    c = config.c
-    measured = history_residuals(history, config, grid, dt)
+    dt, c = grid.dt, config.c
+    measured = history_residuals(history, config, grid)
 
     # Wave-equation residuals from the three levels (prev, curr of step 1 plus
     # curr of step 2); sources averaged onto the middle level time.
@@ -202,15 +199,15 @@ def residual_report(history: deque, config: Config, grid: PhaseSpaceGrid) -> dic
 
 
 def conserved_totals(state: SimulationState, grid: PhaseSpaceGrid,
-                     config: Config, dt: float) -> dict:
+                     config: Config) -> dict:
     """The diagnostics columns read from one state, keyed by column name."""
     return {
         "n_total_plus": float(np.sum(state.plus.n) * grid.dx),
         "n_total_minus": float(np.sum(state.minus.n) * grid.dx),
         "charge_total": float(np.sum(state.rho) * grid.dx),
         "current_total": float(np.sum(state.j) * grid.dx),
-        "field_energy_proxy": field_energy_proxy(state.fields, grid, dt, config.c),
-        "max_abs_v_over_c": max_velocity(config, grid) / config.c,
+        "field_energy_proxy": field_energy_proxy(state.fields, grid, grid.dt, config.c),
+        "max_abs_v_over_c": grid.v_max / config.c,
     }
 
 
@@ -288,9 +285,9 @@ def compare_runs(run_a, run_b) -> list:
     if [s.step for s in run_a.snapshots] != [s.step for s in run_b.snapshots]:
         raise GridMismatchError("runs recorded different snapshot steps")
 
-    grid, dt, c = run_a.grid, run_a.dt, config.c
-    species = [(s.q, velocity_from_momentum(grid.p_nodes, s.m, c, config.relativistic))
-               for s in config.species] if config.forces_enabled else []
+    grid, dt, c = run_a.grid, run_a.grid.dt, config.c
+    species = (list(zip((config.plus.q, config.minus.q), grid.v))
+               if config.forces_enabled else [])
     rows = []
     for sa, sb in zip(run_a.snapshots, run_b.snapshots):
         phi_a = _centered_level(sa.fields.phi_prev, sa.fields.phi_curr)
@@ -316,15 +313,15 @@ def compare_runs(run_a, run_b) -> list:
 
 
 def make_record(state: SimulationState, history: deque, config: Config,
-                grid: PhaseSpaceGrid, dt: float) -> DiagnosticsRecord:
+                grid: PhaseSpaceGrid) -> DiagnosticsRecord:
     """Per-step diagnostics row.
 
     The gauge residual is centered at this state's time.  The kinetic and
     continuity residuals need three snapshots, so they are centered one step
     back and report 0 until enough history exists.
     """
-    gauge = gauge_residual(state.fields, grid, dt, config.c)
-    centered = (history_residuals(history, config, grid, dt) if len(history) == 3
+    gauge = gauge_residual(state.fields, grid, grid.dt, config.c)
+    centered = (history_residuals(history, config, grid) if len(history) == 3
                 else dict.fromkeys(("c+", "c-", "h"), 0.0))
     return DiagnosticsRecord(
         step=state.step,
@@ -333,5 +330,5 @@ def make_record(state: SimulationState, history: deque, config: Config,
         continuity_residual_l2=centered["h"],
         vlasov_residual_plus_l2=centered["c+"],
         vlasov_residual_minus_l2=centered["c-"],
-        **conserved_totals(state, grid, config, dt),
+        **conserved_totals(state, grid, config),
     )

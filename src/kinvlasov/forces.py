@@ -1,4 +1,4 @@
-"""Pointwise relativistic kinematics and the two force laws.
+"""The two force laws that drive the momentum kick.
 
 The force that drives the momentum advection here is the convective derivative
 of the vector potential,
@@ -29,15 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import d1_periodic
-from .grid import PhaseSpaceGrid
-
-
-def velocity_from_momentum(p, m: float, c: float, relativistic: bool):
-    """v = p / sqrt(m^2 + p^2/c^2) relativistically, p/m otherwise; |v| < c always holds."""
-    p = np.asarray(p, dtype=float) if np.ndim(p) else float(p)
-    if not relativistic:
-        return p / m
-    return p / np.sqrt(m * m + (p * p) / (c * c))
+from .grid import PhaseSpaceGrid, velocity_from_momentum
 
 
 def force_coefficients(fields, grid: PhaseSpaceGrid, dt: float, q: float, c: float,

@@ -1,12 +1,24 @@
-"""Uniform cell-centered phase-space grid, periodic in x and truncated in p."""
+"""Uniform cell-centered phase-space grid, periodic in x and truncated in p.
+Built once per run, it also holds the run's constants: dt, each species'
+velocity on the p nodes and the half-step x multipliers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import Config
+from .interpolate import periodic_shift_transfer
+
+
+def velocity_from_momentum(p, m: float, c: float, relativistic: bool):
+    """v = p / sqrt(m^2 + p^2/c^2) relativistically, p/m otherwise; |v| < c always holds."""
+    p = np.asarray(p, dtype=float) if np.ndim(p) else float(p)
+    if not relativistic:
+        return p / m
+    return p / np.sqrt(m * m + (p * p) / (c * c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,6 +31,19 @@ class PhaseSpaceGrid:
     dp: float
     x_nodes: np.ndarray  # (nx,) cell centers in [0, x_max)
     p_nodes: np.ndarray  # (np,) cell centers in [-p_max, p_max], symmetric about 0
+    dt: float
+    v: tuple             # (v_plus, v_minus) on the p nodes, one array if the masses agree
+    v_max: float         # fastest |v| on the p nodes across both species
+
+    @cached_property
+    def half_transfer(self) -> tuple:
+        """Per species, the read-only Fourier multiplier of a dt/2 x-advection
+        (one for species that share v), built at first use, outside a run's setup."""
+        built = {id(v): periodic_shift_transfer(self.nx, v * (0.5 * self.dt) / self.dx)
+                 for v in self.v}
+        for transfer in built.values():
+            transfer.flags.writeable = False
+        return tuple(built[id(v)] for v in self.v)
 
 
 def build_grid(config: Config) -> PhaseSpaceGrid:
@@ -26,6 +51,15 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
     dp = 2.0 * config.p_max / config.np
     x_nodes = (np.arange(config.nx) + 0.5) * dx
     p_nodes = -config.p_max + (np.arange(config.np) + 0.5) * dp
+
+    def speed(p):
+        return max(abs(velocity_from_momentum(p, s.m, config.c, config.relativistic))
+                   for s in config.species)
+
+    by_mass = {s.m: velocity_from_momentum(p_nodes, s.m, config.c, config.relativistic)
+               for s in config.species}
+    # dt = cfl_fraction * dx / max(c, v_char), v_char the speed at p_max;
+    # v_max is taken at the outermost node instead.
     return PhaseSpaceGrid(
         nx=config.nx,
         np=config.np,
@@ -35,4 +69,7 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
         dp=dp,
         x_nodes=x_nodes,
         p_nodes=p_nodes,
+        dt=config.cfl_fraction * dx / max(config.c, speed(config.p_max)),
+        v=tuple(by_mass[s.m] for s in (config.plus, config.minus)),
+        v_max=speed(np.max(np.abs(p_nodes))),
     )

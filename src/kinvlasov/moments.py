@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import d1_periodic, l2_x
-from .forces import velocity_from_momentum
 from .grid import PhaseSpaceGrid
 
 
@@ -22,9 +21,8 @@ def number_density(f, grid: PhaseSpaceGrid) -> np.ndarray:
     return np.einsum("ij->i", f) * grid.dp
 
 
-def particle_flux(f, m: float, c: float, relativistic: bool,
-                  grid: PhaseSpaceGrid) -> np.ndarray:
-    v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
+def particle_flux(f, v: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """The flux of f, whose species has velocity v on the p nodes (``grid.v``)."""
     # einsum takes the product and the sum in one pass, without BLAS, whose
     # reductions may be ordered by the thread count.
     return np.einsum("ij,j->i", f, v) * grid.dp
@@ -36,10 +34,10 @@ def charge_density(f_plus, f_minus, q_plus: float, q_minus: float,
 
 
 def current_density(f_plus, f_minus, q_plus: float, q_minus: float,
-                    m_plus: float, m_minus: float, c: float, relativistic: bool,
+                    v_plus: np.ndarray, v_minus: np.ndarray,
                     grid: PhaseSpaceGrid) -> np.ndarray:
-    return (q_plus * particle_flux(f_plus, m_plus, c, relativistic, grid)
-            + q_minus * particle_flux(f_minus, m_minus, c, relativistic, grid))
+    return (q_plus * particle_flux(f_plus, v_plus, grid)
+            + q_minus * particle_flux(f_minus, v_minus, grid))
 
 
 def continuity_residual(n_prev, n_next, flux_mid, grid: PhaseSpaceGrid,

@@ -26,7 +26,6 @@ from .diagnostics import (
 )
 from .grid import PhaseSpaceGrid
 from .state import SimulationState
-from .vlasov import max_velocity
 
 
 def format_float(x) -> str:
@@ -136,8 +135,7 @@ def read_snapshot(path):
     return meta, matrix
 
 
-def manifest_payload(config: Config, grid: PhaseSpaceGrid, dt: float,
-                     n_steps: int) -> dict:
+def manifest_payload(config: Config, grid: PhaseSpaceGrid, n_steps: int) -> dict:
     """Everything needed to reproduce and interpret the run bit-exactly,
     including the two stability ratios c·dt/dx and max|v|·dt/dx."""
     return {
@@ -146,10 +144,10 @@ def manifest_payload(config: Config, grid: PhaseSpaceGrid, dt: float,
         "derived": {
             "dx": grid.dx,
             "dp": grid.dp,
-            "dt": dt,
+            "dt": grid.dt,
             "n_steps": n_steps,
-            "cfl_light_ratio": config.c * dt / grid.dx,
-            "cfl_transport_ratio": max_velocity(config, grid) * dt / grid.dx,
+            "cfl_light_ratio": config.c * grid.dt / grid.dx,
+            "cfl_transport_ratio": grid.v_max * grid.dt / grid.dx,
         },
         "equation_partition": EQUATION_PARTITION,
         "notes": {

@@ -21,7 +21,7 @@ from .output import (
     write_snapshot,
 )
 from .state import SimulationState, initialize_state, release_handoffs
-from .vlasov import KickDisplacementError, step, time_step
+from .vlasov import KickDisplacementError, step
 
 
 class NonFiniteStateError(RuntimeError):
@@ -34,8 +34,7 @@ SOLVER_ABORTS = (KickDisplacementError, FieldBlowupError, NonFiniteStateError)
 @dataclass
 class RunResult:
     config: Config
-    grid: PhaseSpaceGrid
-    dt: float
+    grid: PhaseSpaceGrid    # with the run's dt
     n_steps: int
     records: list
     snapshots: list
@@ -58,8 +57,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     """
     config = validate_config(config)
     grid = build_grid(config)
-    dt = time_step(config, grid)
-    total = max(1, round(config.t_end / dt)) if n_steps is None else n_steps
+    total = max(1, round(config.t_end / grid.dt)) if n_steps is None else n_steps
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
     release_handoffs(state)     # every run from one state steps the same
@@ -67,7 +65,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
 
     writer = DiagnosticsWriter(Path(out_dir) / "diagnostics.csv") if out_dir else None
     if out_dir:
-        write_manifest(manifest_payload(config, grid, dt, total), out_dir)
+        write_manifest(manifest_payload(config, grid, total), out_dir)
 
     records = []
     snapshots = []
@@ -79,7 +77,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
         for label, species in zip(("plus", "minus"), current.species):
             if not np.all(np.isfinite(species.n)):
                 raise NonFiniteStateError(f"non-finite value in f_{label} at step {current.step}")
-        record = make_record(current, history, config, grid, dt)
+        record = make_record(current, history, config, grid)
         records.append(record)
         if write_files and writer is not None:
             writer.write(record)
@@ -90,7 +88,7 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
             if out_dir:
                 write_snapshot(current, grid, out_dir)
 
-    result = RunResult(config=config, grid=grid, dt=dt, n_steps=total,
+    result = RunResult(config=config, grid=grid, n_steps=total,
                        records=records, snapshots=snapshots, history=history,
                        final_state=state)
     attempt = state.step
@@ -120,7 +118,8 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
 
 def _command(simulate, config_path, out_dir) -> int:
     """Load the config and return ``simulate(config, out_dir)``'s exit code;
-    a missing or invalid config (2) or unwritable outputs (3) is one line."""
+    a missing or invalid config or a grid too large to allocate (2), or
+    unwritable outputs (3), is one line."""
     from .config import ConfigError, load_config
 
     try:
@@ -133,6 +132,9 @@ def _command(simulate, config_path, out_dir) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}")
         return 3
+    except MemoryError as exc:
+        print(f"error: cannot allocate the run's arrays: {exc}")
+        return 2
 
 
 def _run(config: Config, out_dir) -> int:

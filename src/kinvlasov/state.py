@@ -110,9 +110,8 @@ def refresh_moments(state: SimulationState, config: Config,
     """The one moment pass over the current f: per-species n and flux, and the
     rho, j they sum to (recompute-on-write)."""
     plus, minus = (
-        replace(s, n=number_density(s.f, grid),
-                flux=particle_flux(s.f, s.m, config.c, config.relativistic, grid))
-        for s in state.species
+        replace(s, n=number_density(s.f, grid), flux=particle_flux(s.f, v, grid))
+        for s, v in zip(state.species, grid.v)
     )
     return replace(state, plus=plus, minus=minus,
                    rho=plus.q * plus.n + minus.q * minus.n,

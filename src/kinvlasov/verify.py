@@ -157,15 +157,15 @@ def case_poisson_mode() -> CaseResult:
 def case_moment_oracles() -> CaseResult:
     config = Config(nx=16, x_max=4.0, np=128, p_max=8.0, c=4.0, relativistic=False)
     grid = build_grid(config)
-    q, m, n0 = -0.5, 1.0, 1.3
+    q, m, n0 = -0.5, 1.0, 1.3   # m is both config species' mass, so grid.v is v(p) twice
     checks = []
 
     # Parity: even f gives vanishing current and flux.
     g_even = momentum_gaussian(grid.p_nodes, m, 1.0, 0.0, grid.dp)
     f_even = n0 * np.ones((grid.nx, 1)) * g_even[None, :]
     zero_f = np.zeros_like(f_even)
-    j_even = current_density(f_even, zero_f, q, -q, m, m, config.c, False, grid)
-    flux_even = particle_flux(f_even, m, config.c, False, grid)
+    j_even = current_density(f_even, zero_f, q, -q, *grid.v, grid)
+    flux_even = particle_flux(f_even, grid.v[1], grid)
     scale = abs(q) * n0
     checks.append(("parity", float(np.max(np.abs(j_even))) <= 1e-12 * scale
                    and float(np.max(np.abs(flux_even))) <= 1e-12 * scale))
@@ -174,7 +174,7 @@ def case_moment_oracles() -> CaseResult:
     drift = 0.75
     g_drift = momentum_gaussian(grid.p_nodes, m, 1.0, drift, grid.dp)
     f_drift = n0 * np.ones((grid.nx, 1)) * g_drift[None, :]
-    j_drift = current_density(f_drift, zero_f, q, -q, m, m, config.c, False, grid)
+    j_drift = current_density(f_drift, zero_f, q, -q, *grid.v, grid)
     rel_j = float(np.max(np.abs(j_drift - q * n0 * drift / m))
                   / abs(q * n0 * drift / m))
     checks.append(("drift_current", rel_j <= 1e-6))
@@ -185,8 +185,7 @@ def case_moment_oracles() -> CaseResult:
     p0, width = 2.0, 0.02
     g_beam = momentum_gaussian(beam_grid.p_nodes, 1.0, width**2, p0, beam_grid.dp)
     f_beam = n0 * np.ones((beam_grid.nx, 1)) * g_beam[None, :]
-    j_beam = current_density(f_beam, np.zeros_like(f_beam), q, -q, 1.0, 1.0,
-                             1.0, True, beam_grid)
+    j_beam = current_density(f_beam, np.zeros_like(f_beam), q, -q, *beam_grid.v, beam_grid)
     v0 = p0 / math.sqrt(1.0 + p0 * p0)
     rel_beam = float(np.max(np.abs(j_beam - q * n0 * v0)) / abs(q * n0 * v0))
     checks.append(("cold_beam", rel_beam <= 1e-4))

@@ -14,25 +14,23 @@ difference spanning 2 dt.
 The closing half advection hands its spectrum to the next step's opening one
 (``SpeciesState.handoff``), which then skips its ``rfft``: 3 FFTs per species
 and step instead of 4, with f the same to roundoff.
+
+dt, each species' v(p) and the half-step x multipliers are constants of the
+run, built with its grid (``grid.build_grid``); a step reads them and
+recomputes none.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .config import Config
 from .fields import wave_step
-from .forces import force_coefficients, velocity_from_momentum
+from .forces import force_coefficients
 from .grid import PhaseSpaceGrid
-from .interpolate import (
-    eval_natural_spline,
-    natural_spline_moments,
-    periodic_shift_columns,
-    periodic_shift_transfer,
-)
+from .interpolate import eval_natural_spline, natural_spline_moments, periodic_shift_columns
 from .moments import charge_density, current_density
 from .state import FieldState, SimulationState, SpeciesState, refresh_moments
 from .workspace import work_array
@@ -42,52 +40,16 @@ class KickDisplacementError(RuntimeError):
     """Momentum displacement exceeded the sanity bound (CFL or physics blow-up)."""
 
 
-def time_step(config: Config, grid: PhaseSpaceGrid) -> float:
-    """dt = cfl_fraction * dx / max(c, v_char), v_char the fastest grid velocity."""
-    v_char = max(
-        abs(velocity_from_momentum(config.p_max, s.m, config.c, config.relativistic))
-        for s in config.species
-    )
-    return config.cfl_fraction * grid.dx / max(config.c, v_char)
-
-
-def max_velocity(config: Config, grid: PhaseSpaceGrid) -> float:
-    """Fastest |v| reachable on the momentum grid across both species."""
-    p_edge = np.max(np.abs(grid.p_nodes))
-    return max(
-        abs(velocity_from_momentum(p_edge, s.m, config.c, config.relativistic))
-        for s in config.species
-    )
-
-
-@lru_cache(maxsize=16)
-def advection_transfer(grid: PhaseSpaceGrid, dt: float, m: float, c: float,
-                       relativistic: bool) -> np.ndarray:
-    """Fourier transfer function of ``advect_x``, built once per run and species.
-
-    Every input is part of the cache key, and a grid hashes by identity and is
-    held by the cache, so an entry is never handed to another grid or step.
-    The array is read-only because every caller shares it.
-    """
-    v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
-    transfer = periodic_shift_transfer(grid.nx, v * dt / grid.dx)
-    transfer.flags.writeable = False
-    return transfer
-
-
-def advect_x(f: np.ndarray, grid: PhaseSpaceGrid, dt: float, m: float,
-             c: float, relativistic: bool, take: dict | None = None,
+def advect_x(f: np.ndarray, transfer: np.ndarray, take: dict | None = None,
              keep: dict | None = None) -> np.ndarray:
     """f(x, p) <- f(x - v(p) dt, p), periodic cubic-spline interpolation in x.
 
-    One ``irfft`` of rfft(f) times the transfer.  The ``rfft`` is skipped for a
-    spectrum that ``take`` (a ``SpeciesState.handoff``) holds for this very f
-    object, taken out of it; ``keep`` receives the result's.
+    ``transfer`` is the shift's Fourier multiplier (``grid.half_transfer``
+    for a step's half advection).  One ``irfft`` of rfft(f) times it.  The
+    ``rfft`` is skipped for a spectrum that ``take`` (a ``SpeciesState.handoff``)
+    holds for this very f object, taken out of it; ``keep`` receives the result's.
     """
-    if dt == 0.0:
-        return f.copy()
     spectrum = take.pop(id(f), (None, None))[1] if take else None
-    transfer = advection_transfer(grid, dt, m, c, relativistic)
     return periodic_shift_columns(f, transfer, spectrum, keep)
 
 
@@ -101,8 +63,6 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
     once; ``interpolate.eval_natural_spline`` evaluates the spline at each
     node's foot p - s dp from node-local Taylor terms.
     """
-    if dt == 0.0 or not np.any(coefficients):
-        return f.copy()
     a, b = coefficients * dt
     # v is monotone in p, so each row's largest |F dt| is at an end (NaN if any is)
     worst = float(np.max(np.abs(a[:, None] + b[:, None] * v[[0, -1]])))
@@ -123,20 +83,18 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
 def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:
     """Advance the coupled system by one dt; returns a new state.  Of the input,
     only its spectrum hand-off is taken (emptied); nothing else is touched."""
-    dt = time_step(config, grid)
-    half = 0.5 * dt
-    c = config.c
-    rel = config.relativistic
+    dt, c = grid.dt, config.c
+    v_plus, v_minus = grid.v
+    half_plus, half_minus = grid.half_transfer
     plus, minus = state.plus, state.minus
 
     # Stage 1: half advection in x, from the spectra the last step handed off.
-    f_plus = advect_x(plus.f, grid, half, plus.m, c, rel, take=plus.handoff)
-    f_minus = advect_x(minus.f, grid, half, minus.m, c, rel, take=minus.handoff)
+    f_plus = advect_x(plus.f, half_plus, take=plus.handoff)
+    f_minus = advect_x(minus.f, half_minus, take=minus.handoff)
 
     # Stage 2: field update, sourced by the mid-step moments.
     rho_mid = charge_density(f_plus, f_minus, plus.q, minus.q, grid)
-    j_mid = current_density(f_plus, f_minus, plus.q, minus.q, plus.m, minus.m,
-                            c, rel, grid)
+    j_mid = current_density(f_plus, f_minus, plus.q, minus.q, v_plus, v_minus, grid)
     old = state.fields
     phi_new = wave_step(old.phi_prev, old.phi_curr, 4.0 * np.pi * rho_mid, grid, dt, c)
     a_new = wave_step(old.a_prev, old.a_curr, (4.0 * np.pi / c) * j_mid, grid, dt, c)
@@ -147,18 +105,17 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
         straddle = FieldState(phi_prev=old.phi_prev, phi_curr=phi_new,
                               a_prev=old.a_prev, a_curr=a_new)
 
-        def kicked(f, species):
-            coefficients = force_coefficients(straddle, grid, 2.0 * dt, species.q, c,
+        def kicked(f, q, v):
+            coefficients = force_coefficients(straddle, grid, 2.0 * dt, q, c,
                                               config.force_mode)
-            v = velocity_from_momentum(grid.p_nodes, species.m, c, rel)
             return kick_p(f, coefficients, v, grid, dt)
 
-        f_plus, f_minus = kicked(f_plus, plus), kicked(f_minus, minus)
+        f_plus, f_minus = kicked(f_plus, plus.q, v_plus), kicked(f_minus, minus.q, v_minus)
 
     # Stage 4: half advection in x, each spectrum handed off to the next step.
     kept = {}, {}
-    f_plus = advect_x(f_plus, grid, half, plus.m, c, rel, keep=kept[0])
-    f_minus = advect_x(f_minus, grid, half, minus.m, c, rel, keep=kept[1])
+    f_plus = advect_x(f_plus, half_plus, keep=kept[0])
+    f_minus = advect_x(f_minus, half_minus, keep=kept[1])
 
     new_state = SimulationState(
         time=state.time + dt,

@@ -31,7 +31,6 @@ from kinvlasov.diagnostics import DIAGNOSTICS_FIELDS
 from kinvlasov.grid import build_grid
 from kinvlasov.output import DIVERGENCE_FIELDS
 from kinvlasov.runner import compare_simulations, run_simulation
-from kinvlasov.vlasov import time_step
 
 from conftest import landau_config
 
@@ -93,7 +92,7 @@ def divergence_rows(case: tuple) -> list:
     order."""
     _, preset, *params = case
     config = case_config(preset, "modified", *params)
-    dt = time_step(config, build_grid(config))
+    dt = build_grid(config).dt
     config = replace(config, t_end=N_STEPS * dt, output_every=DIVERGENCE_EVERY)
     rows, run_modified, run_standard = compare_simulations(config)
     for run in (run_modified, run_standard):

@@ -4,12 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines alongside the pytest verdicts.
 """
 
+import ast
 import filecmp
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from kinvlasov.verify import (
     case_langmuir_comparator,
     case_wave_mms,
 )
-from kinvlasov.vlasov import time_step
 
 from conftest import landau_config, pair_species
 
@@ -53,7 +54,7 @@ def test_criterion_3_force_novelty_null():
     config = validate_config(landau_config(nx=64, n_p=64, amplitude=1e-2))
     grid = build_grid(config)
     state = initialize_state(config, grid)
-    dt = time_step(config, grid)
+    dt = grid.dt
     q, m = config.minus.q, config.minus.m
 
     # Any nonzero phi with A = 0 at both levels: the convective force is the
@@ -88,8 +89,7 @@ def test_criterion_4_comparator_bohm_gross():
 
 def test_criterion_5_conservation_modified_mode():
     config = validate_config(landau_config(nx=64, n_p=128, force_mode="modified"))
-    grid = build_grid(config)
-    dt = time_step(config, grid)
+    dt = build_grid(config).dt
     config = validate_config(replace(config, t_end=500 * dt))
     result = run_simulation(config)
     assert result.n_steps == 500 and not result.aborted
@@ -106,7 +106,7 @@ def test_criterion_5_conservation_modified_mode():
 
 def _ledger_at(nx, n_p, steps_at_coarse, force_mode):
     coarse = validate_config(landau_config(nx=64, n_p=128, force_mode=force_mode))
-    dt_coarse = time_step(coarse, build_grid(coarse))
+    dt_coarse = build_grid(coarse).dt
     t_end = steps_at_coarse * dt_coarse
     config = validate_config(landau_config(nx=nx, n_p=n_p, force_mode=force_mode,
                                            t_end=t_end))
@@ -208,7 +208,7 @@ def test_reruns_byte_identical_across_thread_caps(tmp_path):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(THREAD_CAP_CONFIG)
     config = validate_config(load_config(config_path))
-    dt = time_step(config, build_grid(config))
+    dt = build_grid(config).dt
     config_path.write_text(THREAD_CAP_CONFIG.replace("t_end = 0.8", f"t_end = {20 * dt!r}"))
     src = os.path.dirname(os.path.dirname(kinvlasov.__file__))
     dirs = [tmp_path / "threads1", tmp_path / "threads2"]
@@ -225,3 +225,22 @@ def test_reruns_byte_identical_across_thread_caps(tmp_path):
     assert names == sorted(p.name for p in dirs[1].iterdir())
     match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names, shallow=False)
     assert not mismatch and not errors and len(match) == len(names)
+
+
+BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def test_solver_source_has_no_blas_products():
+    # The rule behind the thread-cap test, read off the source: products and
+    # their sums are einsums, never BLAS, whose reductions a thread cap may
+    # reorder.  A small rerun may not tell the two apart; the source does.
+    found = []
+    for path in sorted(Path(kinvlasov.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in BLAS_CALLS:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found

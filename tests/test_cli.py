@@ -235,6 +235,25 @@ def test_unwritable_out_exits_3_with_one_line(tmp_path, capsys, command):
         assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_grid_too_large_to_allocate_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # Stands in for numpy's allocation failure on a huge grid; nothing is allocated.
+    def too_large(config, grid):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array with shape "
+                          "(10000000, 100000000) and data type float64")
+
+    monkeypatch.setattr(runner, "initialize_state", too_large)
+    config = write_config(tmp_path)
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot allocate ")
+    assert "7.28 PiB" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
 ONE_MODE_ABORTS_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 2.0").replace(
     "q = -0.1995", "q = -2.0").replace("amplitude = 0.001", "amplitude = 0.5").replace(
     "t_end = 0.5", "t_end = 3.0")

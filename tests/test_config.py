@@ -21,7 +21,6 @@ from kinvlasov.config import (
 )
 from kinvlasov.grid import build_grid
 from kinvlasov.output import manifest_payload
-from kinvlasov.vlasov import time_step
 
 from conftest import pair_species
 
@@ -302,9 +301,7 @@ def test_manifest_config_round_trips_through_the_file_format(config):
             if f.name != "label":
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
 
-    grid = build_grid(config)
-    dt = time_step(config, grid)
-    payload = manifest_payload(config, grid, dt, 1)
+    payload = manifest_payload(config, build_grid(config), 1)
     assert parse_config(_render(payload["config"])) == config
 
 

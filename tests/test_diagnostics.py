@@ -23,7 +23,6 @@ from kinvlasov.forces import force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
-from kinvlasov.vlasov import time_step
 
 from conftest import PAIR_CHARGE, landau_config, pair_species
 
@@ -61,7 +60,7 @@ def test_vlasov_residual_static_uniform():
     grid = build_grid(config)
     g = momentum_gaussian(grid.p_nodes, 1.0, 1.0, 0.0, grid.dp)
     f = np.ones((grid.nx, 1)) * g[None, :]
-    r = vlasov_residual(f, f, f, zero_fields(grid), config.minus.q, 1.0,
+    r = vlasov_residual(f, f, f, zero_fields(grid), config.minus.q, grid.v[1],
                         config, grid, 0.05)
     assert r <= 1e-14 * np.max(f)
 
@@ -73,7 +72,7 @@ def test_vlasov_residual_converges_on_analytic_snapshots():
         grid = build_grid(config)
         f0, f1, f2 = translated_profiles(config, grid, dt)
         norms.append(vlasov_residual(f0, f1, f2, zero_fields(grid),
-                                     config.minus.q, 1.0, config, grid, dt))
+                                     config.minus.q, grid.v[1], config, grid, dt))
     order = math.log2(norms[0] / norms[1])
     assert order >= 1.8
 
@@ -84,9 +83,9 @@ def test_vlasov_residual_flags_wrong_transport_speed():
     dt = 0.01
     correct = translated_profiles(config, grid, dt, speed_factor=1.0)
     wrong = translated_profiles(config, grid, dt, speed_factor=2.0)
-    r_ok = vlasov_residual(*correct, zero_fields(grid), config.minus.q, 1.0,
+    r_ok = vlasov_residual(*correct, zero_fields(grid), config.minus.q, grid.v[1],
                            config, grid, dt)
-    r_bad = vlasov_residual(*wrong, zero_fields(grid), config.minus.q, 1.0,
+    r_bad = vlasov_residual(*wrong, zero_fields(grid), config.minus.q, grid.v[1],
                             config, grid, dt)
     assert r_bad >= 10.0 * r_ok
 
@@ -113,21 +112,23 @@ def test_vlasov_residual_matches_three_term_form(preset, force_mode):
         landau_config(nx=32, n_p=64, amplitude=0.05, drift=0.5, force_mode=force_mode),
         init=replace(landau_config().init, preset=preset, amplitude=0.05, drift=0.5)))
     result = run_simulation(config, n_steps=2)
-    grid, dt = result.grid, result.dt
+    grid, dt = result.grid, result.grid.dt
     s0, s1, s2 = result.history
     x = 2.0 * np.pi * grid.x_nodes / grid.x_max
     # fields strong enough that the force term dominates the residual
     strong = FieldState(phi_prev=30.0 * np.sin(x), phi_curr=32.0 * np.sin(x + 0.1),
                         a_prev=20.0 * np.cos(x), a_curr=21.0 * np.cos(x - 0.2))
     for fields_mid in (s1.fields, strong):
-        for f0, f1, f2, species in ((s0.plus.f, s1.plus.f, s2.plus.f, config.plus),
-                                    (s0.minus.f, s1.minus.f, s2.minus.f, config.minus)):
-            args = (f0, f1, f2, fields_mid, species.q, species.m, config, grid, dt)
-            expected = three_term_residual(*args)
-            assert vlasov_residual(*args) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        for f0, f1, f2, species, v in (
+                (s0.plus.f, s1.plus.f, s2.plus.f, config.plus, grid.v[0]),
+                (s0.minus.f, s1.minus.f, s2.minus.f, config.minus, grid.v[1])):
+            args = (f0, f1, f2, fields_mid, species.q)
+            expected = three_term_residual(*args, species.m, config, grid, dt)
+            assert (vlasov_residual(*args, v, config, grid, dt)
+                    == pytest.approx(expected, rel=1e-12, abs=0.0))
     if config.forces_enabled:
         unforced = replace(config, init=replace(config.init, preset="free_stream"))
-        without = three_term_residual(*args[:6], unforced, grid, dt)
+        without = three_term_residual(*args, species.m, unforced, grid, dt)
         assert without < 0.2 * expected
 
 
@@ -188,8 +189,6 @@ def test_residual_report_needs_three_steps(small_landau):
 
 
 def test_evolved_residuals_converge_second_order():
-    from kinvlasov.vlasov import time_step
-
     def ledger_at(nx, n_p, t_end):
         config = validate_config(landau_config(nx=nx, n_p=n_p,
                                                force_mode="standard", t_end=t_end))
@@ -197,7 +196,7 @@ def test_evolved_residuals_converge_second_order():
         return residual_report(result.history, result.config, result.grid)
 
     coarse_cfg = validate_config(landau_config(nx=32, n_p=64))
-    t_end = 20 * time_step(coarse_cfg, build_grid(coarse_cfg))
+    t_end = 20 * build_grid(coarse_cfg).dt
     coarse = ledger_at(32, 64, t_end)
     fine = ledger_at(64, 128, t_end)
     for eq in ("c+", "c-", "d1"):
@@ -232,7 +231,7 @@ def test_conserved_totals_two_stream_symmetric():
     ))
     grid = build_grid(config)
     state = initialize_state(config, grid)
-    totals = conserved_totals(state, grid, config, time_step(config, grid))
+    totals = conserved_totals(state, grid, config)
     bound = 1e-10 * config.init.n0 * config.x_max
     assert abs(totals["charge_total"]) <= bound
     assert abs(totals["current_total"]) <= bound
@@ -293,7 +292,7 @@ def reference_force_dist(run_a, run_b, snap_a, snap_b):
     config, grid = run_a.config, run_a.grid
     total = 0.0
     for s in config.species:
-        fa, fb = (force_field(snap.fields, grid, run.dt, s.q, s.m, config.c,
+        fa, fb = (force_field(snap.fields, grid, run.grid.dt, s.q, s.m, config.c,
                               config.relativistic, run.config.force_mode)
                   for run, snap in ((run_a, snap_a), (run_b, snap_b)))
         total += np.sum(np.mean((fa - fb) ** 2, axis=1)) * grid.dx

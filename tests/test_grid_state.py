@@ -1,12 +1,14 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kinvlasov import forces
 from kinvlasov.config import PRESETS, Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.fields import d2_periodic, poisson_init
-from kinvlasov.grid import build_grid
+from kinvlasov.grid import build_grid, velocity_from_momentum
 from kinvlasov.moments import (
     charge_density,
     current_density,
@@ -120,18 +122,18 @@ def test_non_neutral_species_rejected():
 
 
 def assert_moments_cached(state, config, grid, initial):
-    for s in state.species:
+    v_plus, v_minus = (velocity_from_momentum(grid.p_nodes, s.m, config.c, config.relativistic)
+                       for s in state.species)
+    for s, v in zip(state.species, (v_plus, v_minus)):
         assert np.array_equal(s.n, number_density(s.f, grid))
-        assert np.array_equal(s.flux, particle_flux(s.f, s.m, config.c,
-                                                    config.relativistic, grid))
+        assert np.array_equal(s.flux, particle_flux(s.f, v, grid))
     rho = state.plus.q * state.plus.n + state.minus.q * state.minus.n
     j = state.plus.q * state.plus.flux + state.minus.q * state.minus.flux
     assert np.array_equal(rho, charge_density(state.plus.f, state.minus.f,
                                               state.plus.q, state.minus.q, grid))
     assert np.array_equal(j, current_density(state.plus.f, state.minus.f,
                                              state.plus.q, state.minus.q,
-                                             state.plus.m, state.minus.m,
-                                             config.c, config.relativistic, grid))
+                                             v_plus, v_minus, grid))
     for cached, combination in ((state.rho, rho), (state.j, j)):
         # initialize_state may scrub a roundoff-sized source to exact zeros.
         scrubbed = initial and not np.any(cached)
@@ -211,3 +213,25 @@ def test_run_from_a_state_with_one_non_finite_value_aborts(value):
     assert result.aborted and result.abort_step == 0
     assert result.abort_reason == "non-finite value in f_minus at step 0"
     assert result.records == []
+
+
+def test_velocities_are_evaluated_per_run_not_per_step(monkeypatch):
+    # dt, each species' v(p) and the x multipliers are built with the grid,
+    # so a longer run evaluates v(p) no more often than a shorter one.
+    real, calls = forces.velocity_from_momentum, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kinvlasov") and getattr(module, "velocity_from_momentum",
+                                                    None) is real:
+            monkeypatch.setattr(module, "velocity_from_momentum", counted)
+    config = validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2, output_every=5))
+    counts = []
+    for n_steps in (5, 20):
+        calls.clear()
+        assert not run_simulation(config, n_steps=n_steps).aborted
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kinvlasov.config import Config
-from kinvlasov.grid import build_grid
+from kinvlasov.grid import build_grid, velocity_from_momentum
 from kinvlasov.moments import (
     charge_density,
     continuity_residual,
@@ -48,8 +48,9 @@ def test_charge_density_linear_scaling(grid):
 def test_even_f_has_no_current_or_flux(grid):
     f = uniform_f(grid)
     scale = 0.4 * np.max(np.abs(number_density(f, grid)))
-    j = current_density(f, f, 0.4, -0.8, 1.0, 1.0, 4.0, True, grid)
-    flux = particle_flux(f, 1.0, 4.0, True, grid)
+    v = velocity_from_momentum(grid.p_nodes, 1.0, 4.0, True)
+    j = current_density(f, f, 0.4, -0.8, v, v, grid)
+    flux = particle_flux(f, v, grid)
     assert np.max(np.abs(j)) <= 1e-12 * scale
     assert np.max(np.abs(flux)) <= 1e-12 * scale
 
@@ -57,7 +58,8 @@ def test_even_f_has_no_current_or_flux(grid):
 def test_drifting_maxwellian_current(grid):
     n0, q, m, drift = 1.0, -0.7, 1.0, 0.75
     f = uniform_f(grid, m=m, drift=drift, n0=n0)
-    j = current_density(np.zeros_like(f), f, -q, q, m, m, 4.0, False, grid)
+    v = velocity_from_momentum(grid.p_nodes, m, 4.0, False)
+    j = current_density(np.zeros_like(f), f, -q, q, v, v, grid)
     assert np.allclose(j, q * n0 * drift / m, rtol=1e-6)
 
 
@@ -66,7 +68,8 @@ def test_relativistic_cold_beam_limit():
     n0, q, p0, width = 1.0, -0.6, 2.0, 0.02
     f = n0 * np.ones((grid.nx, 1)) * momentum_gaussian(
         grid.p_nodes, 1.0, width**2, p0, grid.dp)[None, :]
-    j = current_density(np.zeros_like(f), f, -q, q, 1.0, 1.0, 1.0, True, grid)
+    v = velocity_from_momentum(grid.p_nodes, 1.0, 1.0, True)
+    j = current_density(np.zeros_like(f), f, -q, q, v, v, grid)
     v0 = p0 / math.sqrt(1.0 + p0 * p0)
     assert np.allclose(j, q * n0 * v0, rtol=1e-4)
 
@@ -75,12 +78,13 @@ def test_species_swap_leaves_totals_unchanged(grid):
     rng = np.random.default_rng(2)
     fa = np.abs(rng.normal(size=(grid.nx, grid.np)))
     fb = np.abs(rng.normal(size=(grid.nx, grid.np)))
-    qa, qb, ma, mb = 0.4, -0.4, 1.0, 2.0
+    qa, qb = 0.4, -0.4
+    va, vb = (velocity_from_momentum(grid.p_nodes, m, 4.0, True) for m in (1.0, 2.0))
     assert np.array_equal(charge_density(fa, fb, qa, qb, grid),
                           charge_density(fb, fa, qb, qa, grid))
     assert np.array_equal(
-        current_density(fa, fb, qa, qb, ma, mb, 4.0, True, grid),
-        current_density(fb, fa, qb, qa, mb, ma, 4.0, True, grid))
+        current_density(fa, fb, qa, qb, va, vb, grid),
+        current_density(fb, fa, qb, qa, vb, va, grid))
 
 
 def test_midpoint_exact_for_linear_integrand(grid):
@@ -105,7 +109,7 @@ def test_agreement_with_fine_quadrature():
     for grid in (coarse, fine):
         f = uniform_f(grid, temperature=1.0, drift=0.4, n0=1.2)
         results.append((number_density(f, grid)[0],
-                        particle_flux(f, 1.0, 4.0, False, grid)[0]))
+                        particle_flux(f, grid.p_nodes, grid)[0]))
     (n_c, flux_c), (n_f, flux_f) = results
     assert n_c == pytest.approx(n_f, rel=1e-6)
     assert flux_c == pytest.approx(flux_f, rel=1e-6)

@@ -25,7 +25,7 @@ from kinvlasov.output import (
 )
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import initialize_state
-from kinvlasov.vlasov import step, time_step
+from kinvlasov.vlasov import step
 
 from conftest import landau_config
 
@@ -127,8 +127,7 @@ def test_interrupted_manifest_and_divergence_leave_no_file(tmp_path, monkeypatch
     fail_on_write(monkeypatch, 4)
     with pytest.raises(OSError, match="no space"):
         if target == "manifest":
-            write_manifest(manifest_payload(config, grid, time_step(config, grid), 10),
-                           tmp_path)
+            write_manifest(manifest_payload(config, grid, 10), tmp_path)
         else:
             write_divergence(rows, tmp_path / "divergence.csv")
     assert list(tmp_path.iterdir()) == []
@@ -201,8 +200,8 @@ def test_format_float_shortest_round_trip():
 def test_manifest_contents(tmp_path):
     config = validate_config(landau_config(nx=32, n_p=32))
     grid = build_grid(config)
-    dt = time_step(config, grid)
-    payload = manifest_payload(config, grid, dt, 100)
+    dt = grid.dt
+    payload = manifest_payload(config, grid, 100)
     path = write_manifest(payload, tmp_path)
     loaded = json.loads(path.read_text())
     assert loaded["config"]["nx"] == 32
@@ -227,8 +226,7 @@ def test_manifest_contents(tmp_path):
 def test_manifest_deterministic(tmp_path):
     config = validate_config(landau_config(nx=32, n_p=32))
     grid = build_grid(config)
-    dt = time_step(config, grid)
-    payload = manifest_payload(config, grid, dt, 50)
+    payload = manifest_payload(config, grid, 50)
     a = write_manifest(payload, tmp_path / "a")
     b = write_manifest(payload, tmp_path / "b")
     assert a.read_bytes() == b.read_bytes()

@@ -13,10 +13,14 @@ from kinvlasov.config import Config, validate_config
 from kinvlasov.diagnostics import make_record, vlasov_residual
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
-from kinvlasov.interpolate import eval_natural_spline, natural_spline_moments
+from kinvlasov.interpolate import (
+    eval_natural_spline,
+    natural_spline_moments,
+    periodic_shift_transfer,
+)
 from kinvlasov.moments import particle_flux
 from kinvlasov.state import FieldState, initialize_state
-from kinvlasov.vlasov import advect_x, kick_p, step, time_step
+from kinvlasov.vlasov import advect_x, kick_p, step
 
 from conftest import landau_config
 
@@ -39,7 +43,7 @@ def kernel_results(grid, seed):
     moments = natural_spline_moments(f, grid.dp)
     cells = np.sort(rng.uniform(-1.5, 1.5, f.shape), axis=1)
     return {
-        "advect_x": advect_x(f, grid, 0.05, 1.0, 4.0, True),
+        "advect_x": advect_x(f, periodic_shift_transfer(grid.nx, v * 0.05 / grid.dx)),
         "kick_p sub-cell": kick_p(f, coefficients, v, grid, dt),
         "kick_p multi-cell": kick_p(f, coefficients, v, grid, 15.0 * dt),
         "natural_spline_moments": moments,
@@ -47,8 +51,8 @@ def kernel_results(grid, seed):
         "force_field": force,
         "force_field standard": force_field(fields, grid, 0.1, 0.5, 1.0, 4.0, True,
                                             "standard"),
-        "particle_flux": particle_flux(f, 1.0, 4.0, True, grid),
-        "vlasov_residual": vlasov_residual(f, f, f, fields, 0.5, 1.0,
+        "particle_flux": particle_flux(f, v, grid),
+        "vlasov_residual": vlasov_residual(f, f, f, fields, 0.5, v,
                                            validate_config(landau_config()), grid, dt),
     }
 
@@ -124,19 +128,18 @@ def test_step_and_record_allocation_budget():
     # results and the forces, but no intermediates.
     config = validate_config(landau_config(nx=64, n_p=128, amplitude=1e-2))
     grid = build_grid(config)
-    dt = time_step(config, grid)
     state = initialize_state(config, grid)
     history = deque([state], maxlen=3)
     for _ in range(3):
         state = step(state, config, grid)
         history.append(state)
-        make_record(state, history, config, grid, dt)
+        make_record(state, history, config, grid)
 
     tracemalloc.start()
     try:
         state = step(state, config, grid)
         history.append(state)
-        make_record(state, history, config, grid, dt)
+        make_record(state, history, config, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
