@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
@@ -84,16 +85,9 @@ class Config:
         return self.init.preset != "free_stream"
 
 
-def species_peak_offset(config: Config, label: str) -> float:
-    """|p| where the initial f of a species peaks (presets drift the minus species only)."""
-    if label == "minus":
-        return abs(config.init.drift)
-    return 0.0
-
-
 def initial_tail_ratio(config: Config, species: SpeciesConfig) -> float:
-    """f(+-p_max) / f_peak for the species' initial momentum Gaussian."""
-    offset = species_peak_offset(config, species.label)
+    """f(+-p_max) / f_peak of a species' initial Gaussian; only the minus species drifts."""
+    offset = abs(config.init.drift) if species.label == "minus" else 0.0
     if config.p_max <= offset:
         return 1.0
     sigma_sq = species.m * config.init.temperature
@@ -107,6 +101,10 @@ def config_violations(config: Config) -> list[str]:
         v.append(f"nx must be at least 8 (got {config.nx})")
     if config.np < 8:
         v.append(f"np must be at least 8 (got {config.np})")
+    # An f of nx * np float64s must fit numpy's largest array, sys.maxsize bytes.
+    if config.nx * config.np * 8 > sys.maxsize:
+        v.append(f"grid too large: nx * np = {config.nx * config.np} cells exceed "
+                 f"numpy's {sys.maxsize}-byte array limit")
     if config.x_max <= 0:
         v.append(f"x_max must be positive (got {config.x_max})")
     if config.p_max <= 0:

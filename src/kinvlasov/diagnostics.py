@@ -263,10 +263,6 @@ class DivergenceRow:
     force_dist: float
 
 
-def _centered_level(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
-    return 0.5 * (prev + curr)
-
-
 def compare_runs(run_a, run_b) -> list:
     """Per-snapshot distances between two runs whose configurations differ at
     most in force_mode and which recorded the same snapshot steps.  Symmetric
@@ -290,10 +286,9 @@ def compare_runs(run_a, run_b) -> list:
                if config.forces_enabled else [])
     rows = []
     for sa, sb in zip(run_a.snapshots, run_b.snapshots):
-        phi_a = _centered_level(sa.fields.phi_prev, sa.fields.phi_curr)
-        phi_b = _centered_level(sb.fields.phi_prev, sb.fields.phi_curr)
-        a_a = _centered_level(sa.fields.a_prev, sa.fields.a_curr)
-        a_b = _centered_level(sb.fields.a_prev, sb.fields.a_curr)
+        # each potential at the snapshot's time, the mean of its two levels
+        phi_a, phi_b = (0.5 * (s.fields.phi_prev + s.fields.phi_curr) for s in (sa, sb))
+        a_a, a_b = (0.5 * (s.fields.a_prev + s.fields.a_curr) for s in (sa, sb))
         force_sq = 0.0
         for q, v in species:
             da, db = (force_coefficients(sa.fields, grid, dt, q, c, config.force_mode)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, validate_config
+from .config import FORCE_MODES, Config, validate_config
 from .diagnostics import compare_runs, make_record, snapshot_state
 from .fields import FieldBlowupError
 from .grid import PhaseSpaceGrid, build_grid
@@ -163,7 +163,7 @@ def compare_simulations(config: Config, *, out_dir=None):
     state0 = initialize_state(config, grid)
 
     runs = {}
-    for mode in ("modified", "standard"):
+    for mode in FORCE_MODES:
         mode_config = replace(config, force_mode=mode)
         mode_dir = Path(out_dir) / mode if out_dir else None
         runs[mode] = run_simulation(
@@ -177,7 +177,7 @@ def compare_simulations(config: Config, *, out_dir=None):
                           for run in runs.values()))
     if out_dir:
         write_divergence(rows, Path(out_dir) / "divergence.csv")
-    return rows, runs["modified"], runs["standard"]
+    return rows, *runs.values()
 
 
 def _compare(config: Config, out_dir) -> int:

@@ -30,8 +30,7 @@ class NonNeutralError(ValueError):
 
 @dataclass
 class SpeciesState:
-    q: float
-    m: float
+    """A species' f and its moments; its charge and mass are read from the config."""
     f: np.ndarray  # (nx, np), particles per (length * momentum)
     n: np.ndarray | None = None     # cached moments of f, filled by refresh_moments
     flux: np.ndarray | None = None
@@ -113,9 +112,10 @@ def refresh_moments(state: SimulationState, config: Config,
         replace(s, n=number_density(s.f, grid), flux=particle_flux(s.f, v, grid))
         for s, v in zip(state.species, grid.v)
     )
+    q_plus, q_minus = config.plus.q, config.minus.q
     return replace(state, plus=plus, minus=minus,
-                   rho=plus.q * plus.n + minus.q * minus.n,
-                   j=plus.q * plus.flux + minus.q * minus.flux)
+                   rho=q_plus * plus.n + q_minus * minus.n,
+                   j=q_plus * plus.flux + q_minus * minus.flux)
 
 
 def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
@@ -123,8 +123,8 @@ def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
     state = refresh_moments(SimulationState(
         time=0.0,
         step=0,
-        plus=SpeciesState(config.plus.q, config.plus.m, f_plus),
-        minus=SpeciesState(config.minus.q, config.minus.m, f_minus),
+        plus=SpeciesState(f_plus),
+        minus=SpeciesState(f_minus),
         fields=None,
     ), config, grid)
 

@@ -67,32 +67,27 @@ def free_streaming_error(nx: int, n_p: int) -> tuple[float, int]:
     return err, result.n_steps
 
 
-def free_streaming_convergence():
+def case_free_streaming() -> CaseResult:
     err_coarse, steps_coarse = free_streaming_error(64, 64)
     err_fine, steps_fine = free_streaming_error(128, 128)
     order = math.log2(err_coarse / err_fine)
-    return err_coarse, err_fine, order, (steps_coarse, steps_fine)
-
-
-def case_free_streaming() -> CaseResult:
-    err_coarse, err_fine, order, steps = free_streaming_convergence()
     passed = order >= MIN_CONVERGENCE_ORDER
     return CaseResult(
         "free_streaming", passed,
-        f"L2 errors {err_coarse:.3e} -> {err_fine:.3e} over {steps} steps, "
+        f"L2 errors {err_coarse:.3e} -> {err_fine:.3e} over {(steps_coarse, steps_fine)} steps, "
         f"observed order {order:.2f} (need >= {MIN_CONVERGENCE_ORDER})",
     )
 
 
 # --- homogeneous wave equation against cos(kx) cos(ckt) ----------------------
 
-def wave_mms_error(nx: int, courant: float = 0.5) -> float:
-    """Largest Linf deviation from cos(kx) cos(ckt) while tracking one period."""
+def wave_mms_error(nx: int) -> float:
+    """Largest Linf deviation from cos(kx) cos(ckt) over one period, at c dt / dx = 1/2."""
     config = Config(nx=nx, x_max=2.0 * math.pi, np=8, p_max=8.0, c=1.0)
     grid = build_grid(config)
     c = config.c
     k = 1.0
-    dt = courant * grid.dx / c
+    dt = 0.5 * grid.dx / c
     u0 = np.cos(k * grid.x_nodes)
     source = np.zeros(grid.nx)
     # Second-order start for u_t(0) = 0.
@@ -111,14 +106,9 @@ def wave_mms_error(nx: int, courant: float = 0.5) -> float:
     return worst
 
 
-def wave_convergence():
+def case_wave_mms() -> CaseResult:
     errors = [wave_mms_error(nx) for nx in (64, 128, 256)]
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
-    return errors, orders
-
-
-def case_wave_mms() -> CaseResult:
-    errors, orders = wave_convergence()
     passed = all(abs(o - WAVE_ORDER) <= WAVE_ORDER_TOL for o in orders)
     return CaseResult(
         "wave_mms", passed,
@@ -243,14 +233,9 @@ def _continuity_manufactured_l2(nx: int) -> float:
     return continuity_residual(n_of(t - dt), n_of(t + dt), flux, grid, dt)
 
 
-def manufactured_residual_orders():
+def case_manufactured_residuals() -> CaseResult:
     gauge_order = math.log2(_gauge_manufactured_l2(32) / _gauge_manufactured_l2(64))
     cont_order = math.log2(_continuity_manufactured_l2(32) / _continuity_manufactured_l2(64))
-    return gauge_order, cont_order
-
-
-def case_manufactured_residuals() -> CaseResult:
-    gauge_order, cont_order = manufactured_residual_orders()
     passed = gauge_order >= MIN_CONVERGENCE_ORDER and cont_order >= MIN_CONVERGENCE_ORDER
     return CaseResult(
         "manufactured_residuals", passed,
@@ -277,19 +262,13 @@ def langmuir_config() -> Config:
     )
 
 
-def langmuir_frequency():
-    config = langmuir_config()
-    result = run_simulation(config)
-    series = [(r.time, r.field_energy_proxy) for r in result.records]
-    estimate = oscillation_frequency(series)
-    measured = estimate.omega / 2.0  # energy oscillates at twice the mode frequency
+def case_langmuir_comparator() -> CaseResult:
+    result = run_simulation(langmuir_config())
+    estimate = oscillation_frequency([(r.time, r.field_energy_proxy) for r in result.records])
+    # energy oscillates at twice the mode frequency
+    measured, unc = estimate.omega / 2.0, estimate.uncertainty / 2.0
     k_debye = 0.3
     expected = math.sqrt(1.0 + 3.0 * k_debye**2)
-    return measured, expected, estimate.uncertainty / 2.0
-
-
-def case_langmuir_comparator() -> CaseResult:
-    measured, expected, unc = langmuir_frequency()
     rel = abs(measured - expected) / expected
     passed = rel < LANGMUIR_MAX_REL_ERROR
     return CaseResult(

@@ -7,17 +7,16 @@ Each step executes the fixed stage sequence
 with the charge and current recomputed after the first half advection, at the
 current field level's time (levels are staggered half a step ahead of f).  That
 holds to first order in dt only: the kick moves j by O(dt), so the source lags
-its level (ROADMAP: "time-centre the current source").  The kick force is
-built from the two field levels that straddle the kick time, a centered
-difference spanning 2 dt.
+its level (ROADMAP item 1).  The kick force is built from the two field
+levels that straddle the kick time, a centered difference spanning 2 dt.
 
 The closing half advection hands its spectrum to the next step's opening one
 (``SpeciesState.handoff``), which then skips its ``rfft``: 3 FFTs per species
 and step instead of 4, with f the same to roundoff.
 
 dt, each species' v(p) and the half-step x multipliers are constants of the
-run, built with its grid (``grid.build_grid``); a step reads them and
-recomputes none.
+run, built with its grid (``grid.build_grid``); a step reads them, and the
+charges from the config, and recomputes none.
 """
 
 from __future__ import annotations
@@ -84,6 +83,7 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     """Advance the coupled system by one dt; returns a new state.  Of the input,
     only its spectrum hand-off is taken (emptied); nothing else is touched."""
     dt, c = grid.dt, config.c
+    q_plus, q_minus = config.plus.q, config.minus.q
     v_plus, v_minus = grid.v
     half_plus, half_minus = grid.half_transfer
     plus, minus = state.plus, state.minus
@@ -93,8 +93,8 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     f_minus = advect_x(minus.f, half_minus, take=minus.handoff)
 
     # Stage 2: field update, sourced by the mid-step moments.
-    rho_mid = charge_density(f_plus, f_minus, plus.q, minus.q, grid)
-    j_mid = current_density(f_plus, f_minus, plus.q, minus.q, v_plus, v_minus, grid)
+    rho_mid = charge_density(f_plus, f_minus, q_plus, q_minus, grid)
+    j_mid = current_density(f_plus, f_minus, q_plus, q_minus, v_plus, v_minus, grid)
     old = state.fields
     phi_new = wave_step(old.phi_prev, old.phi_curr, 4.0 * np.pi * rho_mid, grid, dt, c)
     a_new = wave_step(old.a_prev, old.a_curr, (4.0 * np.pi / c) * j_mid, grid, dt, c)
@@ -110,7 +110,7 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
                                               config.force_mode)
             return kick_p(f, coefficients, v, grid, dt)
 
-        f_plus, f_minus = kicked(f_plus, plus.q, v_plus), kicked(f_minus, minus.q, v_minus)
+        f_plus, f_minus = kicked(f_plus, q_plus, v_plus), kicked(f_minus, q_minus, v_minus)
 
     # Stage 4: half advection in x, each spectrum handed off to the next step.
     kept = {}, {}
@@ -120,8 +120,8 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     new_state = SimulationState(
         time=state.time + dt,
         step=state.step + 1,
-        plus=SpeciesState(plus.q, plus.m, f_plus, handoff=kept[0]),
-        minus=SpeciesState(minus.q, minus.m, f_minus, handoff=kept[1]),
+        plus=SpeciesState(f_plus, handoff=kept[0]),
+        minus=SpeciesState(f_minus, handoff=kept[1]),
         fields=FieldState(phi_prev=old.phi_curr, phi_curr=phi_new,
                           a_prev=old.a_curr, a_curr=a_new),
     )

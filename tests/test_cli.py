@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -210,7 +212,10 @@ def test_non_finite_config_exits_2_with_one_line(tmp_path, capsys, command, sett
     # A key that left the schema is unknown; it lands on line 11.
     *(("output_every = 4", f"output_every = 4\nkick_refine = {value}",
        "unknown key 'kick_refine' in [time] at line 11") for value in (0, 1)),
-], ids=["amplitude_1e5", "amplitude_-1.5", "kick_refine_0", "kick_refine_1"])
+    # nx * np float64s beyond sys.maxsize bytes: numpy cannot even index such a grid.
+    ("nx = 32", f"nx = {10**23}", f"grid too large: nx * np = {32 * 10**23} cells exceed "
+                                  f"numpy's {sys.maxsize}-byte array limit"),
+], ids=["amplitude_1e5", "amplitude_-1.5", "kick_refine_0", "kick_refine_1", "nx_1e23"])
 def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command, setting,
                                                        bad, line):
     config = write_config(tmp_path, GOOD_CONFIG.replace(setting, bad))

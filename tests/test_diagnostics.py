@@ -23,6 +23,7 @@ from kinvlasov.forces import force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
+from kinvlasov.verify import MIN_CONVERGENCE_ORDER
 
 from conftest import PAIR_CHARGE, landau_config, pair_species
 
@@ -74,7 +75,7 @@ def test_vlasov_residual_converges_on_analytic_snapshots():
         norms.append(vlasov_residual(f0, f1, f2, zero_fields(grid),
                                      config.minus.q, grid.v[1], config, grid, dt))
     order = math.log2(norms[0] / norms[1])
-    assert order >= 1.8
+    assert order >= MIN_CONVERGENCE_ORDER
 
 
 def test_vlasov_residual_flags_wrong_transport_speed():
@@ -200,7 +201,7 @@ def test_evolved_residuals_converge_second_order():
     coarse = ledger_at(32, 64, t_end)
     fine = ledger_at(64, 128, t_end)
     for eq in ("c+", "c-", "d1"):
-        assert math.log2(coarse[eq] / fine[eq]) >= 1.8
+        assert math.log2(coarse[eq] / fine[eq]) >= MIN_CONVERGENCE_ORDER
 
 
 def test_oscillation_frequency_pure_cosine():

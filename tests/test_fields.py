@@ -15,6 +15,7 @@ from kinvlasov.fields import (
 )
 from kinvlasov.grid import build_grid
 from kinvlasov.state import FieldState
+from kinvlasov.verify import MIN_CONVERGENCE_ORDER
 
 
 @pytest.fixture
@@ -155,7 +156,7 @@ def test_gauge_residual_manufactured_convergence():
         return gauge_residual(fields, g, dt, c)
 
     order = math.log2(residual(32) / residual(64))
-    assert order >= 1.8
+    assert order >= MIN_CONVERGENCE_ORDER
 
 
 def test_difference_operators_periodic(grid):

@@ -122,18 +122,18 @@ def test_non_neutral_species_rejected():
 
 
 def assert_moments_cached(state, config, grid, initial):
+    q_plus, q_minus = config.plus.q, config.minus.q
     v_plus, v_minus = (velocity_from_momentum(grid.p_nodes, s.m, config.c, config.relativistic)
-                       for s in state.species)
+                       for s in (config.plus, config.minus))
     for s, v in zip(state.species, (v_plus, v_minus)):
         assert np.array_equal(s.n, number_density(s.f, grid))
         assert np.array_equal(s.flux, particle_flux(s.f, v, grid))
-    rho = state.plus.q * state.plus.n + state.minus.q * state.minus.n
-    j = state.plus.q * state.plus.flux + state.minus.q * state.minus.flux
+    rho = q_plus * state.plus.n + q_minus * state.minus.n
+    j = q_plus * state.plus.flux + q_minus * state.minus.flux
     assert np.array_equal(rho, charge_density(state.plus.f, state.minus.f,
-                                              state.plus.q, state.minus.q, grid))
+                                              q_plus, q_minus, grid))
     assert np.array_equal(j, current_density(state.plus.f, state.minus.f,
-                                             state.plus.q, state.minus.q,
-                                             v_plus, v_minus, grid))
+                                             q_plus, q_minus, v_plus, v_minus, grid))
     for cached, combination in ((state.rho, rho), (state.j, j)):
         # initialize_state may scrub a roundoff-sized source to exact zeros.
         scrubbed = initial and not np.any(cached)

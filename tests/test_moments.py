@@ -13,6 +13,7 @@ from kinvlasov.moments import (
     particle_flux,
 )
 from kinvlasov.state import momentum_gaussian
+from kinvlasov.verify import MIN_CONVERGENCE_ORDER
 
 
 @pytest.fixture
@@ -156,7 +157,7 @@ def test_continuity_residual_manufactured_convergence():
         return continuity_residual(n_of(t - dt), n_of(t + dt), flux, grid, dt)
 
     order = math.log2(residual(32) / residual(64))
-    assert order >= 1.8
+    assert order >= MIN_CONVERGENCE_ORDER
 
 
 def test_continuity_time_factor_scales_time_term(grid):
