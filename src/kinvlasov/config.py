@@ -90,8 +90,8 @@ def initial_tail_ratio(config: Config, species: SpeciesConfig) -> float:
     offset = abs(config.init.drift) if species.label == "minus" else 0.0
     if config.p_max <= offset:
         return 1.0
-    sigma_sq = species.m * config.init.temperature
-    return math.exp(-((config.p_max - offset) ** 2) / (2.0 * sigma_sq))
+    d = config.p_max - offset    # d * d may overflow to inf, where ** would raise
+    return math.exp(-(d * d) / (2.0 * species.m * config.init.temperature))
 
 
 def config_violations(config: Config) -> list[str]:
@@ -279,4 +279,6 @@ def load_config(path) -> Config:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path} is not UTF-8 ({exc.reason} at byte {exc.start})"]) from None
+    except OSError as exc:   # a missing or unreadable file is an invalid config
+        raise ConfigError([str(exc)]) from None
     return parse_config(text)

@@ -4,12 +4,13 @@ velocity on the p nodes and the half-step x multipliers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import Config
+from .config import Config, ConfigError
 from .interpolate import periodic_shift_transfer
 
 
@@ -49,6 +50,14 @@ class PhaseSpaceGrid:
 def build_grid(config: Config) -> PhaseSpaceGrid:
     dx = config.x_max / config.nx
     dp = 2.0 * config.p_max / config.np
+    # The wave and Poisson operators divide by dx * dx; v(p) divides by c * c
+    # and squares every p up to p_max.
+    for name, value, ok in (("dx = x_max / nx", dx, 0.0 < dx * dx < math.inf),
+                            ("c", config.c, config.c * config.c > 0.0),
+                            ("p_max", config.p_max, config.p_max * config.p_max < math.inf)):
+        if not ok:
+            raise ConfigError([f"{name} = {value:g} is out of range: its square is "
+                               f"{value * value:g}"])
     x_nodes = (np.arange(config.nx) + 0.5) * dx
     p_nodes = -config.p_max + (np.arange(config.np) + 0.5) * dp
 

@@ -1,5 +1,5 @@
-"""Simulation orchestration: the run loop, output emission, and the
-two-force-mode comparison run."""
+"""Simulation orchestration: the run loop, output emission and the
+two-force-mode comparison run.  It returns results and never prints."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FORCE_MODES, Config, validate_config
+from .config import FORCE_MODES, Config, ConfigError, validate_config
 from .diagnostics import compare_runs, make_record, snapshot_state
 from .fields import FieldBlowupError
 from .grid import PhaseSpaceGrid, build_grid
@@ -29,6 +29,9 @@ class NonFiniteStateError(RuntimeError):
 
 
 SOLVER_ABORTS = (KickDisplacementError, FieldBlowupError, NonFiniteStateError)
+
+# A config whose t_end takes more steps than this is rejected before its first step.
+MAX_STEPS = 10**7
 
 
 @dataclass
@@ -57,6 +60,9 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     """
     config = validate_config(config)
     grid = build_grid(config)
+    if n_steps is None and not config.t_end <= MAX_STEPS * grid.dt:   # dt may be 0
+        raise ConfigError([f"t_end = {config.t_end:g} takes more than {MAX_STEPS} steps "
+                           f"of dt = {grid.dt:g}"])
     total = max(1, round(config.t_end / grid.dt)) if n_steps is None else n_steps
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
@@ -116,43 +122,6 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
     return result
 
 
-def _command(simulate, config_path, out_dir) -> int:
-    """Load the config and return ``simulate(config, out_dir)``'s exit code;
-    a missing or invalid config or a grid too large to allocate (2), or
-    unwritable outputs (3), is one line."""
-    from .config import ConfigError, load_config
-
-    try:
-        config = load_config(config_path)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}")
-        return 2
-    try:
-        return simulate(config, out_dir)
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}")
-        return 3
-    except MemoryError as exc:
-        print(f"error: cannot allocate the run's arrays: {exc}")
-        return 2
-
-
-def _run(config: Config, out_dir) -> int:
-    result = run_simulation(config, out_dir=out_dir)
-    if result.aborted:
-        print(f"solver aborted at step {result.abort_step}: {result.abort_reason}")
-        return 1
-    print(
-        f"completed {result.n_steps} steps to t = {result.final_state.time:.6g}; "
-        f"outputs in {out_dir}"
-    )
-    return 0
-
-
-def run_command(config_path, out_dir) -> int:
-    return _command(_run, config_path, out_dir)
-
-
 def compare_simulations(config: Config, *, out_dir=None):
     """Run the same configuration under both force modes from one shared
     initial state, which neither run mutates, and return (rows, run_modified,
@@ -178,23 +147,3 @@ def compare_simulations(config: Config, *, out_dir=None):
     if out_dir:
         write_divergence(rows, Path(out_dir) / "divergence.csv")
     return rows, *runs.values()
-
-
-def _compare(config: Config, out_dir) -> int:
-    rows, run_mod, run_std = compare_simulations(config, out_dir=out_dir)
-    if run_mod.aborted or run_std.aborted:
-        print("comparison aborted: " + "; ".join(
-            f"{mode} run aborted at step {run.abort_step}: {run.abort_reason}" if run.aborted
-            else f"{mode} run completed {run.n_steps} steps"
-            for mode, run in (("modified", run_mod), ("standard", run_std))))
-        return 1
-    final = rows[-1]
-    print(
-        f"compared {len(rows)} snapshots; final f_minus distance "
-        f"{final.f_minus_dist:.6g}; outputs in {out_dir}"
-    )
-    return 0
-
-
-def compare_command(config_path, out_dir) -> int:
-    return _command(_compare, config_path, out_dir)

@@ -3,7 +3,8 @@
 Every case checks the solver against an independent reference: an exact
 translated solution, a closed-form wave or electrostatic solution, Gaussian
 moment identities, manufactured residual fields, or textbook warm-plasma
-oscillation frequencies.
+oscillation frequencies.  Each case returns a ``CaseResult``, and
+``kinvlasov verify`` prints it.
 """
 
 from __future__ import annotations
@@ -286,16 +287,3 @@ CASES = {
     "manufactured_residuals": case_manufactured_residuals,
     "langmuir_comparator": case_langmuir_comparator,
 }
-
-
-def verify_command(case: str | None = None) -> int:
-    if case is not None and case not in CASES:
-        print(f"error: unknown case {case!r}; available: {', '.join(CASES)}")
-        return 2
-    names = [case] if case else list(CASES)
-    all_passed = True
-    for name in names:
-        result = CASES[name]()
-        all_passed &= result.passed
-        print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.details}")
-    return 0 if all_passed else 1

@@ -244,3 +244,34 @@ def test_solver_source_has_no_blas_products():
                 if name in BLAS_CALLS:
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found, found
+
+
+def test_only_the_cli_prints_or_exits():
+    # One command layer: cli.main turns every outcome into its line and exit
+    # code; the library returns results and raises, and never prints.
+    found = []
+    for path in sorted(Path(kinvlasov.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("print", "exit"):
+                found.append(f"{path.name}:{node.lineno}: {func.id}")
+            elif (isinstance(func, ast.Attribute) and func.attr == "exit"
+                  and isinstance(func.value, ast.Name) and func.value.id == "sys"):
+                found.append(f"{path.name}:{node.lineno}: sys.exit")
+    assert not found, found
+
+
+def test_cli_binds_no_solver_function():
+    # perfbench/child.py wraps the solver's functions in their own modules and
+    # only then imports kinvlasov.cli: a function that cli bound at import
+    # time would escape the wrapping.
+    import kinvlasov.cli as cli
+
+    bound = [name for name, value in vars(cli).items()
+             if callable(value) and getattr(value, "__module__", "").startswith("kinvlasov.")
+             and value.__module__ != cli.__name__]
+    assert not bound, bound

@@ -215,7 +215,18 @@ def test_non_finite_config_exits_2_with_one_line(tmp_path, capsys, command, sett
     # nx * np float64s beyond sys.maxsize bytes: numpy cannot even index such a grid.
     ("nx = 32", f"nx = {10**23}", f"grid too large: nx * np = {32 * 10**23} cells exceed "
                                   f"numpy's {sys.maxsize}-byte array limit"),
-], ids=["amplitude_1e5", "amplitude_-1.5", "kick_refine_0", "kick_refine_1", "nx_1e23"])
+    # Run constants that a float cannot hold: dx * dx, c * c or p_max * p_max
+    # leaves (0, inf), or dt underflows to 0.
+    ("x_max = 12.0", "x_max = 1e-320",
+     "dx = x_max / nx = 3.11261e-322 is out of range: its square is 0"),
+    ("x_max = 12.0", "x_max = 1e300",
+     "dx = x_max / nx = 3.125e+298 is out of range: its square is inf"),
+    ("p_max = 8.0", "p_max = 1e200", "p_max = 1e+200 is out of range: its square is inf"),
+    ("c = 4.0", "c = 1e-300", "c = 1e-300 is out of range: its square is 0"),
+    ("cfl_fraction = 0.9", "cfl_fraction = 5e-324",
+     "t_end = 0.5 takes more than 10000000 steps of dt = 0"),
+], ids=["amplitude_1e5", "amplitude_-1.5", "kick_refine_0", "kick_refine_1", "nx_1e23",
+        "x_max_1e-320", "x_max_1e300", "p_max_1e200", "c_1e-300", "cfl_fraction_5e-324"])
 def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command, setting,
                                                        bad, line):
     config = write_config(tmp_path, GOOD_CONFIG.replace(setting, bad))
@@ -224,6 +235,23 @@ def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [f"error: {line}"]
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_step_cap_rejects_a_run_before_its_first_step(tmp_path, capsys, monkeypatch, command):
+    # c = 1e300 makes dt = 3.4e-301: t_end = 0.5 would take 1.5e300 steps.
+    def no_step(state, config, grid):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(runner, "step", no_step)
+    config = write_config(tmp_path, GOOD_CONFIG.replace("c = 4.0", "c = 1e300"))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"error: t_end = 0.5 takes more than {runner.MAX_STEPS} steps of dt = 3.375e-301"]
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
