@@ -157,9 +157,13 @@ def config_violations(config: Config) -> list[str]:
     if init.temperature <= 0:
         v.append(f"temperature must be positive (got {init.temperature})")
 
-    # Tail bound only makes sense once the basics hold.
+    # Tail bound only makes sense once the basics hold, and the Gaussian has a width.
     if not v:
         for s in config.species:
+            if not s.m * init.temperature > 0.0:
+                v.append(f"species {s.label}: the initial Gaussian has no width: "
+                         f"m * temperature = {s.m:g} * {init.temperature:g} underflows to 0")
+                continue
             ratio = initial_tail_ratio(config, s)
             if ratio >= TAIL_RATIO_LIMIT:
                 v.append(

@@ -1,6 +1,7 @@
 """Uniform cell-centered phase-space grid, periodic in x and truncated in p.
 Built once per run, it also holds the run's constants: dt, each species'
-velocity on the p nodes and the half-step x multipliers."""
+velocity on the p nodes, the half-step x multipliers and, in a run that
+kicks, the p-spline solve."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import Config, ConfigError
-from .interpolate import periodic_shift_transfer
+from .interpolate import natural_spline_solver, periodic_shift_transfer
 
 
 def velocity_from_momentum(p, m: float, c: float, relativistic: bool):
@@ -35,6 +36,7 @@ class PhaseSpaceGrid:
     dt: float
     v: tuple             # (v_plus, v_minus) on the p nodes, one array if the masses agree
     v_max: float         # fastest |v| on the p nodes across both species
+    spline_solve: object  # the p-kick's natural_spline_solver(np); None if nothing kicks
 
     @cached_property
     def half_transfer(self) -> tuple:
@@ -81,4 +83,5 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
         dt=config.cfl_fraction * dx / max(config.c, speed(config.p_max)),
         v=tuple(by_mass[s.m] for s in (config.plus, config.minus)),
         v_max=speed(np.max(np.abs(p_nodes))),
+        spline_solve=natural_spline_solver(config.np) if config.forces_enabled else None,
     )

@@ -13,17 +13,17 @@ Two variants are needed:
   each node moved back by its own displacement in cells, with zero extension
   outside the node range.  Every row's moment system has the same matrix,
   tridiag(1, 4, 1), which is symmetric positive definite: it is LDL^T-factored
-  (``dpttrf``, no pivots) once per node count.  Each foot is evaluated from
+  (``dpttrf``, no pivots) once per run, with the run's plan, and only a run
+  that kicks loads scipy for it.  Each foot is evaluated from
   the Taylor terms of the node whose cells hold it, with no cell search: its
   own node while every displacement is within one cell.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .workspace import work_array
 
@@ -82,24 +82,26 @@ def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray, spectrum=None,
     return shifted
 
 
-@lru_cache(maxsize=8)
-def _natural_spline_ldlt(n: int) -> tuple:
-    """``dpttrf`` factors of [1] + tridiag(1, 4, 1) + [1], the moment matrix of n
-    nodes; its borders factor exactly, so its interior is tridiag's, bit for bit."""
+def natural_spline_solver(n: int) -> partial:
+    """The in-place solve of the moment system of n nodes: ``dpttrs`` against the
+    ``dpttrf`` factors of [1] + tridiag(1, 4, 1) + [1].  Its borders factor exactly,
+    so its interior is tridiag's, bit for bit.  scipy is imported here, so that
+    only a run that kicks pays for loading it."""
+    if n < 4:
+        raise ValueError(f"a natural spline needs at least 4 nodes (got {n})")
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     d, e, _ = dpttrf(np.r_[1.0, np.full(n - 2, 4.0), 1.0], np.r_[0.0, np.ones(n - 3), 0.0])
-    d.flags.writeable = False
-    e.flags.writeable = False
-    return d, e
+    return partial(dpttrs, d, e, overwrite_b=1)
 
 
-def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
+def natural_spline_moments(f: np.ndarray, h: float, solve: partial) -> np.ndarray:
     """Second derivatives of the natural cubic spline through each row of f.
 
-    Rows of f sample uniformly spaced nodes (spacing h) along axis 1; the
-    returned array has the same shape, with zero end values.
+    Rows of f sample uniformly spaced nodes (spacing h) along axis 1; ``solve``
+    is ``natural_spline_solver`` of their count.  The returned array has the
+    same shape, with zero end values.
     """
-    if f.shape[1] < 4:
-        raise ValueError(f"a natural spline needs at least 4 nodes (got {f.shape[1]})")
     # Second differences of the raveled f; those that straddle two rows fall
     # in the end columns, whose right-hand side is 0.  6/h^2 is applied last.
     moments = np.empty(f.shape)
@@ -109,7 +111,7 @@ def natural_spline_moments(f: np.ndarray, h: float) -> np.ndarray:
     rhs += flat[:-2]
     moments[:, [0, -1]] = 0.0
     # moments.T is Fortran-ordered, so dpttrs solves every row in place.
-    dpttrs(*_natural_spline_ldlt(f.shape[1]), moments.T, overwrite_b=1)
+    solve(moments.T)
     moments[:, [0, -1]] = 0.0      # a NaN row's forward sweep reaches its end
     moments *= 6.0 / (h * h)
     return moments

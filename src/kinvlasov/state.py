@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import Config
+from .config import Config, ConfigError
 from .fields import poisson_init
 from .grid import PhaseSpaceGrid
 from .moments import number_density, particle_flux
@@ -69,12 +69,19 @@ def release_handoffs(state: SimulationState) -> None:
 
 
 def momentum_gaussian(p_nodes: np.ndarray, m: float, temperature: float,
-                      drift: float, dp: float) -> np.ndarray:
+                      drift: float, dp: float, label: str = "") -> np.ndarray:
     """Gaussian in p with width^2 = m * temperature, normalized so the midpoint
-    quadrature over the grid is exactly 1."""
+    quadrature over the grid is exactly 1.  One that is 0 at every node (even
+    at the node nearest its centre it underflows) is a ``ConfigError`` naming
+    species ``label``."""
     sigma_sq = m * temperature
-    g = np.exp(-((p_nodes - drift) ** 2) / (2.0 * sigma_sq))
-    return g / (np.sum(g) * dp)
+    with np.errstate(over="ignore"):    # an exponent that overflows to -inf gives 0 anyway
+        g = np.exp(-((p_nodes - drift) ** 2) / (2.0 * sigma_sq))
+    total = np.sum(g)
+    if not total > 0.0:
+        raise ConfigError([f"species {label}: no p node resolves the initial Gaussian: "
+                           f"m * temperature = {sigma_sq:g} against dp = {dp:g}"])
+    return g / (total * dp)
 
 
 def _preset_f(config: Config, grid: PhaseSpaceGrid):
@@ -86,19 +93,19 @@ def _preset_f(config: Config, grid: PhaseSpaceGrid):
 
     if init.preset in ("free_stream", "landau"):
         g_minus = momentum_gaussian(grid.p_nodes, config.minus.m, init.temperature,
-                                    init.drift, grid.dp)
+                                    init.drift, grid.dp, "minus")
     elif init.preset == "two_stream":
         g_minus = 0.5 * (
             momentum_gaussian(grid.p_nodes, config.minus.m, init.temperature,
-                              +init.drift, grid.dp)
+                              +init.drift, grid.dp, "minus")
             + momentum_gaussian(grid.p_nodes, config.minus.m, init.temperature,
-                                -init.drift, grid.dp)
+                                -init.drift, grid.dp, "minus")
         )
     else:
         raise ValueError(f"unknown preset {init.preset!r}")
 
     g_plus = momentum_gaussian(grid.p_nodes, config.plus.m, init.temperature,
-                               0.0, grid.dp)
+                               0.0, grid.dp, "plus")
     f_minus = init.n0 * wave[:, None] * g_minus[None, :]
     f_plus = init.n0 * uniform[:, None] * g_plus[None, :]
     return f_plus, f_minus

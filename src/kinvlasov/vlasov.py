@@ -14,9 +14,9 @@ The closing half advection hands its spectrum to the next step's opening one
 (``SpeciesState.handoff``), which then skips its ``rfft``: 3 FFTs per species
 and step instead of 4, with f the same to roundoff.
 
-dt, each species' v(p) and the half-step x multipliers are constants of the
-run, built with its grid (``grid.build_grid``); a step reads them, and the
-charges from the config, and recomputes none.
+dt, each species' v(p), the half-step x multipliers and the kick's p-spline
+solve are constants of the run, built with its grid (``grid.build_grid``); a
+step reads them, and the charges from the config, and recomputes none.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
         )
     cells = np.einsum("ki,kj->ij", coefficients * (dt / grid.dp),
                       np.vstack((np.ones_like(v), v)), out=work_array(0, f.shape))
-    return eval_natural_spline(f, natural_spline_moments(f, grid.dp), cells, grid.dp)
+    moments = natural_spline_moments(f, grid.dp, grid.spline_solve)
+    return eval_natural_spline(f, moments, cells, grid.dp)
 
 
 def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:

@@ -246,6 +246,69 @@ def test_solver_source_has_no_blas_products():
     assert not found, found
 
 
+def scipy_imports(node, scope="<module>"):
+    """The scope (function name, or <module>) of each scipy import under node."""
+    for child in ast.iter_child_nodes(node):
+        names = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
+                 else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield scope
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else scope)
+        yield from scipy_imports(child, inner)
+
+
+def test_scipy_is_imported_only_where_the_spline_solve_is_built():
+    # scipy provides only the p-kick's spline solve, so only a run that kicks
+    # may load it: no module imports it at module level.
+    found = [(path.name, scope)
+             for path in sorted(Path(kinvlasov.__file__).parent.glob("*.py"))
+             for scope in scipy_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("interpolate.py", "natural_spline_solver")], found
+
+
+def fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter on this kinvlasov and return its stdout;
+    the test process itself has scipy loaded already."""
+    src = os.path.dirname(os.path.dirname(kinvlasov.__file__))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True, timeout=120)
+    assert done.returncode == 0 and not done.stderr, done.stdout + done.stderr
+    return done.stdout.splitlines()
+
+
+def test_free_streaming_runs_never_load_scipy(tmp_path):
+    (tmp_path / "run.cfg").write_text(
+        RERUN_CONFIG.replace("preset = landau", "preset = free_stream"))
+    lines = fresh_python(
+        "import sys\n"
+        "from kinvlasov import Config, InitConfig, run_simulation\n"
+        "from kinvlasov.cli import main\n"
+        "run = run_simulation(Config(nx=16, np=32, init=InitConfig(preset='free_stream')),\n"
+        "                     n_steps=3)\n"
+        "print(run.aborted, 'scipy' in sys.modules)\n"
+        "print(main(['run', '--config', 'run.cfg', '--out', 'out']), 'scipy' in sys.modules)\n",
+        tmp_path)
+    assert lines[0] == "False False" and lines[1].startswith("completed")
+    assert lines[2] == "0 False"
+
+
+def test_kicked_runs_load_scipy_in_their_setup(tmp_path):
+    # The import is paid before the first step, never inside the stepping.
+    assert fresh_python(
+        "import sys\n"
+        "from kinvlasov import Config, runner\n"
+        "print('scipy' in sys.modules)\n"
+        "step = runner.step\n"
+        "def first_step(state, config, grid):\n"
+        "    print('scipy.linalg' in sys.modules)\n"
+        "    runner.step = step\n"
+        "    return step(state, config, grid)\n"
+        "runner.step = first_step\n"
+        "print(runner.run_simulation(Config(nx=16, np=32), n_steps=2).aborted)\n",
+        tmp_path) == ["False", "True", "False"]
+
+
 def test_only_the_cli_prints_or_exits():
     # One command layer: cli.main turns every outcome into its line and exit
     # code; the library returns results and raises, and never prints.

@@ -38,6 +38,12 @@ drift = 0.0
 """
 
 
+# Masses and temperature whose product underflows to 0: a Gaussian of no width.
+NO_WIDTH_CONFIG = (GOOD_CONFIG.replace("m = 1.0", "m = 1e-200")
+                   .replace("temperature = 1.0", "temperature = 1e-200")
+                   .replace("p_max = 8.0", "p_max = 1e-190"))
+
+
 def write_config(tmp_path, text=GOOD_CONFIG):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -225,8 +231,16 @@ def test_non_finite_config_exits_2_with_one_line(tmp_path, capsys, command, sett
     ("c = 4.0", "c = 1e-300", "c = 1e-300 is out of range: its square is 0"),
     ("cfl_fraction = 0.9", "cfl_fraction = 5e-324",
      "t_end = 0.5 takes more than 10000000 steps of dt = 0"),
+    # An initial Gaussian of no width, or one that no p node resolves, is
+    # rejected before numpy divides by its 0 width or its 0 quadrature sum.
+    (GOOD_CONFIG, NO_WIDTH_CONFIG, "; ".join(
+        f"species {label}: the initial Gaussian has no width: "
+        "m * temperature = 1e-200 * 1e-200 underflows to 0" for label in ("plus", "minus"))),
+    ("temperature = 1.0", "temperature = 1e-300", "species minus: no p node resolves "
+     "the initial Gaussian: m * temperature = 1e-300 against dp = 0.5"),
 ], ids=["amplitude_1e5", "amplitude_-1.5", "kick_refine_0", "kick_refine_1", "nx_1e23",
-        "x_max_1e-320", "x_max_1e300", "p_max_1e200", "c_1e-300", "cfl_fraction_5e-324"])
+        "x_max_1e-320", "x_max_1e300", "p_max_1e200", "c_1e-300", "cfl_fraction_5e-324",
+        "m_temperature_1e-200", "temperature_1e-300"])
 def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command, setting,
                                                        bad, line):
     config = write_config(tmp_path, GOOD_CONFIG.replace(setting, bad))
@@ -235,6 +249,7 @@ def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [f"error: {line}"]
     assert "Traceback" not in captured.out + captured.err
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -6,6 +6,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from kinvlasov.interpolate import (
     eval_natural_spline,
     natural_spline_moments,
+    natural_spline_solver,
     periodic_shift_columns,
     periodic_shift_transfer,
 )
@@ -116,13 +117,17 @@ def scipy_at_feet(nodes, rows, cells):
     return np.where(outside, 0.0, expected)
 
 
+def spline_moments(rows, h):
+    return natural_spline_moments(rows, h, natural_spline_solver(rows.shape[1]))
+
+
 def test_natural_spline_matches_scipy():
     rng = np.random.default_rng(1)
     n = 40
     nodes = np.linspace(-2.0, 2.0, n)
     h = nodes[1] - nodes[0]
     rows = rng.normal(size=(5, n))
-    moments = natural_spline_moments(rows, h)
+    moments = spline_moments(rows, h)
     for reach in (1.0, 9.5):
         cells = monotone_cells(rng, 5, n, reach)
         mine = eval_natural_spline(rows, moments, cells, h)
@@ -132,7 +137,7 @@ def test_natural_spline_matches_scipy():
 def test_natural_spline_exact_at_nodes():
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(3, 25))
-    values = eval_natural_spline(rows, natural_spline_moments(rows, 0.16), np.zeros((3, 25)),
+    values = eval_natural_spline(rows, spline_moments(rows, 0.16), np.zeros((3, 25)),
                                  0.16)
     assert np.array_equal(values, rows)
 
@@ -143,7 +148,7 @@ def test_natural_spline_zero_outside():
     n = 16
     rows = np.ones((6, n))
     cells = np.array([20.0, -20.0, 3.5, -3.5, 0.5, -1.0])[:, None] * np.ones(n)
-    values = eval_natural_spline(rows, natural_spline_moments(rows, 0.125), cells, 0.125)
+    values = eval_natural_spline(rows, spline_moments(rows, 0.125), cells, 0.125)
     outside = np.zeros((6, n), bool)
     outside[:2] = True
     outside[2, :4] = outside[3, 12:] = outside[4, 0] = outside[5, -1] = True
@@ -157,7 +162,7 @@ def test_natural_spline_on_the_fewest_nodes_matches_scipy(n):
     nodes = np.linspace(-1.0, 2.0, n)
     rows = rng.normal(size=(4, n))
     h = nodes[1] - nodes[0]
-    moments = natural_spline_moments(rows, h)
+    moments = spline_moments(rows, h)
     for reach in (1.0, n - 1.0):
         cells = monotone_cells(rng, 4, n, reach)
         mine = eval_natural_spline(rows, moments, cells, h)
@@ -170,7 +175,7 @@ def test_natural_spline_on_the_fewest_nodes_matches_scipy(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_natural_spline_rejects_fewer_than_four_nodes(n):
     with pytest.raises(ValueError, match="at least 4 nodes"):
-        natural_spline_moments(np.ones((2, n)), 0.5)
+        natural_spline_solver(n)
 
 
 def interior_solve_moments(f, h):
@@ -189,14 +194,14 @@ def interior_solve_moments(f, h):
 @pytest.mark.parametrize("shape", [(1, 4), (3, 5), (9, 17), (64, 128), (256, 512)])
 def test_block_factored_moments_equal_the_interior_solve_bitwise(shape):
     rows = np.random.default_rng(shape[1]).normal(size=shape)
-    assert np.array_equal(natural_spline_moments(rows, 0.37), interior_solve_moments(rows, 0.37))
+    assert np.array_equal(spline_moments(rows, 0.37), interior_solve_moments(rows, 0.37))
 
 
 def test_nan_row_keeps_its_nan_and_zero_ends():
     rows = np.random.default_rng(3).normal(size=(9, 17))
     rows[4, 8] = np.nan
     with np.errstate(invalid="ignore"):
-        moments = natural_spline_moments(rows, 0.37)
+        moments = spline_moments(rows, 0.37)
     assert np.isnan(moments[4, 1:-1]).all()
     assert np.all(moments[4, [0, -1]] == 0.0)
     finite = np.arange(9) != 4
@@ -209,7 +214,7 @@ def test_zero_extension_only_where_feet_leave_the_range():
     nodes = np.linspace(-1.0, 2.0, 24)
     h = nodes[1] - nodes[0]
     rows = rng.normal(size=(6, 24))
-    moments = natural_spline_moments(rows, h)
+    moments = spline_moments(rows, h)
     cells = np.zeros((6, 24))
     cells[0] = np.linspace(0.9, -0.9, 24)               # sub-cell, both ends leave
     cells[1] = np.linspace(1e-12, 0.5, 24)              # only p_0's foot leaves

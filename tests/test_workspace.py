@@ -40,7 +40,7 @@ def kernel_results(grid, seed):
     coefficients = force_coefficients(fields, grid, 0.1, 0.5, 4.0, "modified")
     v = velocity_from_momentum(grid.p_nodes, 1.0, 4.0, True)
     dt = 0.1 * grid.dp / np.max(np.abs(force))
-    moments = natural_spline_moments(f, grid.dp)
+    moments = natural_spline_moments(f, grid.dp, grid.spline_solve)
     cells = np.sort(rng.uniform(-1.5, 1.5, f.shape), axis=1)
     return {
         "advect_x": advect_x(f, periodic_shift_transfer(grid.nx, v * 0.05 / grid.dx)),
