@@ -23,7 +23,7 @@ from .forces import force_coefficients
 from .grid import PhaseSpaceGrid
 from .moments import continuity_residual
 from .state import FieldState, SimulationState
-from .workspace import work_array
+from .workspace import row_blocks, work_array
 
 
 class InsufficientHistoryError(RuntimeError):
@@ -116,26 +116,33 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
     The stored field levels of the middle snapshot straddle its time, which is
     exactly what ``force_coefficients`` expects.  With F = a + b v and the
     centered differences D, 2 dt R = D_t f + (dt/dx) v D_x f + (dt/dp) F D_p f.
-    Passes run over whole rows; the boundary columns are zeroed before the norm.
+    Its terms are built over the whole rows of one ``workspace.row_blocks``
+    block at a time, D_x f across the block's edges; only R is full-size.  The
+    boundary columns are zeroed before the norm.
     """
-    shape = f_mid.shape
-    residual = np.subtract(f_next, f_prev, out=work_array(0, shape))
-    # Periodic centered difference in x.
-    transport = work_array(1, shape)
-    np.subtract(f_mid[2:], f_mid[:-2], out=transport[1:-1])
-    np.subtract(f_mid[1], f_mid[-1], out=transport[0])
-    np.subtract(f_mid[0], f_mid[-2], out=transport[-1])
-    transport *= (dt / grid.dx) * v
-    residual += transport
+    nx, residual, transport_v = len(f_mid), work_array(0, f_mid.shape), (dt / grid.dx) * v
     if config.forces_enabled:
-        fp, flat = work_array(2, shape), np.ravel(f_mid)
-        np.subtract(flat[2:], flat[:-2], out=fp.reshape(-1)[1:-1])
-        fp.flat[[0, -1]] = 0.0
-        # (dt/dp) F in one sweep: the rows (a, b) times (1, v), summed by einsum.
-        ab = force_coefficients(fields_mid, grid, dt, q, config.c, config.force_mode)
-        fp *= np.einsum("ki,kj->ij", (dt / grid.dp) * ab, np.vstack((np.ones_like(v), v)),
-                        out=work_array(3, shape))
-        residual += fp
+        # (dt/dp) F in one sweep a block: the rows (a, b) times (1, v), summed by einsum.
+        ab = (dt / grid.dp) * force_coefficients(fields_mid, grid, dt, q, config.c,
+                                                 config.force_mode)
+        ones_v = np.vstack((np.ones_like(v), v))
+    for rows in row_blocks(f_mid.shape):
+        block = np.subtract(f_next[rows], f_prev[rows], out=residual[rows])
+        # Periodic centered difference in x; only rows 0 and nx - 1 wrap.
+        transport, lo, hi = work_array(1, block.shape), max(rows.start, 1), min(rows.stop, nx - 1)
+        np.subtract(f_mid[lo + 1:hi + 1], f_mid[lo - 1:hi - 1],
+                    out=transport[lo - rows.start:hi - rows.start])
+        for row, up, down in ((0, 1, -1), (nx - 1, 0, -2)):
+            if rows.start <= row < rows.stop:
+                np.subtract(f_mid[up], f_mid[down], out=transport[row - rows.start])
+        transport *= transport_v
+        block += transport
+        if config.forces_enabled:
+            fp, flat = work_array(2, block.shape), np.ravel(f_mid[rows])
+            np.subtract(flat[2:], flat[:-2], out=fp.reshape(-1)[1:-1])
+            fp.flat[[0, -1]] = 0.0
+            block += np.multiply(fp, np.einsum("ki,kj->ij", ab[:, rows], ones_v,
+                                               out=work_array(3, block.shape)), out=fp)
     residual[:, [0, -1]] = 0.0
     return _l2_phase(residual, grid) / float(2.0 * dt)
 

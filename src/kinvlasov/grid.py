@@ -67,8 +67,14 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
         return max(abs(velocity_from_momentum(p, s.m, config.c, config.relativistic))
                    for s in config.species)
 
-    by_mass = {s.m: velocity_from_momentum(p_nodes, s.m, config.c, config.relativistic)
-               for s in config.species}
+    # A mass whose square underflows (0/0 at p = 0) or whose p/m overflows is rejected.
+    with np.errstate(all="ignore"):
+        by_mass = {s.m: velocity_from_momentum(p_nodes, s.m, config.c, config.relativistic)
+                   for s in config.species}
+    unrunnable = [f"species {s.label}: m = {s.m:g} is out of range: v(p) is not finite "
+                  "on every p node" for s in config.species if not np.isfinite(by_mass[s.m]).all()]
+    if unrunnable:
+        raise ConfigError(unrunnable)
     # dt = cfl_fraction * dx / max(c, v_char), v_char the speed at p_max;
     # v_max is taken at the outermost node instead.
     return PhaseSpaceGrid(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import Config, ConfigError
+from .config import PRESETS, Config, ConfigError
 from .fields import poisson_init
 from .grid import PhaseSpaceGrid
 from .moments import number_density, particle_flux
@@ -86,29 +86,16 @@ def momentum_gaussian(p_nodes: np.ndarray, m: float, temperature: float,
 
 def _preset_f(config: Config, grid: PhaseSpaceGrid):
     init = config.init
-    wave = 1.0 + init.amplitude * np.cos(
-        2.0 * np.pi * init.k_mode * grid.x_nodes / config.x_max
-    )
-    uniform = np.ones(grid.nx)
-
-    if init.preset in ("free_stream", "landau"):
-        g_minus = momentum_gaussian(grid.p_nodes, config.minus.m, init.temperature,
-                                    init.drift, grid.dp, "minus")
-    elif init.preset == "two_stream":
-        g_minus = 0.5 * (
-            momentum_gaussian(grid.p_nodes, config.minus.m, init.temperature,
-                              +init.drift, grid.dp, "minus")
-            + momentum_gaussian(grid.p_nodes, config.minus.m, init.temperature,
-                                -init.drift, grid.dp, "minus")
-        )
-    else:
+    if init.preset not in PRESETS:
         raise ValueError(f"unknown preset {init.preset!r}")
-
+    wave = 1.0 + init.amplitude * np.cos(2.0 * np.pi * init.k_mode * grid.x_nodes / config.x_max)
+    # two_stream's minus species is the mean of two Gaussians drifting apart.
+    drifts = (init.drift, -init.drift) if init.preset == "two_stream" else (init.drift,)
+    g_minus = sum(momentum_gaussian(grid.p_nodes, config.minus.m, init.temperature,
+                                    drift, grid.dp, "minus") for drift in drifts) / len(drifts)
     g_plus = momentum_gaussian(grid.p_nodes, config.plus.m, init.temperature,
                                0.0, grid.dp, "plus")
-    f_minus = init.n0 * wave[:, None] * g_minus[None, :]
-    f_plus = init.n0 * uniform[:, None] * g_plus[None, :]
-    return f_plus, f_minus
+    return np.tile(init.n0 * g_plus, (grid.nx, 1)), init.n0 * wave[:, None] * g_minus[None, :]
 
 
 def refresh_moments(state: SimulationState, config: Config,

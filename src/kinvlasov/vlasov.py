@@ -32,7 +32,7 @@ from .grid import PhaseSpaceGrid
 from .interpolate import eval_natural_spline, natural_spline_moments, periodic_shift_columns
 from .moments import charge_density, current_density
 from .state import FieldState, SimulationState, SpeciesState, refresh_moments
-from .workspace import work_array
+from .workspace import row_blocks, work_array
 
 
 class KickDisplacementError(RuntimeError):
@@ -58,9 +58,9 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
 
     F = a(x) + b(x) v(p) from the rows of ``forces.force_coefficients`` and
     the species' v on the p nodes.  The characteristic is frozen at the
-    pre-kick p.  Its displacement in cells, s = (a + b v) dt / dp, is formed
-    once; ``interpolate.eval_natural_spline`` evaluates the spline at each
-    node's foot p - s dp from node-local Taylor terms.
+    pre-kick p.  Per ``workspace.row_blocks`` block, s = (a + b v) dt / dp in
+    cells is formed once, ``interpolate.eval_natural_spline`` evaluates the
+    spline at each node's foot p - s dp, and the values go into the result.
     """
     a, b = coefficients * dt
     # v is monotone in p, so each row's largest |F dt| is at an end (NaN if any is)
@@ -74,10 +74,17 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
             f"momentum displacement {worst:.3e} exceeds sanity bound {limit:.3e} "
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
-    cells = np.einsum("ki,kj->ij", coefficients * (dt / grid.dp),
-                      np.vstack((np.ones_like(v), v)), out=work_array(0, f.shape))
-    moments = natural_spline_moments(f, grid.dp, grid.spline_solve)
-    return eval_natural_spline(f, moments, cells, grid.dp)
+    rows_ab, ones_v = coefficients * (dt / grid.dp), np.vstack((np.ones_like(v), v))
+    blocks = row_blocks(f.shape)
+    kicked = np.empty(f.shape) if len(blocks) > 1 else None
+    for rows in blocks:
+        cells = np.einsum("ki,kj->ij", rows_ab[:, rows], ones_v, out=work_array(0, f[rows].shape))
+        moments = natural_spline_moments(f[rows], grid.dp, grid.spline_solve)
+        values = eval_natural_spline(f[rows], moments, cells, grid.dp)
+        if kicked is None:      # one block: its values are the result
+            return values
+        kicked[rows] = values
+    return kicked
 
 
 def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:
@@ -111,7 +118,9 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
                                               config.force_mode)
             return kick_p(f, coefficients, v, grid, dt)
 
-        f_plus, f_minus = kicked(f_plus, q_plus, v_plus), kicked(f_minus, q_minus, v_minus)
+        # One at a time, so that each pre-kick f is freed before the next kick.
+        f_plus = kicked(f_plus, q_plus, v_plus)
+        f_minus = kicked(f_minus, q_minus, v_minus)
 
     # Stage 4: half advection in x, each spectrum handed off to the next step.
     kept = {}, {}

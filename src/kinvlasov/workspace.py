@@ -7,11 +7,12 @@ operating system when it is freed, so the next one page-faults on every page it
 touches.  Instead each thread keeps ``SLOTS`` buffers (``threading.local``);
 a buffer grows to the largest array asked of it and is reused from then on.
 
-The slot of every intermediate is fixed where it is used.  Intermediates whose
-lifetimes never overlap share a slot, and no function asks for a slot that a
-caller of it still holds:
+kick_p and vlasov_residual take f in ``row_blocks`` of 256 KiB, so that a
+block's terms stay in the L2 cache.  The slot of every intermediate is fixed
+where it is used.  Intermediates whose lifetimes never overlap share a slot,
+and no function asks for a slot that a caller of it still holds:
 
-    slot 0  kick_p's displacements in cells; vlasov_residual's sum
+    slot 0  kick_p's displacements in cells; vlasov_residual's sum, full-size
     slot 1  eval_natural_spline's 3M; vlasov_residual's transport term
             (dt/dx) v D_x f
     slot 2  eval_natural_spline's moment differences; vlasov_residual's
@@ -19,7 +20,7 @@ caller of it still holds:
     slot 3  eval_natural_spline's bracket; vlasov_residual's (dt/dp) (a + b v)
     slot 4  eval_natural_spline's mask of feet left of their node
 
-natural_spline_moments and particle_flux use no slot; vlasov_residual's are full rows.
+All others hold one row block.  natural_spline_moments and particle_flux use no slot.
 
 A work array is never returned by a public function, so no later call can
 overwrite a result.
@@ -33,6 +34,7 @@ import threading
 import numpy as np
 
 SLOTS = 5
+BLOCK_CELLS = 32768     # float64s in a row block: 256 KiB
 
 _local = threading.local()
 
@@ -51,3 +53,9 @@ def work_array(slot: int, shape: tuple, dtype=float) -> np.ndarray:
     if buffers[slot].size < nbytes:
         buffers[slot] = np.empty(nbytes, dtype=np.uint8)
     return buffers[slot][:nbytes].view(dtype).reshape(shape)
+
+
+def row_blocks(shape: tuple) -> list:
+    """Slices of ``max(1, BLOCK_CELLS // np)`` rows, the last maybe fewer, over (nx, np)."""
+    rows = max(1, BLOCK_CELLS // shape[1])
+    return [slice(start, min(start + rows, shape[0])) for start in range(0, shape[0], rows)]

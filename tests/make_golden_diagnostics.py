@@ -1,4 +1,4 @@
-"""Write ``tests/data/golden_diagnostics.json``: every diagnostics row of six
+"""Write ``tests/data/golden_diagnostics.json``: every diagnostics row of eight
 short runs and every divergence row of two short comparisons, the reference
 that ``test_golden_diagnostics.py`` holds the solver to within roundoff.
 
@@ -58,6 +58,12 @@ def multi_cell_config(force_mode: str):
                    init=InitConfig(amplitude=0.9))
 
 
+def row_blocked_config(force_mode: str):
+    """A 24x2048 landau run: the p-kick and the residual take it in row blocks
+    of 32768 // 2048 = 16 rows, a whole block and a partial one."""
+    return replace(case_config("landau", force_mode, 0.05, 0.5, 1.0), nx=24, np=2048)
+
+
 # (case name, config)
 CASES = (
     ("landau_modified", case_config("landau", "modified", 0.05, 0.5, 1.0)),
@@ -66,6 +72,8 @@ CASES = (
     ("two_stream_standard", case_config("two_stream", "standard", 0.01, 2.0, 0.25)),
     ("landau_multi_cell_modified", multi_cell_config("modified")),
     ("landau_multi_cell_standard", multi_cell_config("standard")),
+    ("landau_row_blocked_modified", row_blocked_config("modified")),
+    ("landau_row_blocked_standard", row_blocked_config("standard")),
 )
 
 # (case name, preset, amplitude, drift, temperature) of the comparisons, which

@@ -43,6 +43,10 @@ NO_WIDTH_CONFIG = (GOOD_CONFIG.replace("m = 1.0", "m = 1e-200")
                    .replace("temperature = 1.0", "temperature = 1e-200")
                    .replace("p_max = 8.0", "p_max = 1e-190"))
 
+# Masses whose square underflows to 0: v(p) = p / sqrt(m^2 + p^2 / c^2) is 0/0 at
+# the p = 0 node that an odd np has.
+NO_MASS_CONFIG = GOOD_CONFIG.replace("m = 1.0", "m = 1e-200").replace("np = 32", "np = 33")
+
 
 def write_config(tmp_path, text=GOOD_CONFIG):
     path = tmp_path / "run.cfg"
@@ -238,9 +242,14 @@ def test_non_finite_config_exits_2_with_one_line(tmp_path, capsys, command, sett
         "m * temperature = 1e-200 * 1e-200 underflows to 0" for label in ("plus", "minus"))),
     ("temperature = 1.0", "temperature = 1e-300", "species minus: no p node resolves "
      "the initial Gaussian: m * temperature = 1e-300 against dp = 0.5"),
+    # A v(p) that is not finite on some p node is rejected before the run
+    # steps on it (and before numpy warns of it).
+    (GOOD_CONFIG, NO_MASS_CONFIG, "; ".join(
+        f"species {label}: m = 1e-200 is out of range: v(p) is not finite on every p node"
+        for label in ("plus", "minus"))),
 ], ids=["amplitude_1e5", "amplitude_-1.5", "kick_refine_0", "kick_refine_1", "nx_1e23",
         "x_max_1e-320", "x_max_1e300", "p_max_1e200", "c_1e-300", "cfl_fraction_5e-324",
-        "m_temperature_1e-200", "temperature_1e-300"])
+        "m_temperature_1e-200", "temperature_1e-300", "m_1e-200_np_33"])
 def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command, setting,
                                                        bad, line):
     config = write_config(tmp_path, GOOD_CONFIG.replace(setting, bad))

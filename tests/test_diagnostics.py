@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kinvlasov import workspace
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.diagnostics import (
     EQUATION_PARTITION,
@@ -24,6 +25,7 @@ from kinvlasov.grid import build_grid
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.verify import MIN_CONVERGENCE_ORDER
+from kinvlasov.workspace import row_blocks
 
 from conftest import PAIR_CHARGE, landau_config, pair_species
 
@@ -131,6 +133,33 @@ def test_vlasov_residual_matches_three_term_form(preset, force_mode):
         unforced = replace(config, init=replace(config.init, preset="free_stream"))
         without = three_term_residual(*args, species.m, unforced, grid, dt)
         assert without < 0.2 * expected
+
+
+@pytest.mark.parametrize("preset,force_mode", [("landau", "modified"),
+                                               ("landau", "standard"),
+                                               ("free_stream", "modified")])
+def test_blocked_vlasov_residual_is_bitwise_the_one_block_residual(preset, force_mode,
+                                                                   monkeypatch):
+    # At np = 2048 the residual takes blocks of 16 rows: 40 rows are two whole
+    # blocks and a partial one, so the periodic wrap rows 0 and 39 fall in the
+    # first and the last block and the middle one reads neighbours across both edges.
+    config = validate_config(replace(
+        landau_config(nx=40, n_p=2048, amplitude=0.05, drift=0.5, force_mode=force_mode),
+        init=replace(landau_config().init, preset=preset, amplitude=0.05, drift=0.5)))
+    result = run_simulation(config, n_steps=2)
+    grid = result.grid
+    assert [rows.stop - rows.start for rows in row_blocks((grid.nx, grid.np))] == [16, 16, 8]
+    s0, s1, s2 = result.history
+    x = 2.0 * np.pi * grid.x_nodes / grid.x_max
+    strong = FieldState(phi_prev=30.0 * np.sin(x), phi_curr=32.0 * np.sin(x + 0.1),
+                        a_prev=20.0 * np.cos(x), a_curr=21.0 * np.cos(x - 0.2))
+    cases = [(s0.plus.f, s1.plus.f, s2.plus.f, fields_mid, config.plus.q, grid.v[0],
+              config, grid, grid.dt) for fields_mid in (s1.fields, strong)]
+    blocked = [vlasov_residual(*args) for args in cases]
+    monkeypatch.setattr(workspace, "BLOCK_CELLS", grid.nx * grid.np)
+    assert len(row_blocks((grid.nx, grid.np))) == 1
+    one_block = [vlasov_residual(*args) for args in cases]
+    assert np.array_equal(np.array(blocked).view(np.int64), np.array(one_block).view(np.int64))
 
 
 def run_history(config, steps):

@@ -1,4 +1,4 @@
-"""Every diagnostics column of six short runs, and every divergence column of
+"""Every diagnostics column of eight short runs, and every divergence column of
 two short comparisons, agrees with the committed golden rows to roundoff, so a
 kernel rewrite cannot change what the solver computes.
 

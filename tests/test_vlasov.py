@@ -11,7 +11,11 @@ from kinvlasov import vlasov
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
-from kinvlasov.interpolate import periodic_shift_transfer
+from kinvlasov.interpolate import (
+    eval_natural_spline,
+    natural_spline_moments,
+    periodic_shift_transfer,
+)
 from kinvlasov.runner import run_simulation
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.vlasov import (
@@ -20,6 +24,7 @@ from kinvlasov.vlasov import (
     kick_p,
     step,
 )
+from kinvlasov.workspace import row_blocks
 
 from conftest import landau_config, pair_species
 
@@ -295,6 +300,28 @@ def test_whole_cell_kick_moves_every_row_exactly(sign):
         else:
             expected[:, :-k] = f[:, k:]
         assert np.array_equal(out, expected), k
+
+
+def test_blocked_kick_is_bitwise_the_one_block_kick():
+    # At np = 1024 the kick takes blocks of 32 rows: 80 rows are two whole
+    # blocks and a partial one.  The middle block's rows kick by up to three
+    # cells, so it gathers its node terms; the outer blocks stay within a cell.
+    grid = build_grid(Config(nx=80, x_max=8.0, np=1024, p_max=4.0))
+    blocks = row_blocks((grid.nx, grid.np))
+    assert [rows.stop - rows.start for rows in blocks] == [32, 32, 16]
+    rng = np.random.default_rng(1024)
+    f = rng.random((grid.nx, grid.np))
+    v = grid.v[0]
+    reach = np.where((np.arange(grid.nx) // 32) == 1, 3.0, 0.5)
+    coefficients = reach * np.array([rng.uniform(-0.8, 0.8, grid.nx),
+                                     rng.uniform(-0.2, 0.2, grid.nx) / np.max(np.abs(v))])
+    cells = np.einsum("ki,kj->ij", coefficients, np.vstack((np.ones_like(v), v)))
+    assert [np.max(np.abs(cells[rows])) > 1.0 for rows in blocks] == [False, True, False]
+
+    out = kick_p(f, coefficients, v, grid, grid.dp)   # dt = dp: s = a + b v
+    moments = natural_spline_moments(f, grid.dp, grid.spline_solve)
+    expected = eval_natural_spline(f, moments, cells, grid.dp)
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 def test_step_zero_charge_reduces_to_free_streaming():

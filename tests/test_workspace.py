@@ -5,11 +5,12 @@ import sys
 import threading
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
 from kinvlasov import workspace
-from kinvlasov.config import Config, validate_config
+from kinvlasov.config import Config, InitConfig, validate_config
 from kinvlasov.diagnostics import make_record, vlasov_residual
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
@@ -21,6 +22,7 @@ from kinvlasov.interpolate import (
 from kinvlasov.moments import particle_flux
 from kinvlasov.state import FieldState, initialize_state
 from kinvlasov.vlasov import advect_x, kick_p, step
+from kinvlasov.workspace import row_blocks
 
 from conftest import landau_config
 
@@ -122,15 +124,13 @@ def test_threads_stepping_different_grids_match_sequential_runs():
         assert np.array_equal(got.fields.a_curr, want.fields.a_curr)
 
 
-def test_step_and_record_allocation_budget():
-    # Warm-up fills the work arrays and the cached operators; after it, one
-    # step and its record allocate the new state's f pair, the kernels'
-    # results and the forces, but no intermediates.
-    config = validate_config(landau_config(nx=64, n_p=128, amplitude=1e-2))
+def step_and_record_peak(config, warm_up):
+    """Peak traced allocation of one step and its record, in f.nbytes, after
+    ``warm_up`` steps have filled the work arrays and the cached operators."""
     grid = build_grid(config)
     state = initialize_state(config, grid)
     history = deque([state], maxlen=3)
-    for _ in range(3):
+    for _ in range(warm_up):
         state = step(state, config, grid)
         history.append(state)
         make_record(state, history, config, grid)
@@ -143,7 +143,25 @@ def test_step_and_record_allocation_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * state.plus.f.nbytes
+    return peak / state.plus.f.nbytes
+
+
+def test_step_and_record_allocation_budget():
+    # One step and its record allocate the new state's f pair, the kernels'
+    # results and the forces, but no intermediates.
+    config = validate_config(landau_config(nx=64, n_p=128, amplitude=1e-2))
+    assert step_and_record_peak(config, 3) <= 7
+
+
+def test_row_blocked_step_and_record_allocation_budget():
+    # At np = 2048 the kick and the residual take four blocks of 16 rows.  By
+    # step 25 the nonrelativistic amplitude-0.9 fields kick by two cells, so
+    # the kick gathers its node terms: grid-sized, they would take 14 f.nbytes.
+    config = validate_config(replace(
+        Config(nx=64, x_max=16.0 * np.pi, np=2048, relativistic=False),
+        init=InitConfig(amplitude=0.9)))
+    assert len(row_blocks((config.nx, config.np))) == 4
+    assert step_and_record_peak(config, 24) <= 8
 
 
 def test_results_never_share_memory_with_work_arrays():
