@@ -14,14 +14,16 @@ Two variants are needed:
   outside the node range.  Every row's moment system has the same matrix,
   tridiag(1, 4, 1), which is symmetric positive definite: it is LDL^T-factored
   (``dpttrf``, no pivots) once per run, with the run's plan, and only a run
-  that kicks loads scipy for it.  Each foot is evaluated from
+  that kicks loads scipy's LAPACK extension for it.  Each foot is evaluated from
   the Taylor terms of the node whose cells hold it, with no cell search: its
   own node while every displacement is within one cell.
 """
 
 from __future__ import annotations
 
+import os
 from functools import partial
+from importlib import machinery, util
 
 import numpy as np
 
@@ -85,14 +87,20 @@ def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray, spectrum=None,
 def natural_spline_solver(n: int) -> partial:
     """The in-place solve of the moment system of n nodes: ``dpttrs`` against the
     ``dpttrf`` factors of [1] + tridiag(1, 4, 1) + [1].  Its borders factor exactly,
-    so its interior is tridiag's, bit for bit.  scipy is imported here, so that
-    only a run that kicks pays for loading it."""
+    so its interior is tridiag's, bit for bit.  Both come from scipy.linalg._flapack,
+    the extension that scipy.linalg.lapack re-exports, loaded alone: no __init__ of
+    the scipy packages runs, and a later import of scipy.linalg reuses the module."""
     if n < 4:
         raise ValueError(f"a natural spline needs at least 4 nodes (got {n})")
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
-    d, e, _ = dpttrf(np.r_[1.0, np.full(n - 2, 4.0), 1.0], np.r_[0.0, np.ones(n - 3), 0.0])
-    return partial(dpttrs, d, e, overwrite_b=1)
+    scipy = util.find_spec("scipy")     # a top-level name's spec imports nothing
+    spec = scipy and machinery.PathFinder.find_spec("scipy.linalg._flapack", [
+        os.path.join(path, "linalg") for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError("scipy's LAPACK extension scipy.linalg._flapack was not found")
+    flapack = util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    d, e, _ = flapack.dpttrf(np.r_[1.0, np.full(n - 2, 4.0), 1.0], np.r_[0.0, np.ones(n - 3), 0.0])
+    return partial(flapack.dpttrs, d, e, overwrite_b=1)
 
 
 def natural_spline_moments(f: np.ndarray, h: float, solve: partial) -> np.ndarray:
@@ -118,14 +126,15 @@ def natural_spline_moments(f: np.ndarray, h: float, solve: partial) -> np.ndarra
 
 
 def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
-                        h: float) -> np.ndarray:
+                        h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Each row's natural spline at its nodes moved back by ``cells`` cells.
 
     Node j of row i, at p_j on nodes spaced h apart, is evaluated at
     p_j - s h with s = cells[i, j]; a foot outside [p_0, p_{n-1}] returns 0.
     ``moments`` comes from ``natural_spline_moments`` (zero end columns).  Each
     row of ``cells`` must be monotone, as a kick's a + b v(p) is, so that its
-    two end columns hold its largest |s|.
+    two end columns hold its largest |s|.  The values go to ``out`` (C-contiguous,
+    f's shape) when it is given, else to a new array.
 
     Write s = k + r, with k the whole-cell part of s (k = 0 when no |s|
     exceeds 1).  The foot lies within one cell of node e = j - k, where the
@@ -150,7 +159,7 @@ def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
     three_m = np.multiply(moments, 3.0, out=work_array(1, f.shape))
     # f_{j+1} - f_j.  The last column has no right cell: its 3M + dM_right is 0,
     # and its g comes from the left cell, (f_{n-1} - f_{n-2}) + c (2 M_{n-1} + M_{n-2}).
-    values = np.empty(f.shape)
+    values = out = np.empty(f.shape) if out is None else out
     np.subtract(flat[1:], flat[:-1], out=values.reshape(-1)[:-1])
     values[:, -1] = f[:, -1] - f[:, -2] + c * (2.0 * moments[:, -1] + moments[:, -2])
     # The foot of each evaluated node sits at column position - s.  Within one
@@ -182,7 +191,7 @@ def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
     bracket *= c
     values -= bracket
     values *= cells
-    np.subtract(f, values, out=values)
+    np.subtract(f, values, out=out)     # values was gathered anew if some |s| > 1
     s, at = cells[:, edges], position[..., edges]
-    values[:, edges] = np.where((s > at) | (s < at - (n - 1)), 0.0, values[:, edges])
-    return values
+    out[:, edges] = np.where((s > at) | (s < at - (n - 1)), 0.0, out[:, edges])
+    return out

@@ -59,8 +59,8 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
     F = a(x) + b(x) v(p) from the rows of ``forces.force_coefficients`` and
     the species' v on the p nodes.  The characteristic is frozen at the
     pre-kick p.  Per ``workspace.row_blocks`` block, s = (a + b v) dt / dp in
-    cells is formed once, ``interpolate.eval_natural_spline`` evaluates the
-    spline at each node's foot p - s dp, and the values go into the result.
+    cells is formed once, and ``interpolate.eval_natural_spline`` writes the
+    spline at each node's foot p - s dp straight into the block's result rows.
     """
     a, b = coefficients * dt
     # v is monotone in p, so each row's largest |F dt| is at an end (NaN if any is)
@@ -75,15 +75,11 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
     rows_ab, ones_v = coefficients * (dt / grid.dp), np.vstack((np.ones_like(v), v))
-    blocks = row_blocks(f.shape)
-    kicked = np.empty(f.shape) if len(blocks) > 1 else None
-    for rows in blocks:
+    kicked = np.empty(f.shape)
+    for rows in row_blocks(f.shape):
         cells = np.einsum("ki,kj->ij", rows_ab[:, rows], ones_v, out=work_array(0, f[rows].shape))
         moments = natural_spline_moments(f[rows], grid.dp, grid.spline_solve)
-        values = eval_natural_spline(f[rows], moments, cells, grid.dp)
-        if kicked is None:      # one block: its values are the result
-            return values
-        kicked[rows] = values
+        eval_natural_spline(f[rows], moments, cells, grid.dp, out=kicked[rows])
     return kicked
 
 

@@ -246,25 +246,38 @@ def test_solver_source_has_no_blas_products():
     assert not found, found
 
 
-def scipy_imports(node, scope="<module>"):
-    """The scope (function name, or <module>) of each scipy import under node."""
+def scipy_names(node, scope="<module>"):
+    """The scope (function name, or <module>) of each scipy import under node, and
+    of each string outside a docstring that names scipy."""
+    body = getattr(node, "body", None)
+    docstring = (body[0].value if isinstance(body, list) and body
+                 and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                 else None)
     for child in ast.iter_child_nodes(node):
         names = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
                  else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
         if any(name.split(".")[0] == "scipy" for name in names):
-            yield scope
+            yield scope, "import"
+        if isinstance(child, ast.Expr) and child.value is docstring:
+            continue
+        if isinstance(child, ast.Constant) and "scipy" in str(child.value):
+            yield scope, child.value
         inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                  else scope)
-        yield from scipy_imports(child, inner)
+        yield from scipy_names(child, inner)
 
 
 def test_scipy_is_imported_only_where_the_spline_solve_is_built():
     # scipy provides only the p-kick's spline solve, so only a run that kicks
-    # may load it: no module imports it at module level.
-    found = [(path.name, scope)
+    # may load it, and only its LAPACK extension: no module imports scipy, and
+    # natural_spline_solver is the only code that names it.
+    found = [(path.name, scope, name)
              for path in sorted(Path(kinvlasov.__file__).parent.glob("*.py"))
-             for scope in scipy_imports(ast.parse(path.read_text(encoding="utf-8")))]
-    assert found == [("interpolate.py", "natural_spline_solver")], found
+             for scope, name in scipy_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert {(path, scope) for path, scope, _ in found} == {
+        ("interpolate.py", "natural_spline_solver")}, found
+    assert "import" not in {name for _, _, name in found}, found
+    assert {"scipy", "scipy.linalg._flapack"} <= {name for _, _, name in found}, found
 
 
 def fresh_python(code, cwd):
@@ -294,19 +307,34 @@ def test_free_streaming_runs_never_load_scipy(tmp_path):
 
 
 def test_kicked_runs_load_scipy_in_their_setup(tmp_path):
-    # The import is paid before the first step, never inside the stepping.
+    # The import is paid before the first step, never inside the stepping, and
+    # it loads scipy's LAPACK extension alone: neither scipy.linalg nor scipy._lib.
     assert fresh_python(
         "import sys\n"
         "from kinvlasov import Config, runner\n"
         "print('scipy' in sys.modules)\n"
         "step = runner.step\n"
         "def first_step(state, config, grid):\n"
-        "    print('scipy.linalg' in sys.modules)\n"
+        "    print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
         "    runner.step = step\n"
         "    return step(state, config, grid)\n"
         "runner.step = first_step\n"
         "print(runner.run_simulation(Config(nx=16, np=32), n_steps=2).aborted)\n",
-        tmp_path) == ["False", "True", "False"]
+        tmp_path) == ["False", "['scipy.linalg._flapack']", "False"]
+
+
+def test_spline_solve_is_scipy_lapack_dpttrs_in_either_import_order(tmp_path):
+    # The extension module is scipy.linalg.lapack's own, whether scipy.linalg
+    # is imported before the grid is built (this process) or after it.
+    import scipy.linalg.lapack
+
+    assert build_grid(Config(nx=16, np=32)).spline_solve.func is scipy.linalg.lapack.dpttrs
+    assert fresh_python(
+        "from kinvlasov import Config, build_grid\n"
+        "solve = build_grid(Config(nx=16, np=32)).spline_solve\n"
+        "import scipy.linalg\n"
+        "print(solve.func is scipy.linalg.lapack.dpttrs)\n",
+        tmp_path) == ["True"]
 
 
 def test_only_the_cli_prints_or_exits():

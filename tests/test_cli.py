@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -164,13 +165,33 @@ ABORTING_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 40.0").replace(
     "q = -0.1995", "q = -40.0").replace("amplitude = 0.001", "amplitude = 0.5")
 
 
-def test_run_command_solver_abort(tmp_path, capsys):
-    config = write_config(tmp_path, ABORTING_CONFIG)
+# A density or charges of 1e200 overflow the field energy and the force at step 1.
+OVERFLOWING_N0_CONFIG = GOOD_CONFIG.replace("n0 = 1.0", "n0 = 1e200")
+OVERFLOWING_Q_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 1e200").replace(
+    "q = -0.1995", "q = -1e200")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", ABORTING_CONFIG),
+    ("run", OVERFLOWING_N0_CONFIG),
+    ("compare", OVERFLOWING_N0_CONFIG),
+    ("run", OVERFLOWING_Q_CONFIG),
+    ("compare", OVERFLOWING_Q_CONFIG),
+], ids=["run-q_40", "run-n0_1e200", "compare-n0_1e200", "run-q_1e200", "compare-q_1e200"])
+def test_run_command_solver_abort(tmp_path, capsys, command, text):
+    config = write_config(tmp_path, text)
     out = tmp_path / "aborted"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
-    assert "aborted" in capsys.readouterr().out
+    # The abort is its one line: no numpy floating-point warning goes ahead of it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == [] and captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and "aborted at step" in lines[0]
     # partial diagnostics were flushed before the abort
-    lines = (out / "diagnostics.csv").read_text().splitlines()
+    run_dir = out if command == "run" else out / "modified"
+    lines = (run_dir / "diagnostics.csv").read_text().splitlines()
     assert len(lines) >= 2
 
 
