@@ -45,7 +45,7 @@ from .moments import (  # noqa: F401
     number_density,
     particle_flux,
 )
-from .runner import RunResult, compare_simulations, run_simulation  # noqa: F401
+from .runner import RunResult, compare_simulations, run_simulation, start_run  # noqa: F401
 from .state import (  # noqa: F401
     FieldState,
     SimulationState,

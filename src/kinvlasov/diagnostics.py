@@ -31,8 +31,8 @@ class InsufficientHistoryError(RuntimeError):
 
 
 class GridMismatchError(ValueError):
-    """Run comparison requires one configuration up to force_mode and the same
-    snapshot steps."""
+    """Run comparison requires one configuration up to force_mode and two
+    states at one snapshot step."""
 
 
 class FrequencyError(RuntimeError):
@@ -270,10 +270,11 @@ class DivergenceRow:
     force_dist: float
 
 
-def compare_runs(run_a, run_b) -> list:
-    """Per-snapshot distances between two runs whose configurations differ at
-    most in force_mode and which recorded the same snapshot steps.  Symmetric
-    in its arguments.
+def compare_runs(run_a, run_b, state_a: SimulationState,
+                 state_b: SimulationState) -> DivergenceRow:
+    """The distances between state_a of run_a and state_b of run_b, two runs
+    whose configurations differ at most in force_mode, at one snapshot step.
+    Symmetric in the two (run, state) pairs.
 
     force_dist is the x-space L2 of the momentum mean of (F_a - F_b)^2, in
     mean square over the species, so a p-independent force reads as its plain
@@ -285,33 +286,30 @@ def compare_runs(run_a, run_b) -> list:
     config = run_a.config
     if replace(run_b.config, force_mode=config.force_mode) != config:
         raise GridMismatchError("runs differ in more than force_mode")
-    if [s.step for s in run_a.snapshots] != [s.step for s in run_b.snapshots]:
-        raise GridMismatchError("runs recorded different snapshot steps")
+    if state_a.step != state_b.step:
+        raise GridMismatchError(f"states at snapshot steps {state_a.step} and {state_b.step}")
 
     grid, dt, c = run_a.grid, run_a.grid.dt, config.c
     species = (list(zip((config.plus.q, config.minus.q), grid.v))
                if config.forces_enabled else [])
-    rows = []
-    for sa, sb in zip(run_a.snapshots, run_b.snapshots):
-        # each potential at the snapshot's time, the mean of its two levels
-        phi_a, phi_b = (0.5 * (s.fields.phi_prev + s.fields.phi_curr) for s in (sa, sb))
-        a_a, a_b = (0.5 * (s.fields.a_prev + s.fields.a_curr) for s in (sa, sb))
-        force_sq = 0.0
-        for q, v in species:
-            da, db = (force_coefficients(sa.fields, grid, dt, q, c, config.force_mode)
-                      - force_coefficients(sb.fields, grid, dt, q, c, run_b.config.force_mode))
-            mean_sq = (da + db * np.mean(v)) ** 2 + db * db * np.var(v)
-            force_sq += float(np.sum(mean_sq) * grid.dx)
-        rows.append(DivergenceRow(
-            step=sa.step,
-            time=sa.time,
-            f_plus_dist=_l2_phase(sa.plus.f - sb.plus.f, grid),
-            f_minus_dist=_l2_phase(sa.minus.f - sb.minus.f, grid),
-            phi_dist=l2_x(phi_a - phi_b, grid),
-            a_dist=l2_x(a_a - a_b, grid),
-            force_dist=float(np.sqrt(0.5 * force_sq)),
-        ))
-    return rows
+    # each potential at the snapshot's time, the mean of its two levels
+    phi_a, phi_b = (0.5 * (s.fields.phi_prev + s.fields.phi_curr) for s in (state_a, state_b))
+    a_a, a_b = (0.5 * (s.fields.a_prev + s.fields.a_curr) for s in (state_a, state_b))
+    force_sq = 0.0
+    for q, v in species:
+        da, db = (force_coefficients(state_a.fields, grid, dt, q, c, config.force_mode)
+                  - force_coefficients(state_b.fields, grid, dt, q, c, run_b.config.force_mode))
+        mean_sq = (da + db * np.mean(v)) ** 2 + db * db * np.var(v)
+        force_sq += float(np.sum(mean_sq) * grid.dx)
+    return DivergenceRow(
+        step=state_a.step,
+        time=state_a.time,
+        f_plus_dist=_l2_phase(state_a.plus.f - state_b.plus.f, grid),
+        f_minus_dist=_l2_phase(state_a.minus.f - state_b.minus.f, grid),
+        phi_dist=l2_x(phi_a - phi_b, grid),
+        a_dist=l2_x(a_a - a_b, grid),
+        force_dist=float(np.sqrt(0.5 * force_sq)),
+    )
 
 
 def make_record(state: SimulationState, history: deque, config: Config,

@@ -1,15 +1,17 @@
-"""Simulation orchestration: the run loop, output emission and the
-two-force-mode comparison run.  It returns results and never prints."""
+"""Simulation orchestration: the run loop, a generator of the states written
+at the output cadence, and the comparison run, which advances both force
+modes in lockstep.  It returns results and never prints."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .config import FORCE_MODES, Config, ConfigError, validate_config
+from .config import Config, ConfigError, validate_config
 from .diagnostics import compare_runs, make_record, snapshot_state
 from .fields import FieldBlowupError
 from .grid import PhaseSpaceGrid, build_grid
@@ -40,7 +42,6 @@ class RunResult:
     grid: PhaseSpaceGrid    # with the run's dt
     n_steps: int
     records: list
-    snapshots: list
     history: deque          # the last three states, oldest first (two if a step aborted)
     final_state: SimulationState
     aborted: bool = False
@@ -48,15 +49,15 @@ class RunResult:
     abort_step: int = 0     # the step being computed or checked when it aborted
 
 
-def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = False,
-                   initial_state: SimulationState | None = None,
-                   n_steps: int | None = None) -> RunResult:
-    """Run a full simulation; optionally emit manifest, diagnostics, snapshots.
-
-    Diagnostics records are computed every step; rows and snapshots are
-    written at the output_every cadence plus the initial state.  On a solver
-    abort the partial diagnostics are already flushed; the result is returned
-    with ``aborted`` set.
+def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | None = None,
+              n_steps: int | None = None):
+    """Set up a run and return ``(result, states)``: validate the config, build
+    the grid and write the manifest.  The generator ``states`` runs it: it
+    computes a diagnostics record every step, yields each state of the
+    output_every cadence (the initial state first) once its row and snapshot
+    are written, and fills ``result`` as it goes.  On a solver abort it flushes
+    the last computed record, sets ``aborted`` and ends.  Drain or close
+    ``states``: its diagnostics file closes when it ends.
     """
     config = validate_config(config)
     grid = build_grid(config)
@@ -67,83 +68,81 @@ def run_simulation(config: Config, *, out_dir=None, collect_snapshots: bool = Fa
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
     release_handoffs(state)     # every run from one state steps the same
-    history = deque([snapshot_state(state)], maxlen=3)
-
-    writer = DiagnosticsWriter(Path(out_dir) / "diagnostics.csv") if out_dir else None
     if out_dir:
         write_manifest(manifest_payload(config, grid, total), out_dir)
+    history, records = deque([snapshot_state(state)], maxlen=3), []
+    result = RunResult(config=config, grid=grid, n_steps=total, records=records,
+                       history=history, final_state=state)
 
-    records = []
-    snapshots = []
-    written = 0
+    def states():
+        state, written = result.final_state, 0
+        writer = DiagnosticsWriter(Path(out_dir) / "diagnostics.csv") if out_dir else None
+        attempt = state.step
+        try:
+            for k in range(total + 1):
+                if k:
+                    attempt = state.step + 1
+                    if len(history) == history.maxlen:
+                        history.popleft()   # no residual reads it again: free it before the step
+                    state = step(state, config, grid)
+                    history.append(snapshot_state(state))
+                # A NaN or an inf in f makes its row's density non-finite: an O(nx) check.
+                for label, species in zip(("plus", "minus"), state.species):
+                    if not np.all(np.isfinite(species.n)):
+                        raise NonFiniteStateError(
+                            f"non-finite value in f_{label} at step {state.step}")
+                records.append(make_record(state, history, config, grid))
+                result.final_state = state
+                if k % config.output_every == 0:
+                    if writer is not None:
+                        writer.write(records[-1])
+                        written = len(records)
+                        write_snapshot(state, grid, out_dir)
+                    yield state
+        except SOLVER_ABORTS as exc:
+            result.aborted, result.abort_reason, result.abort_step = True, str(exc), attempt
+            # flush the last computed record so the file shows where the run died
+            if writer is not None and records and written < len(records):
+                writer.write(records[-1])
+        finally:
+            release_handoffs(state)
+            if writer is not None:
+                writer.close()
 
-    def emit(current: SimulationState, write_files: bool) -> None:
-        nonlocal written
-        # A NaN or an inf in f makes its row's density non-finite: an O(nx) check.
-        for label, species in zip(("plus", "minus"), current.species):
-            if not np.all(np.isfinite(species.n)):
-                raise NonFiniteStateError(f"non-finite value in f_{label} at step {current.step}")
-        record = make_record(current, history, config, grid)
-        records.append(record)
-        if write_files and writer is not None:
-            writer.write(record)
-            written = len(records)
-        if write_files:
-            if collect_snapshots:
-                snapshots.append(current)
-            if out_dir:
-                write_snapshot(current, grid, out_dir)
+    return result, states()
 
-    result = RunResult(config=config, grid=grid, n_steps=total,
-                       records=records, snapshots=snapshots, history=history,
-                       final_state=state)
-    attempt = state.step
-    try:
-        emit(state, True)
-        for k in range(1, total + 1):
-            attempt = state.step + 1
-            if len(history) == history.maxlen:
-                history.popleft()   # no residual reads it again: free it before the step
-            state = step(state, config, grid)
-            history.append(snapshot_state(state))
-            emit(state, k % config.output_every == 0)
-            result.final_state = state
-    except SOLVER_ABORTS as exc:
-        result.aborted = True
-        result.abort_reason = str(exc)
-        result.abort_step = attempt
-        # flush the last computed record so the file shows where the run died
-        if writer is not None and records and written < len(records):
-            writer.write(records[-1])
-    finally:
-        release_handoffs(state)
-        if writer is not None:
-            writer.close()
+
+def run_simulation(config: Config, *, out_dir=None,
+                   initial_state: SimulationState | None = None,
+                   n_steps: int | None = None) -> RunResult:
+    """Run a simulation to its end (see ``start_run``) and return its result."""
+    result, states = start_run(config, out_dir=out_dir, initial_state=initial_state,
+                               n_steps=n_steps)
+    deque(states, maxlen=0)     # drained without holding a yielded state
     return result
 
 
 def compare_simulations(config: Config, *, out_dir=None):
     """Run the same configuration under both force modes from one shared
     initial state, which neither run mutates, and return (rows, run_modified,
-    run_standard).  If a run aborts, its snapshot steps are a prefix of the
-    other's, and the rows cover the snapshots that both runs recorded."""
-    config = validate_config(config)
-    grid = build_grid(config)
-    state0 = initialize_state(config, grid)
-
-    runs = {}
-    for mode in FORCE_MODES:
-        mode_config = replace(config, force_mode=mode)
-        mode_dir = Path(out_dir) / mode if out_dir else None
-        runs[mode] = run_simulation(
-            mode_config,
-            out_dir=mode_dir,
-            collect_snapshots=True,
-            initial_state=state0,
-        )
-    shared = min(len(run.snapshots) for run in runs.values())
-    rows = compare_runs(*(replace(run, snapshots=run.snapshots[:shared])
-                          for run in runs.values()))
+    run_standard).  The runs advance in lockstep, the modified run one snapshot
+    ahead so that its first step precedes the standard run's first snapshot.
+    Each row is computed from the two states at its step, which are then
+    dropped.  If a run aborts, the rows stop at its last snapshot and the other
+    run still runs to its end and writes its files."""
+    run_mod, modified = start_run(replace(config, force_mode="modified"),
+                                  out_dir=Path(out_dir) / "modified" if out_dir else None)
+    run_std, standard = start_run(replace(config, force_mode="standard"),
+                                  out_dir=Path(out_dir) / "standard" if out_dir else None,
+                                  initial_state=run_mod.final_state)
+    rows, current = [], next(modified, None)
+    while current is not None:
+        ahead, other = next(modified, None), next(standard, None)
+        if other is None:
+            break
+        rows.append(compare_runs(run_mod, run_std, current, other))
+        current, other = ahead, None    # no standard state is held while that run steps
+    deque(chain(modified, standard), maxlen=0)     # a run not yet ended writes its other files
     if out_dir:
         write_divergence(rows, Path(out_dir) / "divergence.csv")
-    return rows, *runs.values()
+    return rows, run_mod, run_std

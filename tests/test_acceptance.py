@@ -21,7 +21,7 @@ from kinvlasov.diagnostics import EQUATION_PARTITION, compare_runs, residual_rep
 from kinvlasov.fields import d1_periodic
 from kinvlasov.forces import force_field
 from kinvlasov.grid import build_grid
-from kinvlasov.runner import run_simulation
+from kinvlasov.runner import run_simulation, start_run
 from kinvlasov.state import FieldState, initialize_state
 from kinvlasov.verify import (
     MIN_CONVERGENCE_ORDER,
@@ -68,11 +68,10 @@ def test_criterion_3_force_novelty_null():
     std_ok = np.allclose(std, expected[:, None], rtol=1e-13, atol=0.0)
 
     # compare_runs at step 0 reports exactly the L2 of q D1 phi.
-    run_mod = run_simulation(replace(config, force_mode="modified"),
-                             collect_snapshots=True, n_steps=1)
-    run_std = run_simulation(replace(config, force_mode="standard"),
-                             collect_snapshots=True, n_steps=1)
-    row0 = compare_runs(run_mod, run_std)[0]
+    (run_mod, mod_states), (run_std, std_states) = (
+        start_run(replace(config, force_mode=mode), n_steps=1)
+        for mode in ("modified", "standard"))
+    row0 = compare_runs(run_mod, run_std, next(mod_states), next(std_states))
     reference = float(np.sqrt(np.sum((q * d1_periodic(fields.phi_curr, grid.dx)) ** 2)
                               * grid.dx))
     rel = abs(row0.force_dist - reference) / reference

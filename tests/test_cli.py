@@ -368,6 +368,62 @@ def test_compare_both_modes_aborting_names_each_on_one_line(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def mode_files(run_dir):
+    return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+
+def run_file_names(snapshot_steps):
+    return {"manifest.json", "diagnostics.csv"} | {
+        f"{name}_{k}.dat" for name in ("f_plus", "f_minus", "fields") for k in snapshot_steps}
+
+
+def test_compare_writes_each_mode_as_its_own_run(tmp_path):
+    # The two runs of a compare advance in lockstep; each directory must still
+    # be byte for byte what ``kinvlasov run`` writes for that force mode.
+    text = GOOD_CONFIG.replace("t_end = 0.5", "t_end = 1.5")
+    assert main(["compare", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    for mode in ("modified", "standard"):
+        config = write_config(tmp_path, text.replace("force_mode = modified",
+                                                     f"force_mode = {mode}"))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / mode)]) == 0
+        files = mode_files(tmp_path / mode)
+        assert "f_minus_16.dat" in files
+        assert mode_files(tmp_path / "cmp" / mode) == files
+
+
+def test_compare_leading_mode_aborting_mid_interval(tmp_path, capsys, monkeypatch):
+    # The modified run, which runs a snapshot ahead of the standard run, gets a
+    # NaN at step 10, between its snapshots at 8 and 12.
+    real_step = runner.step
+
+    def poisoned_step(state, config, grid):
+        new = real_step(state, config, grid)
+        if config.force_mode == "modified" and new.step == 10:
+            new.minus.f[3, 5] = np.nan
+            new = refresh_moments(new, config, grid)
+        return new
+
+    monkeypatch.setattr(runner, "step", poisoned_step)
+    config = write_config(tmp_path, GOOD_CONFIG.replace("t_end = 0.5", "t_end = 1.5"))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "comparison aborted: modified run aborted at step 10: non-finite value in "
+        "f_minus at step 10; standard run completed 18 steps"]
+    assert captured.err == ""
+    # the rows stop at the modified run's last snapshot
+    divergence = (out / "divergence.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in divergence] == ["0", "4", "8"]
+    assert set(mode_files(out / "modified")) == run_file_names((0, 4, 8))
+    # the last finite state's row was flushed
+    assert (out / "modified" / "diagnostics.csv").read_text().splitlines()[-1].startswith("9,")
+    # the standard run still ran to its end and wrote every file
+    assert set(mode_files(out / "standard")) == run_file_names((0, 4, 8, 12, 16))
+    assert len((out / "standard" / "diagnostics.csv").read_text().splitlines()) == 1 + 5
+
+
 def test_run_non_finite_f_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     # A NaN that a step leaves in f_minus stops the run after that step.
     real_step = runner.step

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from kinvlasov.diagnostics import (
 )
 from kinvlasov.forces import force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
-from kinvlasov.runner import run_simulation
+from kinvlasov.runner import compare_simulations, run_simulation, start_run
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
 from kinvlasov.verify import MIN_CONVERGENCE_ORDER
 from kinvlasov.workspace import row_blocks
@@ -289,31 +290,36 @@ def test_relativistic_velocity_ratio_below_one():
     assert all(r.max_abs_v_over_c < 1.0 for r in result.records)
 
 
+def run_states(config, n_steps):
+    """A run of n_steps and the states it wrote at its output cadence."""
+    run, states = start_run(config, n_steps=n_steps)
+    return run, list(states)
+
+
 def test_compare_runs_identical_modes_all_zero(small_landau):
     config = validate_config(small_landau)
-    a = run_simulation(config, collect_snapshots=True, n_steps=8)
-    b = run_simulation(config, collect_snapshots=True, n_steps=8)
-    for row in compare_runs(a, b):
+    a, states_a = run_states(config, 8)
+    b, states_b = run_states(config, 8)
+    for sa, sb in zip(states_a, states_b):
+        row = compare_runs(a, b, sa, sb)
         assert row.f_plus_dist == 0.0 and row.f_minus_dist == 0.0
         assert row.phi_dist == 0.0 and row.a_dist == 0.0 and row.force_dist == 0.0
 
 
 def test_compare_runs_symmetric(small_landau):
     config = validate_config(small_landau)
-    a = run_simulation(replace(config, force_mode="modified"),
-                       collect_snapshots=True, n_steps=8)
-    b = run_simulation(replace(config, force_mode="standard"),
-                       collect_snapshots=True, n_steps=8)
-    ab, ba = compare_runs(a, b), compare_runs(b, a)
-    for ra, rb in zip(ab, ba):
+    a, states_a = run_states(replace(config, force_mode="modified"), 8)
+    b, states_b = run_states(replace(config, force_mode="standard"), 8)
+    for sa, sb in zip(states_a, states_b):
+        ra, rb = compare_runs(a, b, sa, sb), compare_runs(b, a, sb, sa)
         assert ra.f_minus_dist == rb.f_minus_dist
         assert ra.force_dist == rb.force_dist
 
 
 
 def both_modes(config, n_steps):
-    return [run_simulation(replace(config, force_mode=mode), collect_snapshots=True,
-                           n_steps=n_steps) for mode in ("modified", "standard")]
+    return [run_states(replace(config, force_mode=mode), n_steps)
+            for mode in ("modified", "standard")]
 
 
 def reference_force_dist(run_a, run_b, snap_a, snap_b):
@@ -341,10 +347,10 @@ MASS_RATIO_4 = replace(
 ], ids=["landau_drift", "mass_ratio_4_nonrelativistic"])
 def test_compare_runs_force_dist_matches_phase_space_reference(config):
     runs = both_modes(validate_config(config), 20)
-    for run_a, run_b in (runs, runs[::-1]):
-        rows = compare_runs(run_a, run_b)
+    for (run_a, states_a), (run_b, states_b) in (runs, runs[::-1]):
+        rows = [compare_runs(run_a, run_b, sa, sb) for sa, sb in zip(states_a, states_b)]
         assert len(rows) == 5
-        for row, sa, sb in zip(rows, run_a.snapshots, run_b.snapshots):
+        for row, sa, sb in zip(rows, states_a, states_b):
             reference = reference_force_dist(run_a, run_b, sa, sb)
             assert reference > 0.0
             assert abs(row.force_dist - reference) <= 1e-13 * reference
@@ -352,29 +358,49 @@ def test_compare_runs_force_dist_matches_phase_space_reference(config):
 
 def test_compare_runs_rejects_configs_differing_beyond_force_mode(small_landau):
     config = validate_config(small_landau)
-    run_a = run_simulation(config, collect_snapshots=True, n_steps=4)
+    run_a, states_a = start_run(config, n_steps=4)
     other = replace(config, force_mode="standard",
                     init=replace(config.init, amplitude=2e-3))
-    run_b = run_simulation(other, collect_snapshots=True, n_steps=4)
+    run_b, states_b = start_run(other, n_steps=4)
     with pytest.raises(GridMismatchError, match="force_mode"):
-        compare_runs(run_a, run_b)
+        compare_runs(run_a, run_b, next(states_a), next(states_b))
 
 
 def test_compare_runs_rejects_different_snapshot_steps(small_landau):
     config = validate_config(small_landau)
-    run_a, _ = both_modes(config, 8)
-    _, run_b = both_modes(config, 4)
+    (run_a, states_a), _ = both_modes(config, 8)
+    _, (run_b, states_b) = both_modes(config, 4)
     with pytest.raises(GridMismatchError, match="snapshot steps"):
-        compare_runs(run_a, run_b)
+        compare_runs(run_a, run_b, states_a[-1], states_b[-1])
 
 def test_compare_runs_uniform_plasma_stays_coincident():
     config = validate_config(landau_config(nx=32, n_p=32, amplitude=0.0,
                                            output_every=5))
-    a = run_simulation(replace(config, force_mode="modified"),
-                       collect_snapshots=True, n_steps=20)
-    b = run_simulation(replace(config, force_mode="standard"),
-                       collect_snapshots=True, n_steps=20)
-    for row in compare_runs(a, b):
+    a, states_a = run_states(replace(config, force_mode="modified"), 20)
+    b, states_b = run_states(replace(config, force_mode="standard"), 20)
+    for sa, sb in zip(states_a, states_b):
+        row = compare_runs(a, b, sa, sb)
         assert row.f_minus_dist <= 1e-10
         assert row.phi_dist <= 1e-10
         assert row.force_dist <= 1e-10
+
+
+def test_compare_memory_does_not_grow_with_the_row_count():
+    # Each divergence row is computed as both runs reach its step, and its two
+    # states are then dropped: 101 rows hold no more than 2.
+    config = validate_config(landau_config(nx=32, n_p=64, amplitude=0.05))
+    config = replace(config, t_end=100 * build_grid(config).dt)
+    compare_simulations(config)     # one-time allocations: the kick's LAPACK, the work arrays
+
+    def peak_bytes(output_every):
+        tracemalloc.start()
+        try:
+            rows, *_ = compare_simulations(replace(config, output_every=output_every))
+            return len(rows), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (rows_1, peak_1), (rows_100, peak_100) = peak_bytes(1), peak_bytes(100)
+    assert (rows_1, rows_100) == (101, 2)
+    f_nbytes = 32 * 64 * 8
+    assert abs(peak_1 - peak_100) <= 4 * f_nbytes
