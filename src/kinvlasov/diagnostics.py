@@ -314,7 +314,7 @@ def compare_runs(run_a, run_b, state_a: SimulationState,
 
 def make_record(state: SimulationState, history: deque, config: Config,
                 grid: PhaseSpaceGrid) -> DiagnosticsRecord:
-    """Per-step diagnostics row.
+    """The diagnostics row of ``state``, the newest entry of ``history``.
 
     The gauge residual is centered at this state's time.  The kinetic and
     continuity residuals need three snapshots, so they are centered one step

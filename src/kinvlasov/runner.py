@@ -1,6 +1,7 @@
 """Simulation orchestration: the run loop, a generator of the states written
 at the output cadence, and the comparison run, which advances both force
-modes in lockstep.  It returns results and never prints."""
+modes in lockstep.  A diagnostics row is built only where it is read.  It
+returns results and never prints."""
 
 from __future__ import annotations
 
@@ -41,8 +42,9 @@ class RunResult:
     config: Config
     grid: PhaseSpaceGrid    # with the run's dt
     n_steps: int
-    records: list
-    history: deque          # the last three states, oldest first (two if a step aborted)
+    records: list           # every step's row; with out_dir, the written rows
+    history: deque          # the last three finite states, oldest first (two if
+                            # the step after a row aborted)
     final_state: SimulationState
     aborted: bool = False
     abort_reason: str = ""
@@ -53,11 +55,13 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
               n_steps: int | None = None):
     """Set up a run and return ``(result, states)``: validate the config, build
     the grid and write the manifest.  The generator ``states`` runs it: it
-    computes a diagnostics record every step, yields each state of the
-    output_every cadence (the initial state first) once its row and snapshot
-    are written, and fills ``result`` as it goes.  On a solver abort it flushes
-    the last computed record, sets ``aborted`` and ends.  Drain or close
-    ``states``: its diagnostics file closes when it ends.
+    yields each state of the output_every cadence (the initial state first)
+    once its row and snapshot are written, and fills ``result`` as it goes.
+    A diagnostics record is built where it is read: every step in a run
+    without ``out_dir``, else at the cadence only.  On a solver abort a run
+    that writes files also writes the row of its last finite state, then
+    ``states`` sets ``aborted`` and ends.  Drain or close ``states``: its
+    diagnostics file closes when it ends.
     """
     config = validate_config(config)
     grid = build_grid(config)
@@ -70,39 +74,43 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
     release_handoffs(state)     # every run from one state steps the same
     if out_dir:
         write_manifest(manifest_payload(config, grid, total), out_dir)
-    history, records = deque([snapshot_state(state)], maxlen=3), []
+    history, records = deque(maxlen=3), []
     result = RunResult(config=config, grid=grid, n_steps=total, records=records,
                        history=history, final_state=state)
 
     def states():
-        state, written = result.final_state, 0
+        state = result.final_state
         writer = DiagnosticsWriter(Path(out_dir) / "diagnostics.csv") if out_dir else None
         attempt = state.step
         try:
             for k in range(total + 1):
                 if k:
                     attempt = state.step + 1
-                    if len(history) == history.maxlen:
-                        history.popleft()   # no residual reads it again: free it before the step
+                    # Once the newest state has its row, no row reads the oldest
+                    # again: free it before the step.  Else an abort needs it.
+                    if len(history) == history.maxlen and records[-1].step == state.step:
+                        history.popleft()
                     state = step(state, config, grid)
-                    history.append(snapshot_state(state))
                 # A NaN or an inf in f makes its row's density non-finite: an O(nx) check.
                 for label, species in zip(("plus", "minus"), state.species):
                     if not np.all(np.isfinite(species.n)):
                         raise NonFiniteStateError(
                             f"non-finite value in f_{label} at step {state.step}")
-                records.append(make_record(state, history, config, grid))
+                history.append(snapshot_state(state))
                 result.final_state = state
-                if k % config.output_every == 0:
+                on_cadence = k % config.output_every == 0
+                if writer is None or on_cadence:
+                    records.append(make_record(state, history, config, grid))
+                if on_cadence:
                     if writer is not None:
                         writer.write(records[-1])
-                        written = len(records)
                         write_snapshot(state, grid, out_dir)
                     yield state
         except SOLVER_ABORTS as exc:
             result.aborted, result.abort_reason, result.abort_step = True, str(exc), attempt
-            # flush the last computed record so the file shows where the run died
-            if writer is not None and records and written < len(records):
+            # the last finite state's row shows where the run died
+            if writer is not None and history and records[-1].step != history[-1].step:
+                records.append(make_record(history[-1], history, config, grid))
                 writer.write(records[-1])
         finally:
             release_handoffs(state)

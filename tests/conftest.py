@@ -1,8 +1,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from kinvlasov.config import Config, InitConfig, SpeciesConfig
+
+# One Hypothesis profile for every module: a solver call on a slow or busy
+# host must not fail an example on time alone.
+settings.register_profile("ci", deadline=None)
+settings.load_profile("ci")
 
 PAIR_CHARGE = 1.0 / math.sqrt(8.0 * math.pi)
 

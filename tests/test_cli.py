@@ -424,6 +424,49 @@ def test_compare_leading_mode_aborting_mid_interval(tmp_path, capsys, monkeypatc
     assert len((out / "standard" / "diagnostics.csv").read_text().splitlines()) == 1 + 5
 
 
+# q = +-1.2 and amplitude 0.5 drive a kick past its bound at step 126, between
+# two rows of output_every = 4.
+KICK_ABORT_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 1.2").replace(
+    "q = -0.1995", "q = -1.2").replace("amplitude = 0.001", "amplitude = 0.5").replace(
+    "t_end = 0.5", "t_end = 20")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("abort, text, last_step", [
+    ("kick", KICK_ABORT_CONFIG, 125),
+    ("non_finite", GOOD_CONFIG.replace("t_end = 0.5", "t_end = 1.5"), 9),
+], ids=["kick_step_126", "non_finite_step_10"])
+def test_abort_between_rows_writes_the_last_finite_row(tmp_path, capsys, monkeypatch,
+                                                       command, abort, text, last_step):
+    # The row written at the abort must be the one the run writes for that
+    # step at output_every = 1: built from the same three states.
+    real_step = runner.step
+
+    def poisoned_step(state, config, grid):
+        new = real_step(state, config, grid)
+        if new.step == 10:
+            new.minus.f[3, 5] = np.nan
+            new = refresh_moments(new, config, grid)
+        return new
+
+    if abort == "non_finite":
+        monkeypatch.setattr(runner, "step", poisoned_step)
+    rows = {}
+    for every in (4, 1):
+        config = write_config(tmp_path, text.replace("output_every = 4",
+                                                     f"output_every = {every}"))
+        out = tmp_path / f"every_{every}"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        for mode in ["."] if command == "run" else ["modified", "standard"]:
+            rows[every, mode] = (out / mode / "diagnostics.csv").read_bytes().splitlines()
+    capsys.readouterr()
+    for mode in {mode for _, mode in rows}:
+        last = rows[4, mode][-1]
+        assert last == rows[1, mode][1 + int(last.split(b",")[0])]
+    assert rows[4, "." if command == "run" else "modified"][-1].startswith(
+        f"{last_step},".encode())
+
+
 def test_run_non_finite_f_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     # A NaN that a step leaves in f_minus stops the run after that step.
     real_step = runner.step

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kinvlasov.config import Config
@@ -179,7 +179,3 @@ def test_force_field_is_the_expansion_of_its_coefficients(grid, mode, relativist
 def test_force_coefficients_reject_unknown_mode(grid):
     with pytest.raises(ValueError, match="unknown force mode"):
         force_coefficients(fields_of(grid), grid, 0.1, 0.5, 2.0, "lorentz")
-
-
-settings.register_profile("ci", deadline=None)
-settings.load_profile("ci")

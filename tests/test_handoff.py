@@ -6,6 +6,7 @@ place of an ``rfft``.  These tests pin the FFT count, show that the hand-off
 changes f by roundoff only, and that a state without one steps as before.
 """
 
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -53,7 +54,7 @@ def fft_calls(monkeypatch):
     return counts
 
 
-def test_run_frees_the_dead_history_state_before_each_step(monkeypatch):
+def test_run_frees_the_dead_history_state_before_each_step(monkeypatch, tmp_path):
     histories = []
     real_make_record, real_step = runner.make_record, runner.step
 
@@ -72,6 +73,41 @@ def test_run_frees_the_dead_history_state_before_each_step(monkeypatch):
     assert not result.aborted
     assert len(result.history) == 3
     assert result.history[-1] is result.final_state
+
+    # A run that writes files builds rows at steps 0, 4 and 8 only.  It keeps
+    # the oldest state until the newest has its row, which an abort would write.
+    config = validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2, output_every=4))
+    result, states = runner.start_run(config, out_dir=tmp_path, n_steps=10)
+    held = []
+
+    def writer_step(state, config, grid):
+        held.append(len(result.history))
+        return real_step(state, config, grid)
+
+    monkeypatch.setattr(runner, "step", writer_step)
+    deque(states, maxlen=0)
+    assert not result.aborted and result.history[-1] is result.final_state
+    assert held == [1, 2, 3, 3, 2, 3, 3, 3, 2, 3]
+
+
+def test_non_finite_abort_leaves_the_last_finite_state_in_the_history(monkeypatch):
+    real_step = runner.step
+
+    def poisoned_step(state, config, grid):
+        new = real_step(state, config, grid)
+        if new.step == 5:
+            new.minus.f[3, 5] = np.nan
+            new = refresh_moments(new, config, grid)
+        return new
+
+    monkeypatch.setattr(runner, "step", poisoned_step)
+    result = run_simulation(validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2)),
+                            n_steps=10)
+    assert result.aborted and result.abort_step == 5
+    assert result.history[-1] is result.final_state and result.final_state.step == 4
+    # step 4 had its row, so the run freed step 2 before the step that failed
+    assert [s.step for s in result.history] == [3, 4]
+    assert all(np.all(np.isfinite(s.f)) for state in result.history for s in state.species)
 
 
 @pytest.mark.parametrize("preset", ["landau", "free_stream"])

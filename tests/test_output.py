@@ -13,7 +13,7 @@ from kinvlasov.diagnostics import (
     DivergenceRow,
 )
 from kinvlasov.grid import build_grid
-from kinvlasov import output
+from kinvlasov import output, runner
 from kinvlasov.output import (
     DiagnosticsWriter,
     format_float,
@@ -71,6 +71,26 @@ def test_row_count_matches_cadence(tmp_path):
     lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
     # header + initial row + floor(20 / 6) cadence rows
     assert len(lines) == 1 + 1 + 20 // 6
+
+
+def test_rows_are_built_only_where_they_are_read(tmp_path, monkeypatch):
+    built, real_make_record = [], runner.make_record
+
+    def counted(state, *args):
+        built.append(state.step)
+        return real_make_record(state, *args)
+
+    monkeypatch.setattr(runner, "make_record", counted)
+    config = validate_config(landau_config(nx=32, n_p=32, output_every=4, amplitude=1e-2))
+    written = run_simulation(config, out_dir=tmp_path, n_steps=10)
+    assert built == [0, 4, 8]
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines(keepends=True)[1:]
+    assert [output.csv_row(record) for record in written.records] == lines
+    # A library run's caller reads every row.
+    built.clear()
+    library = run_simulation(config, n_steps=10)
+    assert built == list(range(11))
+    assert written.records == library.records[::4]
 
 
 def test_snapshot_round_trip(tmp_path):
