@@ -61,27 +61,27 @@ def periodic_shift_transfer(nx: int, alpha: np.ndarray) -> np.ndarray:
     return transfer
 
 
-def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray, spectrum=None,
-                           keep: dict | None = None) -> np.ndarray:
+def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray, nx: int) -> np.ndarray:
     """Spline-interpolated periodic shift of each column of f along axis 0.
 
-    ``transfer`` comes from ``periodic_shift_transfer(f.shape[0], alpha)``:
-    column j is resampled at x_i - alpha[j] * dx, i.e. values move forward by
-    alpha[j] cells.  Exact at nodes (up to FFT roundoff) for integer alpha.
+    ``transfer`` comes from ``periodic_shift_transfer(nx, alpha)``: column j is
+    resampled at x_i - alpha[j] * dx, i.e. values move forward by alpha[j]
+    cells.  Exact at nodes (up to FFT roundoff) for integer alpha.
 
-    A given ``spectrum`` stands in for rfft(f, axis=0) and is overwritten.
-    ``keep`` maps id(result) to (result, the spectrum irfft read with the
-    Nyquist row's ignored imaginary part zeroed), which is rfft(result) to roundoff.
+    A real f of nx rows gives the shifted f as rfft(f, axis=0) times transfer,
+    the Nyquist row's imaginary part, which irfft ignores, zeroed.  A spectrum
+    gives the real shifted f: the irfft of its product with transfer, formed in
+    place, or in work array 0 if the spectrum is read-only.  Both nx = 2k and
+    2k + 1 have k + 1 rows.
     """
-    if spectrum is None:
-        spectrum = np.fft.rfft(f, axis=0)
+    if np.iscomplexobj(f):
+        out = f if f.flags.writeable else work_array(0, f.shape, complex)
+        return np.fft.irfft(np.multiply(f, transfer, out=out), n=nx, axis=0)
+    spectrum = np.fft.rfft(f, axis=0)
     spectrum *= transfer
-    shifted = np.fft.irfft(spectrum, n=f.shape[0], axis=0)
-    if keep is not None:
-        if f.shape[0] % 2 == 0:
-            spectrum[-1].imag = 0.0
-        keep[id(shifted)] = shifted, spectrum
-    return shifted
+    if nx % 2 == 0:
+        spectrum[-1].imag = 0.0
+    return spectrum
 
 
 def natural_spline_solver(n: int) -> partial:

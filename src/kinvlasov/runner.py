@@ -23,7 +23,7 @@ from .output import (
     write_manifest,
     write_snapshot,
 )
-from .state import SimulationState, initialize_state, release_handoffs
+from .state import SimulationState, initialize_state
 from .vlasov import KickDisplacementError, step
 
 
@@ -71,7 +71,8 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
     total = max(1, round(config.t_end / grid.dt)) if n_steps is None else n_steps
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
-    release_handoffs(state)     # every run from one state steps the same
+    if state.spectra is not None:   # a run steps from f, so every run from one state is alike
+        state = replace(state)
     if out_dir:
         write_manifest(manifest_payload(config, grid, total), out_dir)
     history, records = deque(maxlen=3), []
@@ -91,15 +92,21 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
                     if len(history) == history.maxlen and records[-1].step == state.step:
                         history.popleft()
                     state = step(state, config, grid)
-                # A NaN or an inf in f makes its row's density non-finite: an O(nx) check.
-                for label, species in zip(("plus", "minus"), state.species):
-                    if not np.all(np.isfinite(species.n)):
+                # A NaN or an inf in f makes its density and its spectrum's sum
+                # non-finite.  A state whose row is built now is checked by its
+                # density; any other by that sum, which builds no f, and einsum
+                # allocates nothing and raises no floating-point warning.
+                on_cadence = k % config.output_every == 0
+                row = writer is None or on_cadence
+                spectra = None if row else state.spectra
+                for i, label in enumerate(("plus", "minus")):
+                    if not (np.isfinite(np.einsum("ij->", spectra[i])) if spectra
+                            else np.all(np.isfinite(state.species[i].n))):
                         raise NonFiniteStateError(
                             f"non-finite value in f_{label} at step {state.step}")
                 history.append(snapshot_state(state))
                 result.final_state = state
-                on_cadence = k % config.output_every == 0
-                if writer is None or on_cadence:
+                if row:
                     records.append(make_record(state, history, config, grid))
                 if on_cadence:
                     if writer is not None:
@@ -113,7 +120,6 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
                 records.append(make_record(history[-1], history, config, grid))
                 writer.write(records[-1])
         finally:
-            release_handoffs(state)
             if writer is not None:
                 writer.close()
 

@@ -34,9 +34,6 @@ class SpeciesState:
     f: np.ndarray  # (nx, np), particles per (length * momentum)
     n: np.ndarray | None = None     # cached moments of f, filled by refresh_moments
     flux: np.ndarray | None = None
-    # {id(f): (f, rfft(f))}, left by ``step`` for the next step's first half
-    # advection of f to take once (``vlasov.advect_x``); the one mutable part.
-    handoff: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -49,23 +46,67 @@ class FieldState:
 
 @dataclass
 class SimulationState:
+    """The coupled system at one time.  A state that ``vlasov.step`` returns
+    holds each species' f as its x-spectrum (``spectral_state``); its plus,
+    minus, rho and j are built from the spectra on first read and kept."""
     time: float
     step: int
     plus: SpeciesState
     minus: SpeciesState
     fields: FieldState
-    rho: np.ndarray | None = None  # cached sources, filled by refresh_moments
-    j: np.ndarray | None = None
+    rho: np.ndarray | None  # cached sources, filled by refresh_moments
+    j: np.ndarray | None
+    # Per species rfft(f, axis=0) to roundoff, which a step reads in place of an
+    # rfft of f.  None in a state built around its f, and once f is built and a
+    # step has started from the state (``stepped``).
+    spectra: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    stepped: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def species(self):
         return (self.plus, self.minus)
 
+    @property
+    def built(self) -> bool:
+        """Whether f and its moments are in memory, not only the spectra."""
+        return "plus" in vars(self)
 
-def release_handoffs(state: SimulationState) -> None:
-    """Drop the spectra a state holds for its next step, which then does its own rfft."""
-    for species in state.species:
-        species.handoff.clear()
+    def opening_spectra(self) -> list:
+        """The spectra a step from this state starts from: its own, or each f's
+        rfft.  Once its f is built the state lets them go, writeable."""
+        spectra = list(self.spectra or (np.fft.rfft(s.f, axis=0) for s in self.species))
+        self.stepped = True
+        if self.built:
+            self.spectra = None
+            for spectrum in spectra:
+                spectrum.flags.writeable = True
+        return spectra
+
+    def __getattr__(self, name):
+        # Reached only for plus, minus, rho and j of a spectral state before their
+        # first read: one irfft per species and one moment pass build all four.
+        if name not in ("plus", "minus", "rho", "j") or "_source" not in vars(self):
+            raise AttributeError(name)
+        config, grid = vars(self)["_source"]
+        plus, minus = (SpeciesState(np.fft.irfft(spectrum, n=grid.nx, axis=0))
+                       for spectrum in self.spectra)
+        built = refresh_moments(SimulationState(self.time, self.step, plus, minus,
+                                                self.fields, None, None), config, grid)
+        vars(self).update(plus=built.plus, minus=built.minus, rho=built.rho, j=built.j)
+        del vars(self)["_source"]
+        if self.stepped:
+            self.spectra = None
+        return vars(self)[name]
+
+
+def spectral_state(time, step, fields, spectra, config, grid) -> SimulationState:
+    """A state that holds each species' f only as its x-spectrum, in ``spectra``,
+    read-only while it keeps them."""
+    for spectrum in spectra:
+        spectrum.flags.writeable = False
+    state = object.__new__(SimulationState)
+    vars(state).update(time=time, step=step, fields=fields, spectra=spectra, _source=(config, grid))
+    return state
 
 
 def momentum_gaussian(p_nodes: np.ndarray, m: float, temperature: float,
@@ -120,6 +161,8 @@ def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
         plus=SpeciesState(f_plus),
         minus=SpeciesState(f_minus),
         fields=None,
+        rho=None,
+        j=None,
     ), config, grid)
 
     # An unperturbed neutral plasma has no sources; scrub quadrature roundoff

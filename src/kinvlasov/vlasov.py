@@ -10,9 +10,11 @@ holds to first order in dt only: the kick moves j by O(dt), so the source lags
 its level (ROADMAP item 1).  The kick force is built from the two field
 levels that straddle the kick time, a centered difference spanning 2 dt.
 
-The closing half advection hands its spectrum to the next step's opening one
-(``SpeciesState.handoff``), which then skips its ``rfft``: 3 FFTs per species
-and step instead of 4, with f the same to roundoff.
+Between steps f is held as its x-spectrum: the closing half advection stops
+at rfft(kicked f) times the half-step multiplier, and the next opening one
+multiplies that by it again before its irfft.  f and its moments are built from
+the spectrum only when read (``state.spectral_state``), so a species-step
+between two diagnostics rows is one rfft and one irfft.
 
 dt, each species' v(p), the half-step x multipliers and the kick's p-spline
 solve are constants of the run, built with its grid (``grid.build_grid``); a
@@ -31,7 +33,7 @@ from .forces import force_coefficients
 from .grid import PhaseSpaceGrid
 from .interpolate import eval_natural_spline, natural_spline_moments, periodic_shift_columns
 from .moments import charge_density, current_density
-from .state import FieldState, SimulationState, SpeciesState, refresh_moments
+from .state import FieldState, SimulationState, spectral_state
 from .workspace import row_blocks, work_array
 
 
@@ -39,17 +41,11 @@ class KickDisplacementError(RuntimeError):
     """Momentum displacement exceeded the sanity bound (CFL or physics blow-up)."""
 
 
-def advect_x(f: np.ndarray, transfer: np.ndarray, take: dict | None = None,
-             keep: dict | None = None) -> np.ndarray:
-    """f(x, p) <- f(x - v(p) dt, p), periodic cubic-spline interpolation in x.
-
-    ``transfer`` is the shift's Fourier multiplier (``grid.half_transfer``
-    for a step's half advection).  One ``irfft`` of rfft(f) times it.  The
-    ``rfft`` is skipped for a spectrum that ``take`` (a ``SpeciesState.handoff``)
-    holds for this very f object, taken out of it; ``keep`` receives the result's.
-    """
-    spectrum = take.pop(id(f), (None, None))[1] if take else None
-    return periodic_shift_columns(f, transfer, spectrum, keep)
+def advect_x(f: np.ndarray, transfer: np.ndarray, nx: int) -> np.ndarray:
+    """f(x, p) <- f(x - v(p) dt, p) by ``interpolate.periodic_shift_columns``,
+    from f of nx rows to its x-spectrum or back.  ``transfer`` is the shift's
+    Fourier multiplier (``grid.half_transfer`` for a step's half advection)."""
+    return periodic_shift_columns(f, transfer, nx)
 
 
 def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
@@ -84,17 +80,20 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
 
 
 def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:
-    """Advance the coupled system by one dt; returns a new state.  Of the input,
-    only its spectrum hand-off is taken (emptied); nothing else is touched."""
-    dt, c = grid.dt, config.c
+    """Advance the coupled system by one dt; returns a new state, which holds
+    f as its x-spectra (``state.spectral_state``).  The input is not touched,
+    except that it lets go of its spectra once its f is built
+    (``SimulationState.opening_spectra``)."""
+    dt, c, nx = grid.dt, config.c, grid.nx
     q_plus, q_minus = config.plus.q, config.minus.q
     v_plus, v_minus = grid.v
     half_plus, half_minus = grid.half_transfer
-    plus, minus = state.plus, state.minus
 
-    # Stage 1: half advection in x, from the spectra the last step handed off.
-    f_plus = advect_x(plus.f, half_plus, take=plus.handoff)
-    f_minus = advect_x(minus.f, half_minus, take=minus.handoff)
+    # Stage 1: half advection in x, each spectrum freed after use unless the
+    # state keeps it to build its f.
+    spectra = state.opening_spectra()
+    f_plus = advect_x(spectra.pop(0), half_plus, nx)
+    f_minus = advect_x(spectra.pop(), half_minus, nx)
 
     # Stage 2: field update, sourced by the mid-step moments.
     rho_mid = charge_density(f_plus, f_minus, q_plus, q_minus, grid)
@@ -118,17 +117,10 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
         f_plus = kicked(f_plus, q_plus, v_plus)
         f_minus = kicked(f_minus, q_minus, v_minus)
 
-    # Stage 4: half advection in x, each spectrum handed off to the next step.
-    kept = {}, {}
-    f_plus = advect_x(f_plus, half_plus, keep=kept[0])
-    f_minus = advect_x(f_minus, half_minus, keep=kept[1])
-
-    new_state = SimulationState(
-        time=state.time + dt,
-        step=state.step + 1,
-        plus=SpeciesState(f_plus, handoff=kept[0]),
-        minus=SpeciesState(f_minus, handoff=kept[1]),
-        fields=FieldState(phi_prev=old.phi_curr, phi_curr=phi_new,
-                          a_prev=old.a_curr, a_curr=a_new),
-    )
-    return refresh_moments(new_state, config, grid)
+    # Stage 4: half advection in x, to the spectra the new state holds (each
+    # kicked f is freed as its spectrum replaces it).
+    f_plus = advect_x(f_plus, half_plus, nx)
+    f_minus = advect_x(f_minus, half_minus, nx)
+    fields = FieldState(phi_prev=old.phi_curr, phi_curr=phi_new, a_prev=old.a_curr, a_curr=a_new)
+    return spectral_state(state.time + dt, state.step + 1, fields, (f_plus, f_minus),
+                          config, grid)

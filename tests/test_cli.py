@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kinvlasov import runner
+from kinvlasov import runner, vlasov
 from kinvlasov.cli import main
 from kinvlasov.output import read_snapshot
 from kinvlasov.state import refresh_moments
@@ -489,3 +489,45 @@ def test_run_non_finite_f_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     # the last finite state's row was flushed; the poisoned state has none
     rows = (out / "diagnostics.csv").read_text().splitlines()
     assert rows[-1].startswith("1,")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_kick_yielding_a_non_finite_cell_aborts_at_that_step(tmp_path, capsys, monkeypatch,
+                                                             command, bad):
+    # The real path: the modified run's kick of f_minus at step 10 returns one
+    # bad cell, between the rows at 8 and 12 of output_every = 4.
+    real_step, real_kick = runner.step, vlasov.kick_p
+    current = {}
+
+    def tracking_step(state, config, grid):
+        current.update(step=state.step + 1, mode=config.force_mode, kicks=0)
+        return real_step(state, config, grid)
+
+    def bad_kick(f, coefficients, v, grid, dt):
+        kicked = real_kick(f, coefficients, v, grid, dt)
+        current["kicks"] += 1
+        if current == {"step": 10, "mode": "modified", "kicks": 2}:
+            kicked[3, 5] = bad
+        return kicked
+
+    monkeypatch.setattr(runner, "step", tracking_step)
+    monkeypatch.setattr(vlasov, "kick_p", bad_kick)
+    text = GOOD_CONFIG.replace("t_end = 0.5", "t_end = 1.5")
+    rows = {}
+    for every in (4, 1):
+        config = write_config(tmp_path, text.replace("output_every = 4",
+                                                     f"output_every = {every}"))
+        out = tmp_path / f"every_{every}"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "solver aborted at step 10: non-finite value in f_minus at step 10"
+            if command == "run" else
+            "comparison aborted: modified run aborted at step 10: non-finite value in "
+            "f_minus at step 10; standard run completed 18 steps"]
+        run_dir = out if command == "run" else out / "modified"
+        rows[every] = (run_dir / "diagnostics.csv").read_bytes().splitlines()
+    # the last finite state's row, as the run writes it at output_every = 1
+    assert rows[4][-1].startswith(b"9,") and rows[4][-1] == rows[1][-1]

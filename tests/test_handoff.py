@@ -1,9 +1,11 @@
-"""The x-spectrum hand-off between consecutive steps, and the run's history.
+"""The x-spectrum that each step hands to the next, and the run's history.
 
-Each step's closing half-advection leaves its spectrum on the state it
-returns; the next step's opening half-advection of that same f takes it in
-place of an ``rfft``.  These tests pin the FFT count, show that the hand-off
-changes f by roundoff only, and that a state without one steps as before.
+A step returns a state that holds each species' f as its x-spectrum, the
+closing half-advection's output; the next step's opening half-advection reads
+it in place of an ``rfft``.  f and its moments are built from the spectra only
+when read.  These tests pin the FFT and moment-pass counts, show that a step
+from the spectra changes f by roundoff only against a step from f, and that
+runs from one state are alike.
 """
 
 from collections import deque
@@ -12,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinvlasov import runner
+from kinvlasov import runner, state as state_module
 from kinvlasov.config import validate_config
 from kinvlasov.grid import build_grid
 from kinvlasov.interpolate import periodic_shift_columns
@@ -24,9 +26,8 @@ from conftest import landau_config
 
 
 def stripped(state):
-    """The same state with fresh, empty hand-offs (its arrays shared)."""
-    return replace(state, plus=replace(state.plus, handoff={}),
-                   minus=replace(state.minus, handoff={}))
+    """The same state built around its f, with no spectra (its arrays shared)."""
+    return replace(state)
 
 
 def roughened(config, grid, seed=0):
@@ -41,16 +42,19 @@ def roughened(config, grid, seed=0):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts of np.fft.rfft and np.fft.irfft calls, by name."""
-    counts = {"rfft": 0, "irfft": 0}
-    for name in counts:
-        original = getattr(np.fft, name)
+    """Counts of np.fft.rfft and np.fft.irfft calls, and of moment passes, by name."""
+    counts = {"rfft": 0, "irfft": 0, "moments": 0}
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
 
-        monkeypatch.setattr(np.fft, name, counted)
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    monkeypatch.setattr(state_module, "refresh_moments",
+                        counting("moments", state_module.refresh_moments))
     return counts
 
 
@@ -125,26 +129,62 @@ def test_fft_traffic_per_step(preset, monkeypatch, fft_calls):
 
     monkeypatch.setattr(runner, "step", counting_step)
     run_simulation(config, n_steps=5)
-    assert per_step[0] == {"rfft": 4, "irfft": 4}
-    assert per_step[1:] == [{"rfft": 2, "irfft": 4}] * 4
+    # The first step transforms the initial f; none builds the f it returns.
+    assert per_step[0] == {"rfft": 4, "irfft": 2, "moments": 0}
+    assert per_step[1:] == [{"rfft": 2, "irfft": 2, "moments": 0}] * 4
+
+
+def test_only_read_states_build_f_and_moments(monkeypatch, fft_calls, tmp_path):
+    config = validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2, output_every=10))
+    starts = []
+    real_step = runner.step
+
+    def marking_step(state, config, grid):
+        starts.append(dict(fft_calls))
+        return real_step(state, config, grid)
+
+    monkeypatch.setattr(runner, "step", marking_step)
+    run_simulation(config, out_dir=tmp_path, n_steps=20)
+    starts.append(dict(fft_calls))
+    intervals = [{name: b[name] - a[name] for name in a} for a, b in zip(starts, starts[1:])]
+    # Only the rows at steps 10 and 20 read states, k - 2, k - 1 and k, and build them.
+    for k, counts in enumerate(intervals, start=1):
+        builds = 3 if k % 10 == 0 else 0
+        assert counts == {"rfft": 4 if k == 1 else 2, "irfft": 2 + 2 * builds,
+                          "moments": builds}, k
+
+    # A run without an output directory reads every state, so it builds each
+    # one: per step 2 rfft and 4 irfft, as when every step built its f.  The
+    # initial Poisson solve adds one of each.
+    for name in fft_calls:
+        fft_calls[name] = 0
+    run_simulation(config, n_steps=20)
+    assert fft_calls == {"rfft": 2 * 20 + 2 + 1, "irfft": 4 * 20 + 1, "moments": 20 + 1}
 
 
 @pytest.mark.parametrize("nx", [16, 17])
 def test_kept_spectrum_is_the_rfft_of_the_result(nx):
-    # irfft ignores the imaginary part of an even nx's Nyquist row, so the kept
+    # irfft ignores the imaginary part of an even nx's Nyquist row, so the
     # spectrum drops it.  The spline transfer is real there (to 3e-16), so a
     # step alone cannot see it; a transfer with a complex Nyquist row can.
     rng = np.random.default_rng(1)
     f = rng.random((nx, 6))
     transfer = np.exp(1j * rng.uniform(-np.pi, np.pi, (nx // 2 + 1, 6)))
     transfer[0] = 1.0
-    keep = {}
-    shifted = periodic_shift_columns(f, transfer, keep=keep)
-    kept_f, spectrum = keep.pop(id(shifted))
-    assert kept_f is shifted and not keep
+    spectrum = periodic_shift_columns(f, transfer, nx)
+    shifted = np.fft.irfft(spectrum, n=nx, axis=0)
     error = np.max(np.abs(spectrum - np.fft.rfft(shifted, axis=0)))
     assert error <= 1e-13 * np.max(np.abs(spectrum))
-    assert np.array_equal(periodic_shift_columns(f, transfer), shifted)
+    # A spectrum shifts back to the same f.  A read-only one, as a state keeps
+    # it, is left as it is; a writeable one takes the product in place.
+    full = np.fft.rfft(f, axis=0)
+    kept = full.copy()
+    full.flags.writeable = False
+    assert np.array_equal(periodic_shift_columns(full, transfer, nx), shifted)
+    assert np.array_equal(full, kept)
+    full.flags.writeable = True
+    assert np.array_equal(periodic_shift_columns(full, transfer, nx), shifted)
+    assert np.array_equal(full, kept * transfer)
 
 
 @pytest.mark.parametrize("nx", [32, 33])
@@ -156,8 +196,9 @@ def test_handoff_steps_agree_with_stripped_steps(force_mode, relativistic, nx):
     grid = build_grid(config)
     with_handoff = without = roughened(config, grid)
     for _ in range(20):
-        taken, with_handoff = with_handoff, step(with_handoff, config, grid)
-        assert not taken.plus.handoff and not taken.minus.handoff or taken.step == 0
+        with_handoff = step(with_handoff, config, grid)
+        assert with_handoff.spectra is not None and not with_handoff.built
+        assert not any(spectrum.flags.writeable for spectrum in with_handoff.spectra)
         without = step(stripped(without), config, grid)
         for a, b in zip(with_handoff.species, without.species):
             assert np.max(np.abs(a.f - b.f)) <= 1e-13 * np.max(np.abs(b.f))
@@ -167,28 +208,46 @@ def test_state_rebuilt_around_another_f_never_uses_the_old_spectrum(fft_calls):
     config = validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2))
     grid = build_grid(config)
     state = step(roughened(config, grid), config, grid)
+    spectra = state.spectra
     rebuilt = replace(state, plus=replace(state.plus, f=2.0 * state.plus.f),
                       minus=replace(state.minus, f=state.minus.f.copy()))
-    expected = step(stripped(rebuilt), config, grid)
+    assert rebuilt.spectra is None
+    expected = step(refresh_moments(rebuilt, config, grid), config, grid)
     fft_calls["rfft"] = 0
     got = step(rebuilt, config, grid)
     assert fft_calls["rfft"] == 4
     for a, b in zip(got.species, expected.species):
         assert np.array_equal(a.f, b.f)
-    for species in state.species:   # the old state's hand-offs are left alone
-        assert species.handoff[id(species.f)][0] is species.f
+    assert state.spectra is spectra   # the old state keeps its own
 
 
 def test_second_step_of_one_state_takes_the_rfft_path(fft_calls):
     config = validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2))
     grid = build_grid(config)
+    # A state whose f was never read keeps its spectra: its steps are alike.
     state = step(roughened(config, grid), config, grid)
     fft_calls["rfft"] = 0
-    first = step(state, config, grid)
-    assert fft_calls["rfft"] == 2 and not state.plus.handoff and not state.minus.handoff
-    second = step(state, config, grid)
-    assert fft_calls["rfft"] == 6
+    first, second = step(state, config, grid), step(state, config, grid)
+    assert fft_calls["rfft"] == 4 and state.spectra is not None and not state.built
     for a, b in zip(first.species, second.species):
+        assert np.array_equal(a.f, b.f)
+    # Built once it was stepped from, it lets its spectra go; a later step
+    # transforms f instead, which agrees to roundoff.
+    assert np.all(np.isfinite(state.plus.f)) and state.spectra is None
+    fft_calls["rfft"] = 0
+    third = step(state, config, grid)
+    assert fft_calls["rfft"] == 4
+    for a, b in zip(first.species, third.species):
+        assert np.max(np.abs(a.f - b.f)) <= 1e-13 * np.max(np.abs(b.f))
+    # Built before its first step, it keeps them until that step.
+    built = first
+    assert np.all(np.isfinite(built.minus.f)) and built.spectra is not None
+    fft_calls["rfft"] = 0
+    once = step(built, config, grid)
+    assert fft_calls["rfft"] == 2 and built.spectra is None
+    again = step(built, config, grid)
+    assert fft_calls["rfft"] == 6
+    for a, b in zip(once.species, again.species):
         assert np.max(np.abs(a.f - b.f)) <= 1e-13 * np.max(np.abs(b.f))
 
 
@@ -201,7 +260,7 @@ def test_runs_from_a_state_holding_a_handoff_are_identical(monkeypatch):
         state = initialize_state(config, grid)
         for _ in range(3):
             state = step(state, config, grid)
-        assert state.plus.handoff and state.minus.handoff
+        assert state.spectra is not None
         return state
 
     def same_runs(a, b):
@@ -211,8 +270,9 @@ def test_runs_from_a_state_holding_a_handoff_are_identical(monkeypatch):
 
     reference = run_simulation(config, initial_state=stripped(evolved()))
     start = evolved()
+    spectra = start.spectra
     first = run_simulation(config, initial_state=start)
-    assert not start.plus.handoff and not first.final_state.minus.handoff
+    assert start.spectra is spectra     # the run steps from a copy built around f
     same_runs(first, reference)
     same_runs(run_simulation(config, initial_state=start), reference)
 

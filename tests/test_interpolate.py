@@ -23,7 +23,9 @@ def smooth_periodic(nx, seed=0):
 
 
 def shift(f, alpha):
-    return periodic_shift_columns(f, periodic_shift_transfer(f.shape[0], alpha))
+    # a spectrum in gives the shifted real f out
+    nx = f.shape[0]
+    return periodic_shift_columns(np.fft.rfft(f, axis=0), periodic_shift_transfer(nx, alpha), nx)
 
 
 def four_tap_shift(f, alpha):

@@ -41,9 +41,10 @@ def gaussian_f(grid, x_width=1.0, seed=None):
 
 
 def streamed(f, grid, dt, m, c, relativistic):
-    """advect_x of f by dt, for a species of mass m."""
+    """advect_x of f by dt, for a species of mass m: f's spectrum in, the shifted f out."""
     v = velocity_from_momentum(grid.p_nodes, m, c, relativistic)
-    return advect_x(f, periodic_shift_transfer(grid.nx, v * dt / grid.dx))
+    return advect_x(np.fft.rfft(f, axis=0), periodic_shift_transfer(grid.nx, v * dt / grid.dx),
+                    grid.nx)
 
 
 def test_advect_zero_dt_is_identity(grid):

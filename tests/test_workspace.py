@@ -44,8 +44,10 @@ def kernel_results(grid, seed):
     dt = 0.1 * grid.dp / np.max(np.abs(force))
     moments = natural_spline_moments(f, grid.dp, grid.spline_solve)
     cells = np.sort(rng.uniform(-1.5, 1.5, f.shape), axis=1)
+    transfer = periodic_shift_transfer(grid.nx, v * 0.05 / grid.dx)
     return {
-        "advect_x": advect_x(f, periodic_shift_transfer(grid.nx, v * 0.05 / grid.dx)),
+        "advect_x to a spectrum": advect_x(f, transfer, grid.nx),
+        "advect_x from a spectrum": advect_x(np.fft.rfft(f, axis=0), transfer, grid.nx),
         "kick_p sub-cell": kick_p(f, coefficients, v, grid, dt),
         "kick_p multi-cell": kick_p(f, coefficients, v, grid, 15.0 * dt),
         "natural_spline_moments": moments,
@@ -162,6 +164,28 @@ def test_row_blocked_step_and_record_allocation_budget():
         init=InitConfig(amplitude=0.9)))
     assert len(row_blocks((config.nx, config.np))) == 4
     assert step_and_record_peak(config, 24) <= 8
+
+
+def test_step_between_rows_allocation_budget():
+    # Between two rows no state is read, so a step builds no integer-time f:
+    # it allocates the f* pair, the kicked f and the two closing spectra.
+    # Sub-cell kicks at np = 2048: 3.54 f.nbytes, and 5.07 when every step
+    # also built its f from the closing spectra.
+    config = validate_config(replace(
+        Config(nx=64, x_max=16.0 * np.pi, np=2048, relativistic=False),
+        init=InitConfig(amplitude=0.01)))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    for _ in range(3):
+        state = step(state, config, grid)
+    tracemalloc.start()
+    try:
+        state = step(state, config, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not state.built
+    assert peak / (grid.nx * grid.np * 8) <= 4.75
 
 
 def test_results_never_share_memory_with_work_arrays():
