@@ -69,14 +69,13 @@ def periodic_shift_columns(f: np.ndarray, transfer: np.ndarray, nx: int) -> np.n
     cells.  Exact at nodes (up to FFT roundoff) for integer alpha.
 
     A real f of nx rows gives the shifted f as rfft(f, axis=0) times transfer,
-    the Nyquist row's imaginary part, which irfft ignores, zeroed.  A spectrum
-    gives the real shifted f: the irfft of its product with transfer, formed in
-    place, or in work array 0 if the spectrum is read-only.  Both nx = 2k and
-    2k + 1 have k + 1 rows.
+    the Nyquist row's imaginary part, which irfft ignores, zeroed.  A spectrum,
+    which is left as it is, gives the real shifted f: the irfft of its product
+    with transfer, formed in work array 0.  Both nx = 2k and 2k + 1 have k + 1 rows.
     """
     if np.iscomplexobj(f):
-        out = f if f.flags.writeable else work_array(0, f.shape, complex)
-        return np.fft.irfft(np.multiply(f, transfer, out=out), n=nx, axis=0)
+        product = np.multiply(f, transfer, out=work_array(0, f.shape, complex))
+        return np.fft.irfft(product, n=nx, axis=0)
     spectrum = np.fft.rfft(f, axis=0)
     spectrum *= transfer
     if nx % 2 == 0:

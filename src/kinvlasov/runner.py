@@ -76,6 +76,9 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
     if out_dir:
         write_manifest(manifest_payload(config, grid, total), out_dir)
     history, records = deque(maxlen=3), []
+    # Parseval: |f| <= sqrt(2 S) for a spectrum whose parts square-sum to S, so
+    # below this bound neither its f nor its density can overflow.
+    limit = 1e300 / (grid.nx + grid.np * (1.0 + grid.dp))
     result = RunResult(config=config, grid=grid, n_steps=total, records=records,
                        history=history, final_state=state)
 
@@ -92,16 +95,19 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
                     if len(history) == history.maxlen and records[-1].step == state.step:
                         history.popleft()
                     state = step(state, config, grid)
-                # A NaN or an inf in f makes its density and its spectrum's sum
-                # non-finite.  A state whose row is built now is checked by its
-                # density; any other by that sum, which builds no f, and einsum
-                # allocates nothing and raises no floating-point warning.
+                # A NaN, an inf or an overflow in f makes its density non-finite.
+                # A state whose row is made now is built here, as every state was:
+                # built among the row's temporaries, its f fragments the heap.  Any
+                # other passes unbuilt while the root sum of squares of its spectra
+                # (an einsum: no allocation, no floating-point warning) is below
+                # ``limit``, else its density is read.
                 on_cadence = k % config.output_every == 0
                 row = writer is None or on_cadence
                 spectra = None if row else state.spectra
                 for i, label in enumerate(("plus", "minus")):
-                    if not (np.isfinite(np.einsum("ij->", spectra[i])) if spectra
-                            else np.all(np.isfinite(state.species[i].n))):
+                    parts = spectra and spectra[i].view(float)
+                    bounded = parts is not None and np.sqrt(np.einsum("ij,ij->", parts, parts)) < limit
+                    if not (bounded or np.all(np.isfinite(state.species[i].n))):
                         raise NonFiniteStateError(
                             f"non-finite value in f_{label} at step {state.step}")
                 history.append(snapshot_state(state))

@@ -54,8 +54,8 @@ class SimulationState:
     plus: SpeciesState
     minus: SpeciesState
     fields: FieldState
-    rho: np.ndarray | None  # cached sources, filled by refresh_moments
-    j: np.ndarray | None
+    rho: np.ndarray | None = None  # cached sources, filled by refresh_moments
+    j: np.ndarray | None = None
     # Per species rfft(f, axis=0) to roundoff, which a step reads in place of an
     # rfft of f.  None in a state built around its f, and once f is built and a
     # step has started from the state (``stepped``).
@@ -66,20 +66,13 @@ class SimulationState:
     def species(self):
         return (self.plus, self.minus)
 
-    @property
-    def built(self) -> bool:
-        """Whether f and its moments are in memory, not only the spectra."""
-        return "plus" in vars(self)
-
     def opening_spectra(self) -> list:
         """The spectra a step from this state starts from: its own, or each f's
-        rfft.  Once its f is built the state lets them go, writeable."""
+        rfft.  A state whose f is built lets its own go."""
         spectra = list(self.spectra or (np.fft.rfft(s.f, axis=0) for s in self.species))
         self.stepped = True
-        if self.built:
+        if "plus" in vars(self):
             self.spectra = None
-            for spectrum in spectra:
-                spectrum.flags.writeable = True
         return spectra
 
     def __getattr__(self, name):
@@ -87,21 +80,24 @@ class SimulationState:
         # first read: one irfft per species and one moment pass build all four.
         if name not in ("plus", "minus", "rho", "j") or "_source" not in vars(self):
             raise AttributeError(name)
-        config, grid = vars(self)["_source"]
+        config, grid = vars(self).pop("_source")
         plus, minus = (SpeciesState(np.fft.irfft(spectrum, n=grid.nx, axis=0))
                        for spectrum in self.spectra)
-        built = refresh_moments(SimulationState(self.time, self.step, plus, minus,
-                                                self.fields, None, None), config, grid)
+        built = refresh_moments(SimulationState(self.time, self.step, plus, minus, self.fields),
+                                config, grid)
         vars(self).update(plus=built.plus, minus=built.minus, rho=built.rho, j=built.j)
-        del vars(self)["_source"]
         if self.stepped:
             self.spectra = None
         return vars(self)[name]
 
 
+# Without class defaults, a spectral state's first read of rho or j reaches __getattr__.
+del SimulationState.rho, SimulationState.j
+
+
 def spectral_state(time, step, fields, spectra, config, grid) -> SimulationState:
     """A state that holds each species' f only as its x-spectrum, in ``spectra``,
-    read-only while it keeps them."""
+    which are read-only."""
     for spectrum in spectra:
         spectrum.flags.writeable = False
     state = object.__new__(SimulationState)
@@ -161,8 +157,6 @@ def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
         plus=SpeciesState(f_plus),
         minus=SpeciesState(f_minus),
         fields=None,
-        rho=None,
-        j=None,
     ), config, grid)
 
     # An unperturbed neutral plasma has no sources; scrub quadrature roundoff

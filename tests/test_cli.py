@@ -531,3 +531,22 @@ def test_kick_yielding_a_non_finite_cell_aborts_at_that_step(tmp_path, capsys, m
         rows[every] = (run_dir / "diagnostics.csv").read_bytes().splitlines()
     # the last finite state's row, as the run writes it at output_every = 1
     assert rows[4][-1].startswith(b"9,") and rows[4][-1] == rows[1][-1]
+
+
+@pytest.mark.parametrize("preset", ["landau", "free_stream"])
+def test_huge_finite_f_runs_alike_at_every_output_cadence(tmp_path, capsys, preset):
+    # n0 = 1e307 keeps f and its density finite, while sums over its spectrum
+    # overflow.  Steps 1 to 3 are off the cadence of output_every = 4.
+    text = (GOOD_CONFIG.replace("n0 = 1.0", "n0 = 1e307").replace("amplitude = 0.001",
+                                                                  "amplitude = 0.0")
+            .replace("preset = landau", f"preset = {preset}").replace("t_end = 0.5", "t_end = 0.3"))
+    rows = {}
+    for every in (4, 1):
+        config = write_config(tmp_path, text.replace("output_every = 4",
+                                                     f"output_every = {every}"))
+        out = tmp_path / f"every_{every}"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("completed 4 steps")
+        rows[every] = (out / "diagnostics.csv").read_bytes().splitlines()
+    assert rows[4][-1].startswith(b"4,") and rows[4][-1] == rows[1][-1]

@@ -30,6 +30,11 @@ def stripped(state):
     return replace(state)
 
 
+def is_built(state):
+    """Whether a state's f and moments are in memory, not only its spectra."""
+    return "plus" in vars(state)
+
+
 def roughened(config, grid, seed=0):
     """An initial state whose f carries a random component, so that every
     wavenumber, the Nyquist row included, is excited."""
@@ -175,16 +180,11 @@ def test_kept_spectrum_is_the_rfft_of_the_result(nx):
     shifted = np.fft.irfft(spectrum, n=nx, axis=0)
     error = np.max(np.abs(spectrum - np.fft.rfft(shifted, axis=0)))
     assert error <= 1e-13 * np.max(np.abs(spectrum))
-    # A spectrum shifts back to the same f.  A read-only one, as a state keeps
-    # it, is left as it is; a writeable one takes the product in place.
+    # A spectrum shifts back to the same f and is left as it is.
     full = np.fft.rfft(f, axis=0)
     kept = full.copy()
-    full.flags.writeable = False
     assert np.array_equal(periodic_shift_columns(full, transfer, nx), shifted)
     assert np.array_equal(full, kept)
-    full.flags.writeable = True
-    assert np.array_equal(periodic_shift_columns(full, transfer, nx), shifted)
-    assert np.array_equal(full, kept * transfer)
 
 
 @pytest.mark.parametrize("nx", [32, 33])
@@ -197,7 +197,7 @@ def test_handoff_steps_agree_with_stripped_steps(force_mode, relativistic, nx):
     with_handoff = without = roughened(config, grid)
     for _ in range(20):
         with_handoff = step(with_handoff, config, grid)
-        assert with_handoff.spectra is not None and not with_handoff.built
+        assert with_handoff.spectra is not None and not is_built(with_handoff)
         assert not any(spectrum.flags.writeable for spectrum in with_handoff.spectra)
         without = step(stripped(without), config, grid)
         for a, b in zip(with_handoff.species, without.species):
@@ -228,7 +228,7 @@ def test_second_step_of_one_state_takes_the_rfft_path(fft_calls):
     state = step(roughened(config, grid), config, grid)
     fft_calls["rfft"] = 0
     first, second = step(state, config, grid), step(state, config, grid)
-    assert fft_calls["rfft"] == 4 and state.spectra is not None and not state.built
+    assert fft_calls["rfft"] == 4 and state.spectra is not None and not is_built(state)
     for a, b in zip(first.species, second.species):
         assert np.array_equal(a.f, b.f)
     # Built once it was stepped from, it lets its spectra go; a later step
