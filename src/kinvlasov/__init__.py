@@ -50,6 +50,7 @@ from .state import (  # noqa: F401
     FieldState,
     SimulationState,
     SpeciesState,
+    build,
     initialize_state,
 )
 from .vlasov import (  # noqa: F401

@@ -93,9 +93,8 @@ EQUATION_PARTITION = {
 
 
 def snapshot_state(state: SimulationState) -> SimulationState:
-    """The history entry of a state: the state itself.  Nothing the residuals
-    read is ever mutated (``step`` returns a new state), and states cache the
-    moments, so an entry needs no copy and no array work."""
+    """The history entry of a state: the state itself.  ``step`` returns a new
+    state and ``state.build`` only fills one in, so an entry needs no copy."""
     return state
 
 
@@ -170,9 +169,9 @@ def residual_report(history: deque, config: Config, grid: PhaseSpaceGrid) -> dic
     to the level time from the adjacent cached moments.  The history must come
     from a run of this config, whose step is ``grid.dt``.
 
-    The definition rows f (rho) and g (j) are 0.0 by construction: a state's
-    rho and j come from its own f in one moment pass (``refresh_moments``) and
-    states are never mutated, so recomputing them could only read 0.
+    The definition rows f (rho) and g (j) are 0.0 by construction: a built
+    state's rho and j come from its own f in one moment pass
+    (``refresh_moments``) and never change, so recomputing them could only read 0.
     """
     if len(history) < 3:
         raise InsufficientHistoryError("residual_report needs three stored steps")

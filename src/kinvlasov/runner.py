@@ -23,7 +23,7 @@ from .output import (
     write_manifest,
     write_snapshot,
 )
-from .state import SimulationState, initialize_state
+from .state import SimulationState, build, initialize_state
 from .vlasov import KickDisplacementError, step
 
 
@@ -45,7 +45,7 @@ class RunResult:
     records: list           # every step's row; with out_dir, the written rows
     history: deque          # the last three finite states, oldest first (two if
                             # the step after a row aborted)
-    final_state: SimulationState
+    final_state: SimulationState    # it and the history are built, with no spectra
     aborted: bool = False
     abort_reason: str = ""
     abort_step: int = 0     # the step being computed or checked when it aborted
@@ -58,10 +58,11 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
     yields each state of the output_every cadence (the initial state first)
     once its row and snapshot are written, and fills ``result`` as it goes.
     A diagnostics record is built where it is read: every step in a run
-    without ``out_dir``, else at the cadence only.  On a solver abort a run
-    that writes files also writes the row of its last finite state, then
-    ``states`` sets ``aborted`` and ends.  Drain or close ``states``: its
-    diagnostics file closes when it ends.
+    without ``out_dir``, else at the cadence only.  Only ``states`` builds what
+    ``step`` returns (``state.build``): the states a row reads, yielded or in
+    ``result``.  On a solver abort a run that writes files also writes the row
+    of its last finite state, then ``states`` sets ``aborted`` and ends.  Drain
+    or close ``states``: its diagnostics file closes when it ends.
     """
     config = validate_config(config)
     grid = build_grid(config)
@@ -72,15 +73,34 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
     if state.spectra is not None:   # a run steps from f, so every run from one state is alike
-        state = replace(state)
+        state = replace(build(state, config, grid))
     if out_dir:
         write_manifest(manifest_payload(config, grid, total), out_dir)
     history, records = deque(maxlen=3), []
-    # Parseval: |f| <= sqrt(2 S) for a spectrum whose parts square-sum to S, so
-    # below this bound neither its f nor its density can overflow.
     limit = 1e300 / (grid.nx + grid.np * (1.0 + grid.dp))
     result = RunResult(config=config, grid=grid, n_steps=total, records=records,
                        history=history, final_state=state)
+
+    def settle(keep=None):
+        # Build each history state but ``keep`` and free its spectra: no step reads them.
+        for held in history:
+            if held is not keep:
+                build(held, config, grid).spectra = None
+
+    def check_finite(state):
+        # A NaN, an inf or an overflow in f makes its density non-finite; a built
+        # state's is read.  An unbuilt one passes unbuilt while its spectra
+        # square-sum to S < limit^2 (an einsum: no allocation, no warning), as then
+        # |f| <= sqrt(2 S) (Parseval) and neither f nor its density can overflow;
+        # else it is built.  A row's state comes built: built among the row's
+        # temporaries, its f would fragment the heap.
+        for i, label in enumerate(("plus", "minus")):
+            if state.plus is None:
+                parts = state.spectra[i].view(float)
+                if np.sqrt(np.einsum("ij,ij->", parts, parts)) < limit:
+                    continue
+            if not np.all(np.isfinite(build(state, config, grid).species[i].n)):
+                raise NonFiniteStateError(f"non-finite value in f_{label} at step {state.step}")
 
     def states():
         state = result.final_state
@@ -95,32 +115,23 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
                     if len(history) == history.maxlen and records[-1].step == state.step:
                         history.popleft()
                     state = step(state, config, grid)
-                # A NaN, an inf or an overflow in f makes its density non-finite.
-                # A state whose row is made now is built here, as every state was:
-                # built among the row's temporaries, its f fragments the heap.  Any
-                # other passes unbuilt while the root sum of squares of its spectra
-                # (an einsum: no allocation, no floating-point warning) is below
-                # ``limit``, else its density is read.
                 on_cadence = k % config.output_every == 0
                 row = writer is None or on_cadence
-                spectra = None if row else state.spectra
-                for i, label in enumerate(("plus", "minus")):
-                    parts = spectra and spectra[i].view(float)
-                    bounded = parts is not None and np.sqrt(np.einsum("ij,ij->", parts, parts)) < limit
-                    if not (bounded or np.all(np.isfinite(state.species[i].n))):
-                        raise NonFiniteStateError(
-                            f"non-finite value in f_{label} at step {state.step}")
+                check_finite(build(state, config, grid) if row else state)
                 history.append(snapshot_state(state))
                 result.final_state = state
                 if row:
+                    settle(keep=state)  # which the next step starts from
                     records.append(make_record(state, history, config, grid))
                 if on_cadence:
                     if writer is not None:
                         writer.write(records[-1])
                         write_snapshot(state, grid, out_dir)
                     yield state
+            settle()
         except SOLVER_ABORTS as exc:
             result.aborted, result.abort_reason, result.abort_step = True, str(exc), attempt
+            settle()
             # the last finite state's row shows where the run died
             if writer is not None and history and records[-1].step != history[-1].step:
                 records.append(make_record(history[-1], history, config, grid))

@@ -46,62 +46,32 @@ class FieldState:
 
 @dataclass
 class SimulationState:
-    """The coupled system at one time.  A state that ``vlasov.step`` returns
-    holds each species' f as its x-spectrum (``spectral_state``); its plus,
-    minus, rho and j are built from the spectra on first read and kept."""
+    """The coupled system at one time.  Built, it holds plus, minus, rho and j;
+    unbuilt, as ``vlasov.step`` returns it, those are None and ``spectra`` holds f."""
     time: float
     step: int
-    plus: SpeciesState
-    minus: SpeciesState
+    plus: SpeciesState | None
+    minus: SpeciesState | None
     fields: FieldState
     rho: np.ndarray | None = None  # cached sources, filled by refresh_moments
     j: np.ndarray | None = None
-    # Per species rfft(f, axis=0) to roundoff, which a step reads in place of an
-    # rfft of f.  None in a state built around its f, and once f is built and a
-    # step has started from the state (``stepped``).
+    # Per species rfft(f, axis=0) to roundoff, read-only, which a step reads in place
+    # of an rfft of f.  ``replace`` keeps none, so a state built around its f has none.
     spectra: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    stepped: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def species(self):
         return (self.plus, self.minus)
 
-    def opening_spectra(self) -> list:
-        """The spectra a step from this state starts from: its own, or each f's
-        rfft.  A state whose f is built lets its own go."""
-        spectra = list(self.spectra or (np.fft.rfft(s.f, axis=0) for s in self.species))
-        self.stepped = True
-        if "plus" in vars(self):
-            self.spectra = None
-        return spectra
 
-    def __getattr__(self, name):
-        # Reached only for plus, minus, rho and j of a spectral state before their
-        # first read: one irfft per species and one moment pass build all four.
-        if name not in ("plus", "minus", "rho", "j") or "_source" not in vars(self):
-            raise AttributeError(name)
-        config, grid = vars(self).pop("_source")
+def build(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:
+    """Fill in an unbuilt state's plus, minus, rho and j in place, by one irfft
+    per species and one moment pass, and return it; its spectra are kept."""
+    if state.plus is None:
         plus, minus = (SpeciesState(np.fft.irfft(spectrum, n=grid.nx, axis=0))
-                       for spectrum in self.spectra)
-        built = refresh_moments(SimulationState(self.time, self.step, plus, minus, self.fields),
-                                config, grid)
-        vars(self).update(plus=built.plus, minus=built.minus, rho=built.rho, j=built.j)
-        if self.stepped:
-            self.spectra = None
-        return vars(self)[name]
-
-
-# Without class defaults, a spectral state's first read of rho or j reaches __getattr__.
-del SimulationState.rho, SimulationState.j
-
-
-def spectral_state(time, step, fields, spectra, config, grid) -> SimulationState:
-    """A state that holds each species' f only as its x-spectrum, in ``spectra``,
-    which are read-only."""
-    for spectrum in spectra:
-        spectrum.flags.writeable = False
-    state = object.__new__(SimulationState)
-    vars(state).update(time=time, step=step, fields=fields, spectra=spectra, _source=(config, grid))
+                       for spectrum in state.spectra)
+        built = refresh_moments(replace(state, plus=plus, minus=minus), config, grid)
+        state.plus, state.minus, state.rho, state.j = built.plus, built.minus, built.rho, built.j
     return state
 
 

@@ -12,9 +12,9 @@ levels that straddle the kick time, a centered difference spanning 2 dt.
 
 Between steps f is held as its x-spectrum: the closing half advection stops
 at rfft(kicked f) times the half-step multiplier, and the next opening one
-multiplies that by it again before its irfft.  f and its moments are built from
-the spectrum only when read (``state.spectral_state``), so a species-step
-between two diagnostics rows is one rfft and one irfft.
+multiplies that by it again before its irfft.  A step returns f only as that
+spectrum, and a run builds f and its moments (``state.build``) only where a row
+or its result reads them, so a species-step between rows is one rfft and one irfft.
 
 dt, each species' v(p), the half-step x multipliers and the kick's p-spline
 solve are constants of the run, built with its grid (``grid.build_grid``); a
@@ -33,7 +33,7 @@ from .forces import force_coefficients
 from .grid import PhaseSpaceGrid
 from .interpolate import eval_natural_spline, natural_spline_moments, periodic_shift_columns
 from .moments import charge_density, current_density
-from .state import FieldState, SimulationState, spectral_state
+from .state import FieldState, SimulationState
 from .workspace import row_blocks, work_array
 
 
@@ -80,18 +80,20 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
 
 
 def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> SimulationState:
-    """Advance the coupled system by one dt; returns a new state, which holds
-    f as its x-spectra (``state.spectral_state``).  The input is not touched,
-    except that it lets go of its spectra once its f is built
-    (``SimulationState.opening_spectra``)."""
+    """Advance the coupled system by one dt and return the new state unbuilt,
+    with f only as its read-only x-spectra.  A step reads the input's spectra,
+    else an rfft of its f.  It leaves the input as it is, except that a built
+    input lets its spectra go: its f stands for them."""
     dt, c, nx = grid.dt, config.c, grid.nx
     q_plus, q_minus = config.plus.q, config.minus.q
     v_plus, v_minus = grid.v
     half_plus, half_minus = grid.half_transfer
 
-    # Stage 1: half advection in x, each spectrum freed after use unless the
-    # state keeps it to build its f.
-    spectra = state.opening_spectra()
+    # Stage 1: half advection in x, each spectrum freed after use unless an
+    # unbuilt state keeps it to build its f.
+    spectra = list(state.spectra or (np.fft.rfft(s.f, axis=0) for s in state.species))
+    if state.plus is not None:
+        state.spectra = None
     f_plus = advect_x(spectra.pop(0), half_plus, nx)
     f_minus = advect_x(spectra.pop(), half_minus, nx)
 
@@ -121,6 +123,8 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     # kicked f is freed as its spectrum replaces it).
     f_plus = advect_x(f_plus, half_plus, nx)
     f_minus = advect_x(f_minus, half_minus, nx)
+    f_plus.flags.writeable = f_minus.flags.writeable = False
     fields = FieldState(phi_prev=old.phi_curr, phi_curr=phi_new, a_prev=old.a_curr, a_curr=a_new)
-    return spectral_state(state.time + dt, state.step + 1, fields, (f_plus, f_minus),
-                          config, grid)
+    new = SimulationState(state.time + dt, state.step + 1, None, None, fields)
+    new.spectra = (f_plus, f_minus)
+    return new

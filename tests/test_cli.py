@@ -7,7 +7,7 @@ import pytest
 from kinvlasov import runner, vlasov
 from kinvlasov.cli import main
 from kinvlasov.output import read_snapshot
-from kinvlasov.state import refresh_moments
+from kinvlasov.state import build, refresh_moments
 
 GOOD_CONFIG = """
 [grid]
@@ -400,7 +400,7 @@ def test_compare_leading_mode_aborting_mid_interval(tmp_path, capsys, monkeypatc
     def poisoned_step(state, config, grid):
         new = real_step(state, config, grid)
         if config.force_mode == "modified" and new.step == 10:
-            new.minus.f[3, 5] = np.nan
+            build(new, config, grid).minus.f[3, 5] = np.nan
             new = refresh_moments(new, config, grid)
         return new
 
@@ -445,7 +445,7 @@ def test_abort_between_rows_writes_the_last_finite_row(tmp_path, capsys, monkeyp
     def poisoned_step(state, config, grid):
         new = real_step(state, config, grid)
         if new.step == 10:
-            new.minus.f[3, 5] = np.nan
+            build(new, config, grid).minus.f[3, 5] = np.nan
             new = refresh_moments(new, config, grid)
         return new
 
@@ -474,7 +474,7 @@ def test_run_non_finite_f_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     def poisoned_step(state, config, grid):
         new = real_step(state, config, grid)
         if new.step == 2:
-            new.minus.f[3, 5] = np.nan
+            build(new, config, grid).minus.f[3, 5] = np.nan
             new = refresh_moments(new, config, grid)
         return new
 

@@ -81,3 +81,33 @@ def test_every_config_ends_in_one_line_and_a_documented_exit_code(command, text)
     assert code in (0, 1, 2, 3)
     assert len(out.getvalue().splitlines()) == 1 and out.getvalue().endswith("\n")
     assert err.getvalue() == "" and [str(w.message) for w in caught] == []
+
+
+@settings(max_examples=100)
+@given(text=config_texts())
+def test_run_ends_alike_at_every_output_cadence(text):
+    # The non-finite check reads a state's density at a row and bounds its
+    # spectra off the rows; both give one verdict.  So the exit code, the line
+    # and the last finite state's row do not depend on output_every.
+    ends = {}
+    for every in (1, 3):
+        cadenced = "\n".join(f"output_every = {every}" if line.startswith("output_every =")
+                             else line for line in text.splitlines()) + "\n"
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(runner, "MAX_STEPS", 4), \
+                warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            config, out_dir = Path(tmp) / "run.cfg", Path(tmp) / "out"
+            config.write_text(cadenced)
+            code = main(["run", "--config", str(config), "--out", str(out_dir)])
+            csv = out_dir / "diagnostics.csv"
+            rows = csv.read_bytes().splitlines()[1:] if csv.exists() else []
+        ends[every] = code, out.getvalue().replace(str(out_dir), "<out>"), rows
+    (code, line, rows_1), (code_3, line_3, rows_3) = ends[1], ends[3]
+    assert (code, line) == (code_3, line_3)
+    assert bool(rows_1) == bool(rows_3)
+    if rows_3:
+        # Every row at output_every = 3 is the row of its step at output_every = 1,
+        # and an aborted run's last row is its last finite state's at both.
+        assert set(rows_3) <= set(rows_1)
+        assert code != 1 or rows_3[-1] == rows_1[-1]

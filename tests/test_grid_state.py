@@ -17,7 +17,7 @@ from kinvlasov.moments import (
     particle_flux,
 )
 from kinvlasov.runner import compare_simulations, run_simulation
-from kinvlasov.state import NonNeutralError, initialize_state, refresh_moments
+from kinvlasov.state import NonNeutralError, build, initialize_state, refresh_moments
 from kinvlasov.vlasov import step
 
 from conftest import landau_config, pair_species
@@ -149,7 +149,8 @@ def test_cached_moments_match_f_after_init_and_step(preset, amplitude):
     grid = build_grid(config)
     state = initialize_state(config, grid)
     assert_moments_cached(state, config, grid, initial=True)
-    assert_moments_cached(step(state, config, grid), config, grid, initial=False)
+    assert_moments_cached(build(step(state, config, grid), config, grid), config, grid,
+                          initial=False)
 
 
 def state_bytes(state):

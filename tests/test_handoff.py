@@ -1,13 +1,17 @@
 """The x-spectrum that each step hands to the next, and the run's history.
 
-A step returns a state that holds each species' f as its x-spectrum, the
-closing half-advection's output; the next step's opening half-advection reads
-it in place of an ``rfft``.  f and its moments are built from the spectra only
-when read.  These tests pin the FFT and moment-pass counts, show that a step
+A step returns an unbuilt state, which holds each species' f only as its
+x-spectrum, the closing half-advection's output; the next step's opening
+half-advection reads it in place of an ``rfft``.  ``build`` fills in f and its
+moments from the spectra, and a run calls it only where a state is read.
+These tests pin the FFT and moment-pass counts, show that a step
 from the spectra changes f by roundoff only against a step from f, and that
 runs from one state are alike.
 """
 
+import copy
+import gc
+import pickle
 from collections import deque
 from dataclasses import replace
 
@@ -19,20 +23,20 @@ from kinvlasov.config import validate_config
 from kinvlasov.grid import build_grid
 from kinvlasov.interpolate import periodic_shift_columns
 from kinvlasov.runner import compare_simulations, run_simulation
-from kinvlasov.state import initialize_state, refresh_moments
+from kinvlasov.state import SimulationState, build, initialize_state, refresh_moments
 from kinvlasov.vlasov import step
 
 from conftest import landau_config
 
 
-def stripped(state):
+def stripped(state, config, grid):
     """The same state built around its f, with no spectra (its arrays shared)."""
-    return replace(state)
+    return replace(build(state, config, grid))
 
 
 def is_built(state):
     """Whether a state's f and moments are in memory, not only its spectra."""
-    return "plus" in vars(state)
+    return state.plus is not None
 
 
 def roughened(config, grid, seed=0):
@@ -105,7 +109,7 @@ def test_non_finite_abort_leaves_the_last_finite_state_in_the_history(monkeypatc
     def poisoned_step(state, config, grid):
         new = real_step(state, config, grid)
         if new.step == 5:
-            new.minus.f[3, 5] = np.nan
+            build(new, config, grid).minus.f[3, 5] = np.nan
             new = refresh_moments(new, config, grid)
         return new
 
@@ -117,6 +121,97 @@ def test_non_finite_abort_leaves_the_last_finite_state_in_the_history(monkeypatc
     # step 4 had its row, so the run freed step 2 before the step that failed
     assert [s.step for s in result.history] == [3, 4]
     assert all(np.all(np.isfinite(s.f)) for state in result.history for s in state.species)
+
+
+@pytest.mark.parametrize("entry", ["library", "writer", "compare"])
+def test_only_history_states_live_at_each_step(entry, monkeypatch, tmp_path):
+    # At every step the live states are those of each run's history and its
+    # final state, plus, in a comparison, the one state the lockstep loop holds.
+    # A state holds spectra only while a step may read them: unbuilt, or the
+    # newest of its history.
+    config = validate_config(landau_config(nx=16, n_p=16, amplitude=1e-2, output_every=10))
+    results, counts = [], []
+    real_start, real_step = runner.start_run, runner.step
+
+    def recording_start(*args, **kwargs):
+        result, states = real_start(*args, **kwargs)
+        results.append(result)
+        return result, states
+
+    def counting_step(state, config, grid):
+        live = [s for s in gc.get_objects() if isinstance(s, SimulationState)]
+        held = [s for r in results for s in (*r.history, r.final_state)]
+        with_spectra = [s for s in live if s.spectra is not None]
+        assert all(not is_built(s) or any(s is r.history[-1] for r in results)
+                   for s in with_spectra)
+        counts.append((len(live), sum(not any(s is h for h in held) for s in live),
+                       len(with_spectra)))
+        del live, held, with_spectra
+        return real_step(state, config, grid)
+
+    monkeypatch.setattr(runner, "start_run", recording_start)
+    monkeypatch.setattr(runner, "step", counting_step)
+    if entry == "compare":
+        compare_simulations(replace(config, t_end=25.25 * build_grid(config).dt),
+                            out_dir=tmp_path)
+        assert len(counts) == 50 and max(stray for _, stray, _ in counts) == 1
+        assert max(live for live, _, _ in counts) == 7
+        return
+    run_simulation(config, out_dir=tmp_path if entry == "writer" else None, n_steps=23)
+    live, stray, with_spectra = zip(*counts)
+    assert set(stray) == {0}
+    if entry == "library":   # every state is built at once and lets its spectra go at its step
+        assert live == (1,) + (2,) * 22 and with_spectra == (0,) + (1,) * 22
+    else:   # the rows at 10 and 20 build their states and free the older ones' spectra
+        assert live == (1, 2) + (3,) * 8 + (2,) + (3,) * 9 + (2, 3, 3)
+        assert with_spectra == (0, 1, 2) + (3,) * 7 + (1, 1, 2) + (3,) * 7 + (1, 1, 2)
+
+
+def assert_same_state(got, want):
+    """Equal time, step and form, and every array bit for bit."""
+    assert (got.time, got.step, is_built(got)) == (want.time, want.step, is_built(want))
+    pairs = list(zip(vars(got.fields).values(), vars(want.fields).values()))
+    pairs += zip(got.spectra or (), want.spectra or (), strict=True)
+    if is_built(want):
+        pairs += [(getattr(g, name), getattr(w, name))
+                  for g, w in zip(got.species, want.species) for name in ("f", "n", "flux")]
+        pairs += [(got.rho, want.rho), (got.j, want.j)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def copies(state):
+    return copy.deepcopy(state), pickle.loads(pickle.dumps(state))
+
+
+def test_states_deep_copy_and_pickle_bit_for_bit(monkeypatch, tmp_path):
+    # A state holds no run constants (the grid's LAPACK routines do not pickle),
+    # so a stepped state and the unbuilt states of a run's history copy.
+    config = validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2, output_every=4))
+    grid = build_grid(config)
+    stepped = step(roughened(config, grid), config, grid)
+    copied = copies(stepped)
+    for each in copied:
+        assert_same_state(each, stepped)
+    build(stepped, config, grid)
+    for each in copied:
+        assert_same_state(build(each, config, grid), stepped)
+
+    result, states = runner.start_run(config, out_dir=tmp_path, n_steps=8)
+    unbuilt, real_step = [], runner.step
+
+    def copying_step(state, config, grid):
+        if state.step == 6:     # the history holds steps 4 (a row's), 5 and 6
+            for held in result.history:
+                if not is_built(held):
+                    unbuilt.append(held.step)
+                    for copied in copies(held):
+                        assert_same_state(copied, held)
+        return real_step(state, config, grid)
+
+    monkeypatch.setattr(runner, "step", copying_step)
+    deque(states, maxlen=0)
+    assert unbuilt == [5, 6]
 
 
 @pytest.mark.parametrize("preset", ["landau", "free_stream"])
@@ -199,15 +294,16 @@ def test_handoff_steps_agree_with_stripped_steps(force_mode, relativistic, nx):
         with_handoff = step(with_handoff, config, grid)
         assert with_handoff.spectra is not None and not is_built(with_handoff)
         assert not any(spectrum.flags.writeable for spectrum in with_handoff.spectra)
-        without = step(stripped(without), config, grid)
-        for a, b in zip(with_handoff.species, without.species):
+        without = step(stripped(without, config, grid), config, grid)
+        for a, b in zip(build(with_handoff, config, grid).species,
+                        build(without, config, grid).species):
             assert np.max(np.abs(a.f - b.f)) <= 1e-13 * np.max(np.abs(b.f))
 
 
 def test_state_rebuilt_around_another_f_never_uses_the_old_spectrum(fft_calls):
     config = validate_config(landau_config(nx=32, n_p=32, amplitude=1e-2))
     grid = build_grid(config)
-    state = step(roughened(config, grid), config, grid)
+    state = build(step(roughened(config, grid), config, grid), config, grid)
     spectra = state.spectra
     rebuilt = replace(state, plus=replace(state.plus, f=2.0 * state.plus.f),
                       minus=replace(state.minus, f=state.minus.f.copy()))
@@ -216,7 +312,7 @@ def test_state_rebuilt_around_another_f_never_uses_the_old_spectrum(fft_calls):
     fft_calls["rfft"] = 0
     got = step(rebuilt, config, grid)
     assert fft_calls["rfft"] == 4
-    for a, b in zip(got.species, expected.species):
+    for a, b in zip(build(got, config, grid).species, build(expected, config, grid).species):
         assert np.array_equal(a.f, b.f)
     assert state.spectra is spectra   # the old state keeps its own
 
@@ -229,15 +325,22 @@ def test_second_step_of_one_state_takes_the_rfft_path(fft_calls):
     fft_calls["rfft"] = 0
     first, second = step(state, config, grid), step(state, config, grid)
     assert fft_calls["rfft"] == 4 and state.spectra is not None and not is_built(state)
-    for a, b in zip(first.species, second.species):
+    for a, b in zip(build(first, config, grid).species, build(second, config, grid).species):
         assert np.array_equal(a.f, b.f)
-    # Built once it was stepped from, it lets its spectra go; a later step
-    # transforms f instead, which agrees to roundoff.
-    assert np.all(np.isfinite(state.plus.f)) and state.spectra is None
+    # A caller's build keeps the spectra, also once the state was stepped from
+    # (only a run drops them): its next step reads them, bit for bit alike, and
+    # then lets them go.  A later step transforms f instead, which agrees to
+    # roundoff.
+    assert np.all(np.isfinite(build(state, config, grid).plus.f)) and state.spectra is not None
     fft_calls["rfft"] = 0
     third = step(state, config, grid)
+    assert fft_calls["rfft"] == 2 and state.spectra is None
+    for a, b in zip(first.species, build(third, config, grid).species):
+        assert np.array_equal(a.f, b.f)
+    fft_calls["rfft"] = 0
+    fourth = step(state, config, grid)
     assert fft_calls["rfft"] == 4
-    for a, b in zip(first.species, third.species):
+    for a, b in zip(first.species, build(fourth, config, grid).species):
         assert np.max(np.abs(a.f - b.f)) <= 1e-13 * np.max(np.abs(b.f))
     # Built before its first step, it keeps them until that step.
     built = first
@@ -247,7 +350,7 @@ def test_second_step_of_one_state_takes_the_rfft_path(fft_calls):
     assert fft_calls["rfft"] == 2 and built.spectra is None
     again = step(built, config, grid)
     assert fft_calls["rfft"] == 6
-    for a, b in zip(once.species, again.species):
+    for a, b in zip(build(once, config, grid).species, build(again, config, grid).species):
         assert np.max(np.abs(a.f - b.f)) <= 1e-13 * np.max(np.abs(b.f))
 
 
@@ -268,7 +371,7 @@ def test_runs_from_a_state_holding_a_handoff_are_identical(monkeypatch):
         for x, y in zip(a.final_state.species, b.final_state.species):
             assert np.array_equal(x.f, y.f)
 
-    reference = run_simulation(config, initial_state=stripped(evolved()))
+    reference = run_simulation(config, initial_state=stripped(evolved(), config, grid))
     start = evolved()
     spectra = start.spectra
     first = run_simulation(config, initial_state=start)
@@ -280,4 +383,4 @@ def test_runs_from_a_state_holding_a_handoff_are_identical(monkeypatch):
     _, modified, standard = compare_simulations(config)
     same_runs(modified, reference)
     same_runs(standard, run_simulation(replace(config, force_mode="standard"),
-                                       initial_state=stripped(evolved())))
+                                       initial_state=stripped(evolved(), config, grid)))
