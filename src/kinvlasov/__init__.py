@@ -23,10 +23,8 @@ from .config import (  # noqa: F401
 from .diagnostics import (  # noqa: F401
     LEDGER_LAYOUT,
     DiagnosticsRecord,
-    FrequencyEstimate,
     compare_runs,
     conserved_totals,
-    oscillation_frequency,
     residual_report,
     vlasov_residual,
 )

@@ -1,5 +1,5 @@
 """Run diagnostics: conserved totals, per-equation residuals of the
-overdetermined system, oscillation-frequency extraction, and run comparison.
+overdetermined system, and run comparison.
 
 The evolved system integrates the two kinetic equations and the two potential
 wave equations; the charge and current moments are definitions, and the gauge
@@ -33,10 +33,6 @@ class InsufficientHistoryError(RuntimeError):
 class GridMismatchError(ValueError):
     """Run comparison requires one configuration up to force_mode and two
     states at one snapshot step."""
-
-
-class FrequencyError(RuntimeError):
-    """Oscillation-frequency extraction failed (too few extrema)."""
 
 
 @dataclass
@@ -215,47 +211,6 @@ def conserved_totals(state: SimulationState, grid: PhaseSpaceGrid,
         "field_energy_proxy": field_energy_proxy(state.fields, grid, grid.dt, config.c),
         "max_abs_v_over_c": grid.v_max / config.c,
     }
-
-
-@dataclass
-class FrequencyEstimate:
-    omega: float
-    uncertainty: float
-
-
-def oscillation_frequency(series) -> FrequencyEstimate:
-    """Angular frequency from the mean spacing of same-sign extrema.
-
-    The series is detrended by a linear least-squares fit first; maxima
-    spacings and minima spacings each estimate one period.  Growth or decay
-    does not bias the spacing to first order.
-    """
-    data = np.asarray(series, dtype=float)
-    times = data[:, 0]
-    values = data[:, 1]
-    trend = np.polynomial.Polynomial.fit(times, values, 1)
-    detrended = values - trend(times)
-
-    # A flat series detrends to pure roundoff; do not mistake that for a signal.
-    if np.max(np.abs(detrended)) <= 1e-12 * max(1.0, float(np.max(np.abs(values)))):
-        raise FrequencyError("too few extrema: series has no oscillation")
-
-    interior = detrended[1:-1]
-    is_max = (interior > detrended[:-2]) & (interior >= detrended[2:])
-    is_min = (interior < detrended[:-2]) & (interior <= detrended[2:])
-    t_max = times[1:-1][is_max]
-    t_min = times[1:-1][is_min]
-    if t_max.size + t_min.size < 4:
-        raise FrequencyError(
-            f"too few extrema ({t_max.size + t_min.size}) to estimate a period"
-        )
-    periods = np.concatenate([np.diff(t_max), np.diff(t_min)])
-    if periods.size < 2:
-        raise FrequencyError("too few extrema spacings to estimate a period")
-    mean_period = float(np.mean(periods))
-    omega = 2.0 * np.pi / mean_period
-    spread = float(np.std(periods, ddof=1))
-    return FrequencyEstimate(omega=omega, uncertainty=omega * spread / mean_period)
 
 
 @dataclass

@@ -78,6 +78,12 @@ def gauge_residual(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> float:
     return l2_x(r, grid)
 
 
+def electric_field(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> np.ndarray:
+    """E = -D1 phi - (1/c) dA/dt from the stored levels, centered at their midpoint."""
+    dphi_dx = d1_periodic(0.5 * (fields.phi_prev + fields.phi_curr), grid.dx)
+    return -dphi_dx - ((fields.a_curr - fields.a_prev) / dt) / c
+
+
 def field_energy_proxy(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> float:
     """Quadratic field-energy proxy from the stored levels, time-centered.
 

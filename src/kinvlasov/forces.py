@@ -28,21 +28,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import d1_periodic
+from .fields import d1_periodic, electric_field
 from .grid import PhaseSpaceGrid, velocity_from_momentum
 
 
 def force_coefficients(fields, grid: PhaseSpaceGrid, dt: float, q: float, c: float,
                        mode: str) -> np.ndarray:
     """Rows a and b of F = a(x) + b(x) v(p), shape (2, nx).  modified:
-    a = -(q/c) dA/dt, b = -(q/c) dA/dx, phi unread; standard: b = 0 exactly."""
-    da_dt = (fields.a_curr - fields.a_prev) / dt
+    a = -(q/c) dA/dt, b = -(q/c) dA/dx, phi unread; standard: a = q E, b = 0 exactly."""
     if mode == "modified":
+        da_dt = (fields.a_curr - fields.a_prev) / dt
         da_dx = d1_periodic(0.5 * (fields.a_prev + fields.a_curr), grid.dx)
         return -(q / c) * np.array([da_dt, da_dx])
     if mode == "standard":
-        dphi_dx = d1_periodic(0.5 * (fields.phi_prev + fields.phi_curr), grid.dx)
-        return np.array([q * (-dphi_dx - da_dt / c), np.zeros(grid.nx)])
+        return np.array([q * electric_field(fields, grid, dt, c), np.zeros(grid.nx)])
     raise ValueError(f"unknown force mode {mode!r}")
 
 

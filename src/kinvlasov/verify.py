@@ -2,8 +2,8 @@
 
 Every case checks the solver against an independent reference: an exact
 translated solution, a closed-form wave or electrostatic solution, Gaussian
-moment identities, manufactured residual fields, or textbook warm-plasma
-oscillation frequencies.  Each case returns a ``CaseResult``, and
+moment identities, manufactured residual fields, or the kinetic Landau root
+of a Langmuir wave.  Each case returns a ``CaseResult``, and
 ``kinvlasov verify`` prints it.
 """
 
@@ -14,20 +14,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import Config, InitConfig, SpeciesConfig
-from .diagnostics import oscillation_frequency
-from .fields import d2_periodic, gauge_residual, poisson_init, wave_step
+from .config import Config, InitConfig, SpeciesConfig, validate_config
+from .fields import d2_periodic, electric_field, gauge_residual, poisson_init, wave_step
 from .grid import build_grid
 from .moments import continuity_residual, current_density, number_density, particle_flux
-from .runner import run_simulation
-from .state import FieldState, momentum_gaussian
+from .runner import SOLVER_ABORTS, run_simulation
+from .state import FieldState, initialize_state, momentum_gaussian
+from .vlasov import step
 
 
 # Pass thresholds shared by the cases below and the acceptance tests.
 MIN_CONVERGENCE_ORDER = 1.8  # free streaming, manufactured and ledger residuals
 WAVE_ORDER = 2.0             # leapfrog wave equation, within WAVE_ORDER_TOL
 WAVE_ORDER_TOL = 0.3
-LANGMUIR_MAX_REL_ERROR = 0.05  # warm Langmuir frequency vs Bohm-Gross
+# The kinetic Landau root of 1 + (1 + zeta Z(zeta)) / (k lambda_D)^2 = 0 at k lambda_D = 0.3
+# (Fried & Conte, 1961), and the relative tolerances on its omega and gamma.
+LANGMUIR_OMEGA, LANGMUIR_GAMMA = 1.159846, -0.0126204
+LANGMUIR_OMEGA_TOL, LANGMUIR_GAMMA_TOL = 1e-3, 1e-2
 
 
 @dataclass
@@ -35,6 +38,23 @@ class CaseResult:
     name: str
     passed: bool
     details: str
+
+
+def matrix_pencil(series, dt: float, n_poles: int) -> np.ndarray:
+    """The complex rates gamma + i omega of the n_poles complex exponentials
+    that best fit a series sampled every dt, by the matrix pencil (Hua &
+    Sarkar, IEEE Trans. Acoust. Speech Signal Process. 38, 1990): the rows of
+    a Hankel matrix's SVD truncated to n_poles, shifted by one sample, have
+    the poles z = exp((gamma + i omega) dt) as their pencil's eigenvalues."""
+    series = np.asarray(series, dtype=complex)
+    width = series.size // 2    # the pencil parameter: n_poles <= width <= size - n_poles
+    if width < n_poles:
+        raise ValueError(f"a {n_poles}-pole fit needs at least {2 * n_poles} samples, "
+                         f"got {series.size}")
+    hankel = np.lib.stride_tricks.sliding_window_view(series, width + 1)
+    rows = np.linalg.svd(hankel, full_matrices=False)[2][:n_poles]
+    shift = np.linalg.lstsq(rows[:, :-1].T, rows[:, 1:].T)[0]
+    return np.log(np.linalg.eigvals(shift)) / dt
 
 
 # --- free streaming against the exact translated solution -------------------
@@ -245,7 +265,7 @@ def case_manufactured_residuals() -> CaseResult:
     )
 
 
-# --- warm Langmuir oscillation in the comparator force mode ------------------
+# --- warm Langmuir wave in the comparator force mode against its Landau root -
 
 def langmuir_config() -> Config:
     # Equal-mass pair plasma normalized to total plasma frequency 1; thermal
@@ -256,7 +276,7 @@ def langmuir_config() -> Config:
     return Config(
         nx=64, x_max=2.0 * math.pi / 0.3, np=256, p_max=8.0,
         c=30.0, relativistic=False, force_mode="standard",
-        cfl_fraction=0.9, t_end=25.0, output_every=1000,
+        cfl_fraction=0.9, t_end=25.0,
         species=(SpeciesConfig("plus", +q, 1.0), SpeciesConfig("minus", -q, 1.0)),
         init=InitConfig(preset="landau", n0=1.0, amplitude=1e-3, k_mode=1,
                         temperature=1.0, drift=0.0),
@@ -264,18 +284,29 @@ def langmuir_config() -> Config:
 
 
 def case_langmuir_comparator() -> CaseResult:
-    result = run_simulation(langmuir_config())
-    estimate = oscillation_frequency([(r.time, r.field_energy_proxy) for r in result.records])
-    # energy oscillates at twice the mode frequency
-    measured, unc = estimate.omega / 2.0, estimate.uncertainty / 2.0
-    k_debye = 0.3
-    expected = math.sqrt(1.0 + 3.0 * k_debye**2)
-    rel = abs(measured - expected) / expected
-    passed = rel < LANGMUIR_MAX_REL_ERROR
+    # Step without rows, reading e1, the mode-1 coefficient of E, after each step;
+    # fit t in [5, t_end], decimated to at most 256 samples, with 4 poles.
+    config = validate_config(langmuir_config())
+    grid = build_grid(config)
+    state, first, e1 = initialize_state(config, grid), math.ceil(5.0 / grid.dt), []
+    try:
+        for n in range(1, round(config.t_end / grid.dt) + 1):
+            state = step(state, config, grid)
+            if n >= first:
+                e1.append(np.fft.rfft(electric_field(state.fields, grid, grid.dt, config.c))[1])
+    except SOLVER_ABORTS as exc:
+        return CaseResult("langmuir_comparator", False, f"solver aborted at step {n}: {exc}")
+    stride = math.ceil(len(e1) / 256)
+    rates = matrix_pencil(e1[::stride], stride * grid.dt, 4)
+    fit = rates[np.argmin(np.abs(rates - complex(LANGMUIR_GAMMA, LANGMUIR_OMEGA)))]
+    err_omega = abs(fit.imag / LANGMUIR_OMEGA - 1.0)
+    err_gamma = abs(fit.real / LANGMUIR_GAMMA - 1.0)
+    passed = err_omega <= LANGMUIR_OMEGA_TOL and err_gamma <= LANGMUIR_GAMMA_TOL
     return CaseResult(
         "langmuir_comparator", passed,
-        f"omega {measured:.4f} +- {unc:.4f} vs warm-plasma value {expected:.4f} "
-        f"({100 * rel:.1f}% off, need < {100 * LANGMUIR_MAX_REL_ERROR:g}%)",
+        f"omega {fit.imag:.5f}, gamma {fit.real:.6f} vs Landau root {LANGMUIR_OMEGA:.5f}, "
+        f"{LANGMUIR_GAMMA:.6f} (off by {err_omega:.1e} and {err_gamma:.1e}, need <= "
+        f"{LANGMUIR_OMEGA_TOL:g} and {LANGMUIR_GAMMA_TOL:g})",
     )
 
 

@@ -24,6 +24,8 @@ from kinvlasov.grid import build_grid
 from kinvlasov.runner import run_simulation, start_run
 from kinvlasov.state import FieldState, initialize_state
 from kinvlasov.verify import (
+    LANGMUIR_GAMMA,
+    LANGMUIR_OMEGA,
     MIN_CONVERGENCE_ORDER,
     case_free_streaming,
     case_langmuir_comparator,
@@ -81,9 +83,28 @@ def test_criterion_3_force_novelty_null():
            f"-q D1 phi: {std_ok}; step-0 force distance off by {rel:.2e} (<= 1e-12)")
 
 
-def test_criterion_4_comparator_bohm_gross():
+def test_criterion_4_comparator_landau_root():
     result = case_langmuir_comparator()
-    report(4, "warm Langmuir oscillation vs Bohm-Gross", result.passed, result.details)
+    report(4, "warm Langmuir wave vs the kinetic Landau root", result.passed, result.details)
+
+
+def test_langmuir_constants_are_the_landau_root():
+    # 1 + (1 + zeta Z(zeta)) / k^2 = 0 with Z(zeta) = i sqrt(pi) w(zeta) and
+    # zeta = omega / (sqrt(2) k), in units of the total plasma frequency and
+    # the Debye length; solved from the Bohm-Gross frequency.
+    from scipy.optimize import fsolve
+    from scipy.special import wofz
+
+    k = 0.3
+
+    def dispersion(rate):
+        zeta = complex(*rate) / (math.sqrt(2.0) * k)
+        eps = 1.0 + (1.0 + zeta * 1j * math.sqrt(math.pi) * wofz(zeta)) / k**2
+        return [eps.real, eps.imag]
+
+    omega, gamma = fsolve(dispersion, [math.sqrt(1.0 + 3.0 * k**2), 0.0])
+    assert abs(omega - LANGMUIR_OMEGA) <= 5e-7
+    assert abs(gamma - LANGMUIR_GAMMA) <= 5e-8
 
 
 def test_criterion_5_conservation_modified_mode():

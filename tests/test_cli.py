@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kinvlasov import runner, vlasov
+from kinvlasov import runner, verify, vlasov
 from kinvlasov.cli import main
 from kinvlasov.output import read_snapshot
 from kinvlasov.state import build, refresh_moments
@@ -89,6 +89,17 @@ def test_verify_oracle_cases_pass(capsys, case):
     # The acceptance tests run the other three cases through kinvlasov.verify.
     assert main(["verify", "--case", case]) == 0
     assert capsys.readouterr().out.startswith(f"PASS {case}")
+
+
+def test_verify_case_solver_abort_is_one_fail_line(capsys, monkeypatch):
+    def abort(state, config, grid):
+        raise vlasov.KickDisplacementError("momentum displacement past its bound")
+
+    monkeypatch.setattr(verify, "step", abort)
+    assert main(["verify", "--case", "langmuir_comparator"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["FAIL langmuir_comparator: solver aborted at step 1: "
+                                "momentum displacement past its bound"]
 
 
 def test_verify_unknown_case(capsys):

@@ -11,12 +11,10 @@ from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.diagnostics import (
     EQUATION_PARTITION,
     LEDGER_LAYOUT,
-    FrequencyError,
     GridMismatchError,
     InsufficientHistoryError,
     compare_runs,
     conserved_totals,
-    oscillation_frequency,
     residual_report,
     snapshot_state,
     vlasov_residual,
@@ -232,26 +230,6 @@ def test_evolved_residuals_converge_second_order():
     fine = ledger_at(64, 128, t_end)
     for eq in ("c+", "c-", "d1"):
         assert math.log2(coarse[eq] / fine[eq]) >= MIN_CONVERGENCE_ORDER
-
-
-def test_oscillation_frequency_pure_cosine():
-    t = np.arange(0.0, 20.0, 0.01)
-    est = oscillation_frequency(np.column_stack([t, np.cos(2.0 * t)]))
-    assert est.omega == pytest.approx(2.0, abs=0.01)
-    assert est.uncertainty <= 0.01
-
-
-def test_oscillation_frequency_growing_envelope():
-    t = np.arange(0.0, 15.0, 0.005)
-    values = np.exp(0.1 * t) * np.cos(3.0 * t)
-    est = oscillation_frequency(np.column_stack([t, values]))
-    assert est.omega == pytest.approx(3.0, abs=0.05)
-
-
-def test_oscillation_frequency_constant_series_errors():
-    t = np.arange(0.0, 5.0, 0.01)
-    with pytest.raises(FrequencyError, match="too few extrema"):
-        oscillation_frequency(np.column_stack([t, np.ones_like(t)]))
 
 
 def test_conserved_totals_two_stream_symmetric():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kinvlasov.config import Config
-from kinvlasov.fields import d1_periodic
+from kinvlasov.fields import d1_periodic, electric_field
 from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
 from kinvlasov.grid import build_grid
 from kinvlasov.state import FieldState
@@ -174,6 +174,19 @@ def test_force_field_is_the_expansion_of_its_coefficients(grid, mode, relativist
         assert np.all(b == 0.0)
     else:
         assert np.array_equal(a, -(q / c) * ((fields.a_curr - fields.a_prev) / dt))
+
+
+def test_standard_row_is_q_times_the_electric_field_bit_for_bit(grid):
+    # The inline form the standard row had before E had a function of its own.
+    rng = np.random.default_rng(17)
+    fields = fields_of(grid, *(rng.normal(size=grid.nx) for _ in range(4)))
+    dt, q, c = 0.07, -0.4, 2.5
+    dphi_dx = d1_periodic(0.5 * (fields.phi_prev + fields.phi_curr), grid.dx)
+    da_dt = (fields.a_curr - fields.a_prev) / dt
+    a, b = force_coefficients(fields, grid, dt, q, c, "standard")
+    assert np.array_equal(a, q * (-dphi_dx - da_dt / c))
+    assert np.array_equal(a, q * electric_field(fields, grid, dt, c))
+    assert np.all(b == 0.0)
 
 
 def test_force_coefficients_reject_unknown_mode(grid):
