@@ -22,7 +22,7 @@ from .fields import d2_periodic, field_energy_proxy, gauge_residual, l2_x
 from .forces import force_coefficients
 from .grid import PhaseSpaceGrid
 from .moments import continuity_residual
-from .state import FieldState, SimulationState
+from .state import SimulationState
 from .workspace import row_blocks, work_array
 
 
@@ -101,25 +101,25 @@ def _l2_phase(field: np.ndarray, grid: PhaseSpaceGrid) -> float:
 
 
 def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
-                    fields_mid: FieldState, q: float, v: np.ndarray, config: Config,
-                    grid: PhaseSpaceGrid, dt: float) -> float:
+                    coefficients: np.ndarray | None, v: np.ndarray, grid: PhaseSpaceGrid,
+                    dt: float) -> float:
     """L2 norm of R = df/dt + v df/dx + F df/dp over interior phase-space nodes,
-    for a species of charge q and velocity v on the p nodes (``grid.v``).
+    for a species of velocity v on the p nodes (``grid.v``) and force rows
+    (a, b) at f_mid's time, as ``kick_p`` takes them (F = 0 if they are None).
 
     All derivatives are centered at f_mid's time; the scheme does not
     collocate the equation, so the expected size is O(dt^2 + dx^2 + dp^2).
-    The stored field levels of the middle snapshot straddle its time, which is
-    exactly what ``force_coefficients`` expects.  With F = a + b v and the
+    The stored field levels of the middle snapshot straddle its time, so its
+    ``force_coefficients`` are the rows to pass.  With F = a + b v and the
     centered differences D, 2 dt R = D_t f + (dt/dx) v D_x f + (dt/dp) F D_p f.
     Its terms are built over the whole rows of one ``workspace.row_blocks``
     block at a time, D_x f across the block's edges; only R is full-size.  The
     boundary columns are zeroed before the norm.
     """
     nx, residual, transport_v = len(f_mid), work_array(0, f_mid.shape), (dt / grid.dx) * v
-    if config.forces_enabled:
+    if coefficients is not None:
         # (dt/dp) F in one sweep a block: the rows (a, b) times (1, v), summed by einsum.
-        ab = (dt / grid.dp) * force_coefficients(fields_mid, grid, dt, q, config.c,
-                                                 config.force_mode)
+        ab = (dt / grid.dp) * coefficients
         ones_v = np.vstack((np.ones_like(v), v))
     for rows in row_blocks(f_mid.shape):
         block = np.subtract(f_next[rows], f_prev[rows], out=residual[rows])
@@ -132,7 +132,7 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
                 np.subtract(f_mid[up], f_mid[down], out=transport[row - rows.start])
         transport *= transport_v
         block += transport
-        if config.forces_enabled:
+        if coefficients is not None:
             fp, flat = work_array(2, block.shape), np.ravel(f_mid[rows])
             np.subtract(flat[2:], flat[:-2], out=fp.reshape(-1)[1:-1])
             fp.flat[[0, -1]] = 0.0
@@ -146,13 +146,13 @@ def history_residuals(history: deque, config: Config, grid: PhaseSpaceGrid) -> d
     """The kinetic residuals c+, c- and the minus-species continuity residual h,
     all centered at the middle of the three states in ``history``."""
     s0, s1, s2 = history
-    return {
-        "c+": vlasov_residual(s0.plus.f, s1.plus.f, s2.plus.f, s1.fields,
-                              config.plus.q, grid.v[0], config, grid, grid.dt),
-        "c-": vlasov_residual(s0.minus.f, s1.minus.f, s2.minus.f, s1.fields,
-                              config.minus.q, grid.v[1], config, grid, grid.dt),
-        "h": continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, grid.dt),
-    }
+    rows = force_coefficients(s1.fields, grid, grid.dt, config)
+    measured = {label: vlasov_residual(s0.species[i].f, s1.species[i].f, s2.species[i].f,
+                                       None if rows is None else rows[i], grid.v[i],
+                                       grid, grid.dt)
+                for i, label in enumerate(("c+", "c-"))}
+    measured["h"] = continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, grid.dt)
+    return measured
 
 
 def residual_report(history: deque, config: Config, grid: PhaseSpaceGrid) -> dict:
@@ -243,16 +243,14 @@ def compare_runs(run_a, run_b, state_a: SimulationState,
     if state_a.step != state_b.step:
         raise GridMismatchError(f"states at snapshot steps {state_a.step} and {state_b.step}")
 
-    grid, dt, c = run_a.grid, run_a.grid.dt, config.c
-    species = (list(zip((config.plus.q, config.minus.q), grid.v))
-               if config.forces_enabled else [])
+    grid, dt = run_a.grid, run_a.grid.dt
+    rows_a, rows_b = (force_coefficients(s.fields, grid, dt, run.config)
+                      for run, s in ((run_a, state_a), (run_b, state_b)))
     # each potential at the snapshot's time, the mean of its two levels
     phi_a, phi_b = (0.5 * (s.fields.phi_prev + s.fields.phi_curr) for s in (state_a, state_b))
     a_a, a_b = (0.5 * (s.fields.a_prev + s.fields.a_curr) for s in (state_a, state_b))
     force_sq = 0.0
-    for q, v in species:
-        da, db = (force_coefficients(state_a.fields, grid, dt, q, c, config.force_mode)
-                  - force_coefficients(state_b.fields, grid, dt, q, c, run_b.config.force_mode))
+    for (da, db), v in zip(() if rows_a is None else rows_a - rows_b, grid.v):
         mean_sq = (da + db * np.mean(v)) ** 2 + db * db * np.var(v)
         force_sq += float(np.sum(mean_sq) * grid.dx)
     return DivergenceRow(

@@ -83,48 +83,41 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     """Advance the coupled system by one dt and return the new state unbuilt,
     with f only as its read-only x-spectra.  A step reads the input's spectra,
     else an rfft of its f.  It leaves the input as it is, except that a built
-    input lets its spectra go: its f stands for them."""
-    dt, c, nx = grid.dt, config.c, grid.nx
-    q_plus, q_minus = config.plus.q, config.minus.q
-    v_plus, v_minus = grid.v
-    half_plus, half_minus = grid.half_transfer
+    input lets its spectra go: its f stands for them.  A stage loops over the
+    species; one ``force_coefficients`` call gives both kicks their rows."""
+    # A run's first step builds the x multipliers, before the spectra exist.
+    dt, c, nx, halves = grid.dt, config.c, grid.nx, grid.half_transfer
 
     # Stage 1: half advection in x, each spectrum freed after use unless an
     # unbuilt state keeps it to build its f.
     spectra = list(state.spectra or (np.fft.rfft(s.f, axis=0) for s in state.species))
     if state.plus is not None:
         state.spectra = None
-    f_plus = advect_x(spectra.pop(0), half_plus, nx)
-    f_minus = advect_x(spectra.pop(), half_minus, nx)
+    f = [advect_x(spectra.pop(0), half, nx) for half in halves]
 
     # Stage 2: field update, sourced by the mid-step moments.
-    rho_mid = charge_density(f_plus, f_minus, q_plus, q_minus, grid)
-    j_mid = current_density(f_plus, f_minus, q_plus, q_minus, v_plus, v_minus, grid)
+    rho_mid = charge_density(*f, config.plus.q, config.minus.q, grid)
+    j_mid = current_density(*f, config.plus.q, config.minus.q, *grid.v, grid)
     old = state.fields
     phi_new = wave_step(old.phi_prev, old.phi_curr, 4.0 * np.pi * rho_mid, grid, dt, c)
     a_new = wave_step(old.a_prev, old.a_curr, (4.0 * np.pi / c) * j_mid, grid, dt, c)
 
     # Stage 3: momentum kick with the force centered at the kick time.  The
     # pre-update prev level and the post-update level straddle it by dt each.
-    if config.forces_enabled:
-        straddle = FieldState(phi_prev=old.phi_prev, phi_curr=phi_new,
-                              a_prev=old.a_prev, a_curr=a_new)
-
-        def kicked(f, q, v):
-            coefficients = force_coefficients(straddle, grid, 2.0 * dt, q, c,
-                                              config.force_mode)
-            return kick_p(f, coefficients, v, grid, dt)
-
+    straddle = FieldState(phi_prev=old.phi_prev, phi_curr=phi_new,
+                          a_prev=old.a_prev, a_curr=a_new)
+    rows = force_coefficients(straddle, grid, 2.0 * dt, config)
+    if rows is not None:
         # One at a time, so that each pre-kick f is freed before the next kick.
-        f_plus = kicked(f_plus, q_plus, v_plus)
-        f_minus = kicked(f_minus, q_minus, v_minus)
+        for i, v in enumerate(grid.v):
+            f[i] = kick_p(f[i], rows[i], v, grid, dt)
 
     # Stage 4: half advection in x, to the spectra the new state holds (each
     # kicked f is freed as its spectrum replaces it).
-    f_plus = advect_x(f_plus, half_plus, nx)
-    f_minus = advect_x(f_minus, half_minus, nx)
-    f_plus.flags.writeable = f_minus.flags.writeable = False
+    for i, half in enumerate(halves):
+        f[i] = advect_x(f[i], half, nx)
+        f[i].flags.writeable = False
     fields = FieldState(phi_prev=old.phi_curr, phi_curr=phi_new, a_prev=old.a_curr, a_curr=a_new)
     new = SimulationState(state.time + dt, state.step + 1, None, None, fields)
-    new.spectra = (f_plus, f_minus)
+    new.spectra = tuple(f)
     return new

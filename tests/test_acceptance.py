@@ -57,14 +57,14 @@ def test_criterion_3_force_novelty_null():
     grid = build_grid(config)
     state = initialize_state(config, grid)
     dt = grid.dt
-    q, m = config.minus.q, config.minus.m
+    q = config.minus.q
 
     # Any nonzero phi with A = 0 at both levels: the convective force is the
     # bitwise zero field, the comparator equals -q D1 phi to roundoff.
     fields = state.fields
     assert np.any(fields.phi_curr != 0.0)
-    mod = force_field(fields, grid, dt, q, m, config.c, config.relativistic, "modified")
-    std = force_field(fields, grid, dt, q, m, config.c, config.relativistic, "standard")
+    mod, std = (force_field(fields, grid, dt, replace(config, force_mode=mode))[1]
+                for mode in ("modified", "standard"))
     expected = -q * d1_periodic(fields.phi_curr, grid.dx)
     bitwise_zero = bool(np.all(mod == 0.0))
     std_ok = np.allclose(std, expected[:, None], rtol=1e-13, atol=0.0)

@@ -19,7 +19,7 @@ from kinvlasov.diagnostics import (
     snapshot_state,
     vlasov_residual,
 )
-from kinvlasov.forces import force_field, velocity_from_momentum
+from kinvlasov.forces import force_coefficients, force_field
 from kinvlasov.grid import build_grid
 from kinvlasov.runner import compare_simulations, run_simulation, start_run
 from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
@@ -62,8 +62,8 @@ def test_vlasov_residual_static_uniform():
     grid = build_grid(config)
     g = momentum_gaussian(grid.p_nodes, 1.0, 1.0, 0.0, grid.dp)
     f = np.ones((grid.nx, 1)) * g[None, :]
-    r = vlasov_residual(f, f, f, zero_fields(grid), config.minus.q, grid.v[1],
-                        config, grid, 0.05)
+    rows = force_coefficients(zero_fields(grid), grid, 0.05, config)[1]
+    r = vlasov_residual(f, f, f, rows, grid.v[1], grid, 0.05)
     assert r <= 1e-14 * np.max(f)
 
 
@@ -73,8 +73,7 @@ def test_vlasov_residual_converges_on_analytic_snapshots():
         config = free_stream_config(nx, n_p)
         grid = build_grid(config)
         f0, f1, f2 = translated_profiles(config, grid, dt)
-        norms.append(vlasov_residual(f0, f1, f2, zero_fields(grid),
-                                     config.minus.q, grid.v[1], config, grid, dt))
+        norms.append(vlasov_residual(f0, f1, f2, None, grid.v[1], grid, dt))
     order = math.log2(norms[0] / norms[1])
     assert order >= MIN_CONVERGENCE_ORDER
 
@@ -85,24 +84,21 @@ def test_vlasov_residual_flags_wrong_transport_speed():
     dt = 0.01
     correct = translated_profiles(config, grid, dt, speed_factor=1.0)
     wrong = translated_profiles(config, grid, dt, speed_factor=2.0)
-    r_ok = vlasov_residual(*correct, zero_fields(grid), config.minus.q, grid.v[1],
-                           config, grid, dt)
-    r_bad = vlasov_residual(*wrong, zero_fields(grid), config.minus.q, grid.v[1],
-                            config, grid, dt)
+    r_ok = vlasov_residual(*correct, None, grid.v[1], grid, dt)
+    r_bad = vlasov_residual(*wrong, None, grid.v[1], grid, dt)
     assert r_bad >= 10.0 * r_ok
 
 
-def three_term_residual(f_prev, f_mid, f_next, fields_mid, q, m, config, grid, dt):
-    """Reference: the L2 norm of df/dt + v df/dx + F df/dp, each term divided
-    by its own step, with F on every phase-space node."""
+def three_term_residual(f_prev, f_mid, f_next, fields_mid, species, config, grid, dt):
+    """Reference: the L2 norm of df/dt + v df/dx + F df/dp for species 0 (plus)
+    or 1 (minus), each term divided by its own step, with F on every
+    phase-space node."""
     dfdt = (f_next - f_prev)[:, 1:-1] / (2.0 * dt)
     dfdx = (np.roll(f_mid, -1, axis=0) - np.roll(f_mid, 1, axis=0))[:, 1:-1] / (2.0 * grid.dx)
-    v = velocity_from_momentum(grid.p_nodes, m, config.c, config.relativistic)
-    residual = dfdt + v[None, 1:-1] * dfdx
-    if config.forces_enabled:
-        force = force_field(fields_mid, grid, dt, q, m, config.c, config.relativistic,
-                            config.force_mode)
-        residual += force[:, 1:-1] * (f_mid[:, 2:] - f_mid[:, :-2]) / (2.0 * grid.dp)
+    residual = dfdt + grid.v[species][None, 1:-1] * dfdx
+    force = force_field(fields_mid, grid, dt, config)
+    if force is not None:
+        residual += force[species, :, 1:-1] * (f_mid[:, 2:] - f_mid[:, :-2]) / (2.0 * grid.dp)
     return float(np.sqrt(np.sum(residual**2) * grid.dx * grid.dp))
 
 
@@ -121,16 +117,15 @@ def test_vlasov_residual_matches_three_term_form(preset, force_mode):
     strong = FieldState(phi_prev=30.0 * np.sin(x), phi_curr=32.0 * np.sin(x + 0.1),
                         a_prev=20.0 * np.cos(x), a_curr=21.0 * np.cos(x - 0.2))
     for fields_mid in (s1.fields, strong):
-        for f0, f1, f2, species, v in (
-                (s0.plus.f, s1.plus.f, s2.plus.f, config.plus, grid.v[0]),
-                (s0.minus.f, s1.minus.f, s2.minus.f, config.minus, grid.v[1])):
-            args = (f0, f1, f2, fields_mid, species.q)
-            expected = three_term_residual(*args, species.m, config, grid, dt)
-            assert (vlasov_residual(*args, v, config, grid, dt)
+        rows = force_coefficients(fields_mid, grid, dt, config)
+        for species, v in enumerate(grid.v):
+            f = tuple(s.species[species].f for s in (s0, s1, s2))
+            expected = three_term_residual(*f, fields_mid, species, config, grid, dt)
+            assert (vlasov_residual(*f, None if rows is None else rows[species], v, grid, dt)
                     == pytest.approx(expected, rel=1e-12, abs=0.0))
     if config.forces_enabled:
         unforced = replace(config, init=replace(config.init, preset="free_stream"))
-        without = three_term_residual(*args, species.m, unforced, grid, dt)
+        without = three_term_residual(*f, fields_mid, species, unforced, grid, dt)
         assert without < 0.2 * expected
 
 
@@ -152,8 +147,10 @@ def test_blocked_vlasov_residual_is_bitwise_the_one_block_residual(preset, force
     x = 2.0 * np.pi * grid.x_nodes / grid.x_max
     strong = FieldState(phi_prev=30.0 * np.sin(x), phi_curr=32.0 * np.sin(x + 0.1),
                         a_prev=20.0 * np.cos(x), a_curr=21.0 * np.cos(x - 0.2))
-    cases = [(s0.plus.f, s1.plus.f, s2.plus.f, fields_mid, config.plus.q, grid.v[0],
-              config, grid, grid.dt) for fields_mid in (s1.fields, strong)]
+    rows = [force_coefficients(fields_mid, grid, grid.dt, config)
+            for fields_mid in (s1.fields, strong)]
+    cases = [(s0.plus.f, s1.plus.f, s2.plus.f, None if r is None else r[0], grid.v[0],
+              grid, grid.dt) for r in rows]
     blocked = [vlasov_residual(*args) for args in cases]
     monkeypatch.setattr(workspace, "BLOCK_CELLS", grid.nx * grid.np)
     assert len(row_blocks((grid.nx, grid.np))) == 1
@@ -303,12 +300,10 @@ def both_modes(config, n_steps):
 def reference_force_dist(run_a, run_b, snap_a, snap_b):
     """Species-averaged x-space L2 of the p-mean of the squared difference of
     the two forces, expanded on the full phase-space grid."""
-    config, grid = run_a.config, run_a.grid
-    total = 0.0
-    for s in config.species:
-        fa, fb = (force_field(snap.fields, grid, run.grid.dt, s.q, s.m, config.c,
-                              config.relativistic, run.config.force_mode)
-                  for run, snap in ((run_a, snap_a), (run_b, snap_b)))
+    grid, total = run_a.grid, 0.0
+    forces = (force_field(snap.fields, grid, run.grid.dt, run.config)
+              for run, snap in ((run_a, snap_a), (run_b, snap_b)))
+    for fa, fb in zip(*forces):
         total += np.sum(np.mean((fa - fb) ** 2, axis=1)) * grid.dx
     return math.sqrt(0.5 * total)
 

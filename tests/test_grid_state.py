@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinvlasov import forces, runner
+from kinvlasov import runner
 from kinvlasov.config import PRESETS, Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.diagnostics import compare_runs
 from kinvlasov.fields import d2_periodic, poisson_init
@@ -227,7 +227,7 @@ def test_run_from_a_state_with_one_non_finite_value_aborts(value):
 def test_velocities_are_evaluated_per_run_not_per_step(monkeypatch):
     # dt, each species' v(p) and the x multipliers are built with the grid,
     # so a longer run evaluates v(p) no more often than a shorter one.
-    real, calls = forces.velocity_from_momentum, []
+    real, calls = velocity_from_momentum, []
 
     def counted(*args):
         calls.append(args)

@@ -9,8 +9,8 @@ from scipy.linalg import solve_banded
 
 from kinvlasov import vlasov
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
-from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
-from kinvlasov.grid import build_grid
+from kinvlasov.forces import force_coefficients, force_field
+from kinvlasov.grid import build_grid, velocity_from_momentum
 from kinvlasov.interpolate import (
     eval_natural_spline,
     natural_spline_moments,
@@ -201,7 +201,7 @@ def at_one_cell(coefficients, force, v, grid, dt):
 
 @pytest.mark.parametrize("mode", ["modified", "standard"])
 def test_kick_matches_banded_take_along_axis_reference(mode):
-    config = validate_config(landau_config(nx=32, n_p=64, amplitude=0.1))
+    config = validate_config(landau_config(nx=32, n_p=64, amplitude=0.1, force_mode=mode))
     grid = build_grid(config)
     f = initialize_state(config, grid).minus.f
     x = 2.0 * np.pi * grid.x_nodes / grid.x_max
@@ -209,10 +209,9 @@ def test_kick_matches_banded_take_along_axis_reference(mode):
     fields = FieldState(phi_prev=75.0 * np.sin(x), phi_curr=78.0 * np.sin(x + 0.1),
                         a_prev=50.0 * np.cos(x), a_curr=60.0 * np.cos(x - 0.2))
     dt = 0.1
-    q, m = config.minus.q, config.minus.m
-    force = force_field(fields, grid, dt, q, m, config.c, config.relativistic, mode)
-    coefficients = force_coefficients(fields, grid, dt, q, config.c, mode)
-    v = velocity_from_momentum(grid.p_nodes, m, config.c, config.relativistic)
+    force = force_field(fields, grid, dt, config)[1]
+    coefficients = force_coefficients(fields, grid, dt, config)[1]
+    v = grid.v[1]
     multi_cell = np.max(np.abs(end_displacements(coefficients, v, dt))) / grid.dp
     assert 2.0 < multi_cell < 0.25 * grid.np
     # F is linear in the potentials, so scaling its rows and the reference's

@@ -12,7 +12,7 @@ import numpy as np
 from kinvlasov import workspace
 from kinvlasov.config import Config, InitConfig, validate_config
 from kinvlasov.diagnostics import make_record, vlasov_residual
-from kinvlasov.forces import force_coefficients, force_field, velocity_from_momentum
+from kinvlasov.forces import force_coefficients, force_field
 from kinvlasov.grid import build_grid
 from kinvlasov.interpolate import (
     eval_natural_spline,
@@ -24,7 +24,7 @@ from kinvlasov.state import FieldState, build, initialize_state
 from kinvlasov.vlasov import advect_x, kick_p, step
 from kinvlasov.workspace import row_blocks
 
-from conftest import landau_config
+from conftest import landau_config, pair_species
 
 
 def small_grid(nx, n_p):
@@ -38,9 +38,10 @@ def kernel_results(grid, seed):
     rng = np.random.default_rng(seed)
     f = rng.random((grid.nx, grid.np))
     fields = FieldState(*(0.01 * rng.standard_normal(grid.nx) for _ in range(4)))
-    force = force_field(fields, grid, 0.1, 0.5, 1.0, 4.0, True, "modified")
-    coefficients = force_coefficients(fields, grid, 0.1, 0.5, 4.0, "modified")
-    v = velocity_from_momentum(grid.p_nodes, 1.0, 4.0, True)
+    config = Config(nx=grid.nx, x_max=8.0, np=grid.np, p_max=4.0, species=pair_species(0.5))
+    force = force_field(fields, grid, 0.1, config)[0]
+    coefficients = force_coefficients(fields, grid, 0.1, config)[0]
+    v = grid.v[0]
     dt = 0.1 * grid.dp / np.max(np.abs(force))
     moments = natural_spline_moments(f, grid.dp, grid.spline_solve)
     cells = np.sort(rng.uniform(-1.5, 1.5, f.shape), axis=1)
@@ -53,11 +54,11 @@ def kernel_results(grid, seed):
         "natural_spline_moments": moments,
         "eval_natural_spline": eval_natural_spline(f, moments, cells, grid.dp),
         "force_field": force,
-        "force_field standard": force_field(fields, grid, 0.1, 0.5, 1.0, 4.0, True,
-                                            "standard"),
+        "force_field standard": force_field(fields, grid, 0.1,
+                                            replace(config, force_mode="standard"))[0],
         "particle_flux": particle_flux(f, v, grid),
-        "vlasov_residual": vlasov_residual(f, f, f, fields, 0.5, v,
-                                           validate_config(landau_config()), grid, dt),
+        "vlasov_residual": vlasov_residual(
+            f, f, f, force_coefficients(fields, grid, dt, config)[0], v, grid, dt),
     }
 
 
