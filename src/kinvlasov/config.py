@@ -17,7 +17,6 @@ NEUTRALITY_RTOL = 1e-12
 
 FORCE_MODES = ("modified", "standard")
 PRESETS = ("free_stream", "landau", "two_stream")
-SPECIES_LABELS = ("plus", "minus")
 
 # |q| such that a single species with n0 = 1, m = 1 has unit plasma frequency
 # (4 pi n0 q^2 / m = 1).
@@ -34,7 +33,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SpeciesConfig:
-    label: str
     q: float
     m: float
 
@@ -49,13 +47,6 @@ class InitConfig:
     drift: float = 0.0
 
 
-def _default_species():
-    return (
-        SpeciesConfig("plus", +DEFAULT_CHARGE, 1.0),
-        SpeciesConfig("minus", -DEFAULT_CHARGE, 1.0),
-    )
-
-
 @dataclass(frozen=True)
 class Config:
     nx: int = 64
@@ -68,16 +59,9 @@ class Config:
     cfl_fraction: float = 0.9
     t_end: float = 10.0
     output_every: int = 10
-    species: tuple = field(default_factory=_default_species)
+    plus: SpeciesConfig = SpeciesConfig(+DEFAULT_CHARGE, 1.0)
+    minus: SpeciesConfig = SpeciesConfig(-DEFAULT_CHARGE, 1.0)
     init: InitConfig = field(default_factory=InitConfig)
-
-    @property
-    def plus(self) -> SpeciesConfig:
-        return next(s for s in self.species if s.label == "plus")
-
-    @property
-    def minus(self) -> SpeciesConfig:
-        return next(s for s in self.species if s.label == "minus")
 
     @property
     def forces_enabled(self) -> bool:
@@ -85,13 +69,13 @@ class Config:
         return self.init.preset != "free_stream"
 
 
-def initial_tail_ratio(config: Config, species: SpeciesConfig) -> float:
-    """f(+-p_max) / f_peak of a species' initial Gaussian; only the minus species drifts."""
-    offset = abs(config.init.drift) if species.label == "minus" else 0.0
+def initial_tail_ratio(config: Config, name: str) -> float:
+    """f(+-p_max) / f_peak of species ``name``'s initial Gaussian; only the minus species drifts."""
+    offset = abs(config.init.drift) if name == "minus" else 0.0
     if config.p_max <= offset:
         return 1.0
     d = config.p_max - offset    # d * d may overflow to inf, where ** would raise
-    return math.exp(-(d * d) / (2.0 * species.m * config.init.temperature))
+    return math.exp(-(d * d) / (2.0 * getattr(config, name).m * config.init.temperature))
 
 
 def config_violations(config: Config) -> list[str]:
@@ -120,22 +104,19 @@ def config_violations(config: Config) -> list[str]:
     if config.force_mode not in FORCE_MODES:
         v.append(f"unknown force_mode {config.force_mode!r}")
 
-    labels = [s.label for s in config.species]
-    if sorted(labels) != sorted(SPECIES_LABELS):
-        v.append(f"species labels must be exactly {{plus, minus}} (got {labels})")
-    else:
-        # The presets give both species the same density n0, so the periodic
-        # domain is neutral only if the charges cancel.
-        q_plus, q_minus = config.plus.q, config.minus.q
-        if abs(q_plus + q_minus) > NEUTRALITY_RTOL * max(abs(q_plus), abs(q_minus)):
-            v.append(f"species charges must cancel for a neutral plasma "
-                     f"(plus q = {q_plus}, minus q = {q_minus})")
-    for s in config.species:
+    # The presets give both species the same density n0, so the periodic
+    # domain is neutral only if the charges cancel.
+    q_plus, q_minus = config.plus.q, config.minus.q
+    if abs(q_plus + q_minus) > NEUTRALITY_RTOL * max(abs(q_plus), abs(q_minus)):
+        v.append(f"species charges must cancel for a neutral plasma "
+                 f"(plus q = {q_plus}, minus q = {q_minus})")
+    species = (("plus", config.plus), ("minus", config.minus))
+    for name, s in species:
         if s.m <= 0:
-            v.append(f"mass must be positive (species {s.label}: m = {s.m})")
+            v.append(f"mass must be positive (species {name}: m = {s.m})")
 
     for owner, where in ((config, ""), (config.init, ""),
-                         *((s, f"species {s.label}: ") for s in config.species)):
+                         *((s, f"species {name}: ") for name, s in species)):
         for f in fields(owner):
             value = getattr(owner, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -159,27 +140,26 @@ def config_violations(config: Config) -> list[str]:
 
     # Tail bound only makes sense once the basics hold, and the Gaussian has a width.
     if not v:
-        for s in config.species:
+        for name, s in species:
             if not s.m * init.temperature > 0.0:
-                v.append(f"species {s.label}: the initial Gaussian has no width: "
+                v.append(f"species {name}: the initial Gaussian has no width: "
                          f"m * temperature = {s.m:g} * {init.temperature:g} underflows to 0")
                 continue
-            ratio = initial_tail_ratio(config, s)
+            ratio = initial_tail_ratio(config, name)
             if ratio >= TAIL_RATIO_LIMIT:
                 v.append(
                     f"p_max too small: initial f({config.p_max})/f_peak = {ratio:.3e} "
-                    f"for species {s.label} (limit {TAIL_RATIO_LIMIT:g})"
+                    f"for species {name} (limit {TAIL_RATIO_LIMIT:g})"
                 )
     return v
 
 
 def validate_config(config: Config) -> Config:
-    """Return the normalized config (species in plus, minus order) or raise with all violations."""
+    """Return ``config`` itself or raise with all violations."""
     violations = config_violations(config)
     if violations:
         raise ConfigError(violations)
-    ordered = tuple(sorted(config.species, key=lambda s: SPECIES_LABELS.index(s.label)))
-    return replace(config, species=ordered)
+    return config
 
 
 # --- config file format -----------------------------------------------------
@@ -188,8 +168,8 @@ def validate_config(config: Config) -> Config:
 # starts a comment.  Unknown sections or keys are errors; every key may be
 # omitted, in which case the dataclass default applies.  The keys and their
 # types are the dataclass fields: Config's own fields under the sections
-# below, SpeciesConfig's (but its label) under [species.<label>] and
-# InitConfig's under [init].
+# below, SpeciesConfig's under [species.plus] and [species.minus] (Config's
+# plus and minus) and InitConfig's under [init].
 
 _SECTIONS = {
     "grid": ("nx", "x_max", "np", "p_max"),
@@ -198,10 +178,9 @@ _SECTIONS = {
 }
 
 _CONFIG_TYPES = get_type_hints(Config)
-_SPECIES_TYPES = {k: t for k, t in get_type_hints(SpeciesConfig).items() if k != "label"}
 _SCHEMA = {
     **{name: {key: _CONFIG_TYPES[key] for key in keys} for name, keys in _SECTIONS.items()},
-    **{f"species.{label}": _SPECIES_TYPES for label in SPECIES_LABELS},
+    **{f"species.{name}": get_type_hints(SpeciesConfig) for name in ("plus", "minus")},
     "init": get_type_hints(InitConfig),
 }
 
@@ -271,8 +250,8 @@ def parse_config(text: str) -> Config:
 
     return validate_config(Config(
         **{key: value for name in _SECTIONS for key, value in values[name].items()},
-        species=tuple(replace(base, **values[f"species.{base.label}"])
-                      for base in Config().species),
+        plus=replace(Config().plus, **values["species.plus"]),
+        minus=replace(Config().minus, **values["species.minus"]),
         init=InitConfig(**values["init"]),
     ))
 

@@ -63,16 +63,18 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
     x_nodes = (np.arange(config.nx) + 0.5) * dx
     p_nodes = -config.p_max + (np.arange(config.np) + 0.5) * dp
 
+    species = (("plus", config.plus), ("minus", config.minus))
+
     def speed(p):
         return max(abs(velocity_from_momentum(p, s.m, config.c, config.relativistic))
-                   for s in config.species)
+                   for _, s in species)
 
     # A mass whose square underflows (0/0 at p = 0) or whose p/m overflows is rejected.
     with np.errstate(all="ignore"):
         by_mass = {s.m: velocity_from_momentum(p_nodes, s.m, config.c, config.relativistic)
-                   for s in config.species}
-    unrunnable = [f"species {s.label}: m = {s.m:g} is out of range: v(p) is not finite "
-                  "on every p node" for s in config.species if not np.isfinite(by_mass[s.m]).all()]
+                   for _, s in species}
+    unrunnable = [f"species {name}: m = {s.m:g} is out of range: v(p) is not finite "
+                  "on every p node" for name, s in species if not np.isfinite(by_mass[s.m]).all()]
     if unrunnable:
         raise ConfigError(unrunnable)
     # dt = cfl_fraction * dx / max(c, v_char), v_char the speed at p_max;
@@ -87,7 +89,7 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
         x_nodes=x_nodes,
         p_nodes=p_nodes,
         dt=config.cfl_fraction * dx / max(config.c, speed(config.p_max)),
-        v=tuple(by_mass[s.m] for s in (config.plus, config.minus)),
+        v=tuple(by_mass[s.m] for _, s in species),
         v_max=speed(np.max(np.abs(p_nodes))),
         spline_solve=natural_spline_solver(config.np) if config.forces_enabled else None,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +54,11 @@ class RunResult:
 
 def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | None = None,
               n_steps: int | None = None):
-    """Set up a run and return ``(result, states)``: validate the config, build
-    the grid and write the manifest.  The generator ``states`` runs it: it
-    yields each state of the output_every cadence (the initial state first)
-    once its row and snapshot are written, and fills ``result`` as it goes.
+    """Set up a run and return ``(result, states)``: validate the config and
+    ``n_steps`` (None runs to t_end), build the grid and write the manifest.
+    The generator ``states`` runs it: it yields each state of the
+    output_every cadence (the initial state first) once its row and snapshot
+    are written, and fills ``result`` as it goes.
     A diagnostics record is built where it is read: every step in a run
     without ``out_dir``, else at the cadence only.  Only ``states`` builds what
     ``step`` returns (``state.build``): the states a row reads, yielded or in
@@ -64,12 +66,15 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
     of its last finite state, then ``states`` sets ``aborted`` and ends.  Drain
     or close ``states``: its diagnostics file closes when it ends.
     """
+    if n_steps is not None and (isinstance(n_steps, bool) or not isinstance(n_steps, Integral)
+                                or n_steps < 0):
+        raise ConfigError([f"n_steps must be a non-negative integer (got {n_steps!r})"])
     config = validate_config(config)
     grid = build_grid(config)
     if n_steps is None and not config.t_end <= MAX_STEPS * grid.dt:   # dt may be 0
         raise ConfigError([f"t_end = {config.t_end:g} takes more than {MAX_STEPS} steps "
                            f"of dt = {grid.dt:g}"])
-    total = max(1, round(config.t_end / grid.dt)) if n_steps is None else n_steps
+    total = max(1, round(config.t_end / grid.dt)) if n_steps is None else int(n_steps)
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
     if state.spectra is not None:   # a run steps from f, so every run from one state is alike

@@ -76,17 +76,17 @@ def build(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simul
 
 
 def momentum_gaussian(p_nodes: np.ndarray, m: float, temperature: float,
-                      drift: float, dp: float, label: str = "") -> np.ndarray:
+                      drift: float, dp: float, name: str = "") -> np.ndarray:
     """Gaussian in p with width^2 = m * temperature, normalized so the midpoint
     quadrature over the grid is exactly 1.  One that is 0 at every node (even
     at the node nearest its centre it underflows) is a ``ConfigError`` naming
-    species ``label``."""
+    species ``name``."""
     sigma_sq = m * temperature
     with np.errstate(over="ignore"):    # an exponent that overflows to -inf gives 0 anyway
         g = np.exp(-((p_nodes - drift) ** 2) / (2.0 * sigma_sq))
     total = np.sum(g)
     if not total > 0.0:
-        raise ConfigError([f"species {label}: no p node resolves the initial Gaussian: "
+        raise ConfigError([f"species {name}: no p node resolves the initial Gaussian: "
                            f"m * temperature = {sigma_sq:g} against dp = {dp:g}"])
     return g / (total * dp)
 

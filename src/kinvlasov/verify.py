@@ -10,14 +10,14 @@ of a Langmuir wave.  Each case returns a ``CaseResult``, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Config, InitConfig, SpeciesConfig, validate_config
 from .fields import d2_periodic, electric_field, gauge_residual, poisson_init, wave_step
 from .grid import build_grid
-from .moments import continuity_residual, current_density, number_density, particle_flux
+from .moments import continuity_residual, current_density, particle_flux
 from .runner import SOLVER_ABORTS, run_simulation
 from .state import FieldState, initialize_state, momentum_gaussian
 from .vlasov import step
@@ -202,19 +202,8 @@ def case_moment_oracles() -> CaseResult:
     checks.append(("cold_beam", rel_beam <= 1e-4))
 
     # Densities agree with a ten-times-finer quadrature of the same preset.
-    base = Config(np=128)
-    fine = replace(base, np=1280)
-    for cfg in (base, fine):
-        g = build_grid(cfg)
-        gauss = momentum_gaussian(g.p_nodes, cfg.minus.m, cfg.init.temperature,
-                                  cfg.init.drift, g.dp)
-        wave = 1.0 + cfg.init.amplitude * np.cos(
-            2.0 * np.pi * cfg.init.k_mode * g.x_nodes / cfg.x_max)
-        f = cfg.init.n0 * wave[:, None] * gauss[None, :]
-        if cfg is base:
-            n_coarse = number_density(f, g)
-        else:
-            n_fine = number_density(f, g)
+    n_coarse, n_fine = (initialize_state(cfg, build_grid(cfg)).minus.n
+                        for cfg in (Config(np=128), Config(np=1280)))
     rel_n = float(np.max(np.abs(n_coarse - n_fine)) / np.max(np.abs(n_fine)))
     checks.append(("fine_quadrature", rel_n <= 1e-6))
 
@@ -277,7 +266,7 @@ def langmuir_config() -> Config:
         nx=64, x_max=2.0 * math.pi / 0.3, np=256, p_max=8.0,
         c=30.0, relativistic=False, force_mode="standard",
         cfl_fraction=0.9, t_end=25.0,
-        species=(SpeciesConfig("plus", +q, 1.0), SpeciesConfig("minus", -q, 1.0)),
+        plus=SpeciesConfig(+q, 1.0), minus=SpeciesConfig(-q, 1.0),
         init=InitConfig(preset="landau", n0=1.0, amplitude=1e-3, k_mode=1,
                         temperature=1.0, drift=0.0),
     )

@@ -14,7 +14,8 @@ PAIR_CHARGE = 1.0 / math.sqrt(8.0 * math.pi)
 
 
 def pair_species(q=PAIR_CHARGE, m=1.0):
-    return (SpeciesConfig("plus", +q, m), SpeciesConfig("minus", -q, m))
+    """Config's plus and minus of a pair plasma: charges +-q, both of mass m."""
+    return {"plus": SpeciesConfig(+q, m), "minus": SpeciesConfig(-q, m)}
 
 
 def landau_config(nx=64, n_p=128, amplitude=1e-3, c=4.0, relativistic=True,
@@ -25,7 +26,7 @@ def landau_config(nx=64, n_p=128, amplitude=1e-3, c=4.0, relativistic=True,
         nx=nx, x_max=2.0 * math.pi / 0.3, np=n_p, p_max=8.0,
         c=c, relativistic=relativistic, force_mode=force_mode,
         cfl_fraction=cfl_fraction, t_end=t_end, output_every=output_every,
-        species=pair_species(),
+        **pair_species(),
         init=InitConfig(preset="landau", n0=1.0, amplitude=amplitude,
                         k_mode=k_mode, temperature=temperature, drift=drift),
     )

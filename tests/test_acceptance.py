@@ -159,7 +159,7 @@ def test_criterion_7_nonrelativistic_toggle():
     base = Config(
         nx=64, x_max=2.0 * math.pi, np=64, p_max=0.01, c=1.0,
         relativistic=True, force_mode="modified", cfl_fraction=0.9,
-        t_end=1.0, output_every=10**9, species=pair_species(),
+        t_end=1.0, output_every=10**9, **pair_species(),
         init=InitConfig(preset="landau", n0=1.0, amplitude=1e-2, k_mode=1,
                         temperature=(0.01 / 7.6) ** 2, drift=0.0),
     )

@@ -279,9 +279,10 @@ def test_non_finite_config_exits_2_with_one_line(tmp_path, capsys, command, sett
     (GOOD_CONFIG, NO_MASS_CONFIG, "; ".join(
         f"species {label}: m = 1e-200 is out of range: v(p) is not finite on every p node"
         for label in ("plus", "minus"))),
+    ("drift = 0.0", "drift 0.0", "expected 'key = value' at line 27: 'drift 0.0'"),
 ], ids=["amplitude_1e5", "amplitude_-1.5", "kick_refine_0", "kick_refine_1", "nx_1e23",
         "x_max_1e-320", "x_max_1e300", "p_max_1e200", "c_1e-300", "cfl_fraction_5e-324",
-        "m_temperature_1e-200", "temperature_1e-300", "m_1e-200_np_33"])
+        "m_temperature_1e-200", "temperature_1e-300", "m_1e-200_np_33", "no_equals_sign"])
 def test_rejected_config_exits_2_with_exactly_one_line(tmp_path, capsys, command, setting,
                                                        bad, line):
     config = write_config(tmp_path, GOOD_CONFIG.replace(setting, bad))

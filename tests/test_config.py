@@ -26,9 +26,17 @@ from conftest import pair_species
 
 
 def test_defaults_are_valid():
-    config = validate_config(Config())
+    config = Config()
+    assert validate_config(config) is config
     assert config.nx == 64 and config.np == 128
-    assert [s.label for s in config.species] == ["plus", "minus"]
+    assert config.plus.q > 0 > config.minus.q
+
+
+def test_a_config_names_its_two_species():
+    assert [f.name for f in fields(SpeciesConfig)] == ["q", "m"]
+    assert {"plus", "minus"} <= {f.name for f in fields(Config)}
+    with pytest.raises(TypeError):
+        Config(species=tuple(pair_species().values()))
 
 
 def test_typical_config_accepted():
@@ -37,9 +45,8 @@ def test_typical_config_accepted():
 
 
 def test_zero_mass_rejected():
-    bad = Config(species=(SpeciesConfig("plus", 0.3, 1.0),
-                          SpeciesConfig("minus", -0.3, 0.0)))
-    with pytest.raises(ConfigError, match="mass must be positive"):
+    bad = Config(plus=SpeciesConfig(0.3, 1.0), minus=SpeciesConfig(-0.3, 0.0))
+    with pytest.raises(ConfigError, match=r"mass must be positive \(species minus: m = 0.0\)"):
         validate_config(bad)
 
 
@@ -100,26 +107,22 @@ def test_all_violations_reported_at_once():
 
 
 def test_non_neutral_charges_rejected():
-    bad = Config(species=(SpeciesConfig("plus", 0.3, 1.0),
-                          SpeciesConfig("minus", -0.2, 1.0)))
+    bad = Config(plus=SpeciesConfig(0.3, 1.0), minus=SpeciesConfig(-0.2, 1.0))
     with pytest.raises(ConfigError) as err:
         validate_config(bad)
     assert any("neutral" in v for v in err.value.violations)
-    validate_config(Config(species=(SpeciesConfig("plus", 0.3, 1.0),
-                                    SpeciesConfig("minus", -0.3, 0.5))))
+    validate_config(Config(plus=SpeciesConfig(0.3, 1.0), minus=SpeciesConfig(-0.3, 0.5)))
 
 
-def test_species_labels_required():
-    bad = Config(species=(SpeciesConfig("plus", 0.3, 1.0),
-                          SpeciesConfig("plus", -0.3, 1.0)))
-    with pytest.raises(ConfigError, match="labels"):
-        validate_config(bad)
-
-
-def test_species_order_normalized():
-    config = validate_config(Config(species=tuple(reversed(pair_species()))))
-    assert [s.label for s in config.species] == ["plus", "minus"]
-    assert config.plus.q > 0 > config.minus.q
+@pytest.mark.parametrize("change,message", [
+    (dict(force_mode="magic"), "unknown force_mode 'magic'"),
+    (dict(init=InitConfig(preset="plasma")), "unknown preset 'plasma'"),
+], ids=["force_mode", "preset"])
+def test_unknown_enum_values_rejected(change, message):
+    # The file parser rejects these first; a config built in Python meets this check.
+    with pytest.raises(ConfigError) as err:
+        validate_config(Config(**change))
+    assert err.value.violations == [message]
 
 
 MINIMAL = "[species.plus]\n[species.minus]\n"
@@ -215,7 +218,7 @@ def test_parsed_config_is_validated():
     Config(x_max=math.nan),
     Config(c=math.nan),
     Config(init=InitConfig(amplitude=math.nan)),
-    Config(species=pair_species(q=math.nan)),
+    Config(**pair_species(q=math.nan)),
 ])
 def test_non_finite_values_rejected(config):
     with pytest.raises(ConfigError, match="must be finite"):
@@ -232,9 +235,8 @@ def _render(config_dict) -> str:
     section_of = {key: name for name, keys in _SECTIONS.items() for key in keys}
     sections = {}
     for key, value in config_dict.items():
-        if key == "species":
-            for s in value:
-                sections[f"species.{s.pop('label')}"] = s
+        if key in ("plus", "minus"):
+            sections[f"species.{key}"] = value
         elif key == "init":
             sections["init"] = value
         else:
@@ -284,7 +286,8 @@ def valid_configs(draw):
         cfl_fraction=off_default(st.floats(0.01, 1.0), defaults.cfl_fraction),
         t_end=off_default(st.floats(0.01, 1000.0), defaults.t_end),
         output_every=off_default(st.integers(1, 1000), defaults.output_every),
-        species=(SpeciesConfig("plus", q, m_plus), SpeciesConfig("minus", -q, m_minus)),
+        plus=SpeciesConfig(q, m_plus),
+        minus=SpeciesConfig(-q, m_minus),
         init=init,
     )
 
@@ -295,11 +298,10 @@ def test_manifest_config_round_trips_through_the_file_format(config):
     config = validate_config(config)
     defaults = Config()
     pairs = [(config, defaults), (config.init, defaults.init),
-             *zip(config.species, defaults.species)]
+             (config.plus, defaults.plus), (config.minus, defaults.minus)]
     for obj, default in pairs:
         for f in fields(obj):
-            if f.name != "label":
-                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+            assert getattr(obj, f.name) != getattr(default, f.name), f.name
 
     payload = manifest_payload(config, build_grid(config), 1)
     assert parse_config(_render(payload["config"])) == config

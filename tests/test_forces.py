@@ -21,8 +21,7 @@ from conftest import landau_config
 def config_of(q=0.5, m=1.0, c=2.0, relativistic=True, mode="modified"):
     """A pair of charges +-q and mass m on the grid of the ``grid`` fixture."""
     return Config(nx=32, x_max=4.0, np=16, p_max=2.0, c=c, relativistic=relativistic,
-                  force_mode=mode, species=(SpeciesConfig("plus", q, m),
-                                            SpeciesConfig("minus", -q, m)))
+                  force_mode=mode, plus=SpeciesConfig(q, m), minus=SpeciesConfig(-q, m))
 
 
 @pytest.fixture

@@ -91,7 +91,7 @@ def test_landau_charge_density_is_single_cosine():
 
 def test_two_stream_total_momentum_vanishes():
     config = validate_config(Config(
-        species=pair_species(),
+        **pair_species(),
         init=InitConfig(preset="two_stream", n0=1.0, amplitude=0.05,
                         k_mode=1, temperature=0.5, drift=2.0),
     ))
@@ -114,7 +114,7 @@ def test_non_neutral_species_rejected():
     # validate_config rejects this pair; initialize_state still refuses it when
     # handed an unvalidated config.
     config = Config(
-        species=(SpeciesConfig("plus", 0.3, 1.0), SpeciesConfig("minus", -0.2, 1.0)),
+        plus=SpeciesConfig(0.3, 1.0), minus=SpeciesConfig(-0.2, 1.0),
         init=InitConfig(preset="landau", amplitude=1e-3, temperature=1.0),
     )
     grid = build_grid(config)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinvlasov.config import validate_config
+from kinvlasov.config import Config, ConfigError, validate_config
 from kinvlasov.diagnostics import (
     DIAGNOSTICS_FIELDS,
     EQUATION_PARTITION,
@@ -71,6 +71,16 @@ def test_row_count_matches_cadence(tmp_path):
     lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
     # header + initial row + floor(20 / 6) cadence rows
     assert len(lines) == 1 + 1 + 20 // 6
+
+
+@pytest.mark.parametrize("n_steps", [-3, 2.5, True, "10"])
+def test_n_steps_must_be_a_non_negative_integer(tmp_path, n_steps):
+    with pytest.raises(ConfigError) as err:
+        run_simulation(Config(nx=16, np=32), out_dir=tmp_path, n_steps=n_steps)
+    assert err.value.violations == [f"n_steps must be a non-negative integer (got {n_steps!r})"]
+    assert not any(tmp_path.iterdir())     # rejected before the manifest is written
+    result = run_simulation(Config(nx=16, np=32), n_steps=np.int64(0))
+    assert (result.n_steps, len(result.records)) == (0, 1) and not result.aborted
 
 
 def test_rows_are_built_only_where_they_are_read(tmp_path, monkeypatch):
@@ -226,6 +236,9 @@ def test_manifest_contents(tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded["config"]["nx"] == 32
     assert loaded["config"]["init"]["preset"] == "landau"
+    for name in ("plus", "minus"):
+        species = getattr(config, name)
+        assert loaded["config"][name] == {"q": species.q, "m": species.m}
     assert loaded["derived"]["dt"] == dt
     # c = 4 exceeds every speed v(p) = p / sqrt(1 + (p/c)^2), so the light ratio
     # is the cfl_fraction and the transport ratio is v/c of it, with v at the

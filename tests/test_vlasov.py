@@ -334,7 +334,7 @@ def test_blocked_kick_is_bitwise_the_one_block_kick():
 def test_step_zero_charge_reduces_to_free_streaming():
     config = validate_config(replace(
         landau_config(nx=32, n_p=32),
-        species=tuple(replace(s, q=0.0) for s in landau_config().species),
+        plus=SpeciesConfig(0.0, 1.0), minus=SpeciesConfig(0.0, 1.0),
         init=InitConfig(preset="landau", n0=1.0, amplitude=0.1, k_mode=1,
                         temperature=1.0, drift=0.0),
     ))
@@ -368,7 +368,7 @@ def test_step_uniform_plasma_is_fixed_point():
 def test_uniform_neutral_pair_plasma_is_fixed_point(nx, n_p, c, m, relativistic):
     config = validate_config(replace(
         landau_config(amplitude=0.0, nx=nx, n_p=n_p, c=c, relativistic=relativistic),
-        species=pair_species(m=m)))
+        **pair_species(m=m)))
     grid = build_grid(config)
     state = initialize_state(config, grid)
     initial = state
@@ -456,8 +456,7 @@ def test_derived_time_step_satisfies_both_cfl_bounds(m_plus, m_minus, c, relativ
     # build_grid derives dt from the bounds themselves, so no run can violate them.
     config = Config(nx=nx, x_max=x_max, np=n_p, p_max=p_max, c=c,
                     relativistic=relativistic, cfl_fraction=cfl_fraction,
-                    species=(SpeciesConfig("plus", 0.2, m_plus),
-                             SpeciesConfig("minus", -0.2, m_minus)))
+                    plus=SpeciesConfig(0.2, m_plus), minus=SpeciesConfig(-0.2, m_minus))
     grid = build_grid(config)
     dt = grid.dt
     # dt is derived from the ratio itself, so allow for that roundoff only.

@@ -38,7 +38,7 @@ def kernel_results(grid, seed):
     rng = np.random.default_rng(seed)
     f = rng.random((grid.nx, grid.np))
     fields = FieldState(*(0.01 * rng.standard_normal(grid.nx) for _ in range(4)))
-    config = Config(nx=grid.nx, x_max=8.0, np=grid.np, p_max=4.0, species=pair_species(0.5))
+    config = Config(nx=grid.nx, x_max=8.0, np=grid.np, p_max=4.0, **pair_species(0.5))
     force = force_field(fields, grid, 0.1, config)[0]
     coefficients = force_coefficients(fields, grid, 0.1, config)[0]
     v = grid.v[0]
