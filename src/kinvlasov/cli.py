@@ -7,7 +7,7 @@ case, as each case finishes) and returns its exit code:
 - 1: a solver abort, or a failed verify case
 - 2: a missing or invalid config (including a ``ConfigError`` raised while
   the run is set up), an unknown verify case, or ``MemoryError``
-- 3: outputs that cannot be written
+- 3: outputs that cannot be written, or an empty ``--out``
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ def main(argv=None) -> int:
             passed &= result.passed
             print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.details}")
         return 0 if passed else 1
+    if not args.out:    # the library reads out_dir="" as "no outputs"
+        print("error: cannot write outputs: --out is empty")
+        return 3
 
     from .config import ConfigError, load_config
     from .runner import compare_simulations, run_simulation

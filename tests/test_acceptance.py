@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from kinvlasov.fields import d1_periodic
 from kinvlasov.forces import force_field
 from kinvlasov.grid import build_grid
 from kinvlasov.runner import run_simulation, start_run
-from kinvlasov.state import FieldState, initialize_state
+from kinvlasov.state import initialize_state
 from kinvlasov.verify import (
     LANGMUIR_GAMMA,
     LANGMUIR_OMEGA,
@@ -386,3 +387,41 @@ def test_cli_binds_no_solver_function():
              if callable(value) and getattr(value, "__module__", "").startswith("kinvlasov.")
              and value.__module__ != cli.__name__]
     assert not bound, bound
+
+
+def test_the_package_exports_its_entry_points_only():
+    # Every other name is imported from its module: one import path each.
+    public = {name for name, value in vars(kinvlasov).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {
+        "Config", "ConfigError", "InitConfig", "SpeciesConfig", "load_config",
+        "validate_config", "build_grid", "initialize_state", "step", "build", "start_run",
+        "run_simulation", "compare_simulations", "RunResult", "residual_report",
+        "LEDGER_LAYOUT"}
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert len(capsys.readouterr().out.splitlines()) == len(kinvlasov.LEDGER_LAYOUT)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # Pyflakes' unused-import check (F401) on top-level imports, as the project runs no
+    # linter. __init__.py is left out: its imports are the exports.
+    paths = [*Path(kinvlasov.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    unread = []
+    for path in sorted(paths):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unread += [f"{path.name}:{node.lineno}: {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in read]
+    assert not unread, unread

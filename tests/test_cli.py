@@ -316,7 +316,9 @@ def test_unwritable_out_exits_3_with_one_line(tmp_path, capsys, command):
     config = write_config(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
-    for out in (taken, taken / "out"):    # a regular file, and a path beneath one
+    # A regular file, a path beneath one, and an empty --out, which the library
+    # would read as "no outputs".
+    for out in (taken, taken / "out", ""):
         code = main([command, "--config", str(config), "--out", str(out)])
         assert code == 3
         captured = capsys.readouterr()

@@ -1,4 +1,3 @@
-import math
 import sys
 from dataclasses import replace
 
