@@ -5,8 +5,8 @@ case, as each case finishes) and returns its exit code:
 
 - 0: success
 - 1: a solver abort, or a failed verify case
-- 2: a missing or invalid config (including a ``ConfigError`` raised while
-  the run is set up), an unknown verify case, or ``MemoryError``
+- 2: a missing or invalid config, a run that cannot be set up (``ConfigError``,
+  ``MemoryError``, or no scipy LAPACK to kick with), or an unknown verify case
 - 3: outputs that cannot be written, or an empty ``--out``
 """
 
@@ -93,6 +93,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: cannot allocate the run's arrays: {exc}")
+        return 2
+    except ImportError as exc:      # interpolate.natural_spline_solver's LAPACK
+        print(f"error: cannot set up the run: {exc}")
         return 2
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}")

@@ -119,8 +119,7 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
     nx, residual, transport_v = len(f_mid), work_array(0, f_mid.shape), (dt / grid.dx) * v
     if coefficients is not None:
         # (dt/dp) F in one sweep a block: the rows (a, b) times (1, v), summed by einsum.
-        ab = (dt / grid.dp) * coefficients
-        ones_v = np.vstack((np.ones_like(v), v))
+        ab, ones_v = (dt / grid.dp) * coefficients, grid.ones_v(v)
     for rows in row_blocks(f_mid.shape):
         block = np.subtract(f_next[rows], f_prev[rows], out=residual[rows])
         # Periodic centered difference in x; only rows 0 and nx - 1 wrap.

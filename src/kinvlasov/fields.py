@@ -19,14 +19,14 @@ class FieldBlowupError(RuntimeError):
     """Non-finite field values produced by a wave update."""
 
 
-# Centered periodic differences used throughout the solver.
+# Centered periodic differences of a 1-D u, its neighbours sliced (np.roll's bits, faster).
 
 def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+    return (np.concatenate((u[1:], u[:1])) - np.concatenate((u[-1:], u[:-1]))) / (2.0 * dx)
 
 
 def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
+    return (np.concatenate((u[1:], u[:1])) - 2.0 * u + np.concatenate((u[-1:], u[:-1]))) / (dx * dx)
 
 
 def l2_x(u: np.ndarray, grid: PhaseSpaceGrid) -> float:

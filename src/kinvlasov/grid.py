@@ -1,7 +1,7 @@
 """Uniform cell-centered phase-space grid, periodic in x and truncated in p.
 Built once per run, it also holds the run's constants: dt, each species'
-velocity on the p nodes, the half-step x multipliers and, in a run that
-kicks, the p-spline solve."""
+velocity on the p nodes and its (1, v) rows, the half-step x multipliers
+and, in a run that kicks, the p-spline solve."""
 
 from __future__ import annotations
 
@@ -47,6 +47,17 @@ class PhaseSpaceGrid:
         for transfer in built.values():
             transfer.flags.writeable = False
         return tuple(built[id(v)] for v in self.v)
+
+    @cached_property
+    def _ones_v(self) -> dict:
+        built = {id(v): np.vstack((np.ones_like(v), v)) for v in self.v}
+        for rows in built.values():
+            rows.flags.writeable = False
+        return built
+
+    def ones_v(self, v: np.ndarray) -> np.ndarray:
+        """The rows (1, v) of F = a + b v: a species' read-only ones, built once, else new ones."""
+        return self._ones_v[id(v)] if id(v) in self._ones_v else np.vstack((np.ones_like(v), v))
 
 
 def build_grid(config: Config) -> PhaseSpaceGrid:

@@ -14,9 +14,9 @@ Two variants are needed:
   outside the node range.  Every row's moment system has the same matrix,
   tridiag(1, 4, 1), which is symmetric positive definite: it is LDL^T-factored
   (``dpttrf``, no pivots) once per run, with the run's plan, and only a run
-  that kicks loads scipy's LAPACK extension for it.  Each foot is evaluated from
-  the Taylor terms of the node whose cells hold it, with no cell search: its
-  own node while every displacement is within one cell.
+  that kicks loads scipy's LAPACK extension for it.  Moments m = (h^2/6) M
+  are kept as solved.  Each foot is evaluated from the Taylor terms of the
+  node whose cells hold it, with no cell search (its own, within a cell).
 """
 
 from __future__ import annotations
@@ -102,15 +102,15 @@ def natural_spline_solver(n: int) -> partial:
     return partial(flapack.dpttrs, d, e, overwrite_b=1)
 
 
-def natural_spline_moments(f: np.ndarray, h: float, solve: partial) -> np.ndarray:
-    """Second derivatives of the natural cubic spline through each row of f.
+def natural_spline_moments(f: np.ndarray, solve: partial) -> np.ndarray:
+    """Moments m = (h^2/6) M of the natural cubic spline through each row of f.
 
-    Rows of f sample uniformly spaced nodes (spacing h) along axis 1; ``solve``
-    is ``natural_spline_solver`` of their count.  The returned array has the
-    same shape, with zero end values.
+    Rows of f sample nodes spaced h apart along axis 1, M is the spline's second
+    derivative there; ``solve`` is ``natural_spline_solver`` of their count.
+    The returned array has the same shape, with zero end values.
     """
     # Second differences of the raveled f; those that straddle two rows fall
-    # in the end columns, whose right-hand side is 0.  6/h^2 is applied last.
+    # in the end columns, whose right-hand side is 0.
     moments = np.empty(f.shape)
     flat, rhs = np.ravel(f), moments.reshape(-1)[1:-1]
     np.subtract(flat[2:], flat[1:-1], out=rhs)
@@ -120,47 +120,45 @@ def natural_spline_moments(f: np.ndarray, h: float, solve: partial) -> np.ndarra
     # moments.T is Fortran-ordered, so dpttrs solves every row in place.
     solve(moments.T)
     moments[:, [0, -1]] = 0.0      # a NaN row's forward sweep reaches its end
-    moments *= 6.0 / (h * h)
     return moments
 
 
 def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
-                        h: float, out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Each row's natural spline at its nodes moved back by ``cells`` cells.
 
     Node j of row i, at p_j on nodes spaced h apart, is evaluated at
     p_j - s h with s = cells[i, j]; a foot outside [p_0, p_{n-1}] returns 0.
-    ``moments`` comes from ``natural_spline_moments`` (zero end columns).  Each
-    row of ``cells`` must be monotone, as a kick's a + b v(p) is, so that its
-    two end columns hold its largest |s|.  The values go to ``out`` (C-contiguous,
-    f's shape) when it is given, else to a new array.
+    ``moments`` are the m of ``natural_spline_moments`` (zero end columns).
+    Each row of ``cells`` must be monotone, as a kick's a + b v(p) is, so that
+    its two end columns hold its largest |s|.  The values go to ``out``
+    (C-contiguous, f's shape) when it is given, else to a new array.
 
     Write s = k + r, with k the whole-cell part of s (k = 0 when no |s|
     exceeds 1).  The foot lies within one cell of node e = j - k, where the
-    spline is a cubic, so its Taylor expansion at that node is exact:
+    spline is a cubic, so its Taylor expansion there, in m = (h^2/6) M, is exact:
 
-        S = f_e - r g_e + r^2 (h^2/2) M_e - r^3 (h^2/6) dM_e
+        S = f_e - r g_e + 3 r^2 m_e - r^3 dm_e
 
-    with g_e = h f'(p_e) and dM_e the moment difference across the foot's cell
-    (M_e - M_{e-1} for r > 0, M_{e+1} - M_e otherwise).  The node terms are
-    contiguous passes over the raveled f and M; only when some |s| > 1 are
+    with g_e = h f'(p_e) and dm_e the moment difference across the foot's cell
+    (m_e - m_{e-1} for r > 0, m_{e+1} - m_e otherwise).  The node terms are
+    contiguous passes over the raveled f and m; only when some |s| > 1 are
     they gathered at e.
     """
     n = f.shape[1]
-    c = h * h / 6.0
     flat, flat_moments = np.ravel(f), np.ravel(moments)
-    # diffs[e] = M_e - M_{e-1} over the raveled moments.  A difference that
+    # diffs[e] = m_e - m_{e-1} over the raveled moments.  A difference that
     # straddles two rows joins two zero end moments, so it is 0 too.
     diffs = work_array(2, (f.size + 1,))
     diffs[[0, -1]] = 0.0
     np.subtract(flat_moments[1:], flat_moments[:-1], out=diffs[1:-1])
     right, left = diffs[1:].reshape(f.shape), diffs[:-1].reshape(f.shape)
     three_m = np.multiply(moments, 3.0, out=work_array(1, f.shape))
-    # f_{j+1} - f_j.  The last column has no right cell: its 3M + dM_right is 0,
-    # and its g comes from the left cell, (f_{n-1} - f_{n-2}) + c (2 M_{n-1} + M_{n-2}).
+    # f_{j+1} - f_j.  The last column has no right cell: its 3m + dm_right is 0,
+    # and its g comes from the left cell, (f_{n-1} - f_{n-2}) + (2 m_{n-1} + m_{n-2}).
     values = out = np.empty(f.shape) if out is None else out
     np.subtract(flat[1:], flat[:-1], out=values.reshape(-1)[:-1])
-    values[:, -1] = f[:, -1] - f[:, -2] + c * (2.0 * moments[:, -1] + moments[:, -2])
+    values[:, -1] = f[:, -1] - f[:, -2] + (2.0 * moments[:, -1] + moments[:, -2])
     # The foot of each evaluated node sits at column position - s.  Within one
     # cell, only the end columns' feet can leave [0, n - 1].
     position, edges = np.arange(n), [0, -1]
@@ -179,15 +177,14 @@ def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
     np.copyto(bracket, right)
     np.copyto(bracket, left, where=np.greater(cells, 0.0, out=work_array(4, f.shape, bool)))
 
-    # S = f - s (g - c s (3M - s dM)), where g = (f_{j+1} - f_j) - c (3M + dM_right)
+    # S = f - s (g - s (3m - s dm)), where g = (f_{j+1} - f_j) - (3m + dm_right)
     # from the node's right cell, so S = f - s ((f_{j+1} - f_j) - bracket) with
-    # bracket = c (3M + dM_right + s (3M - s dM)).
+    # bracket = 3m + dm_right + s (3m - s dm).
     bracket *= cells
     np.subtract(three_m, bracket, out=bracket)
     bracket *= cells
     bracket += three_m
     bracket += right
-    bracket *= c
     values -= bracket
     values *= cells
     np.subtract(f, values, out=out)     # values was gathered anew if some |s| > 1

@@ -53,10 +53,10 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
     """f(x, p) <- f(x, p - F(x, p) dt), natural cubic splines in p, zero outside.
 
     F = a(x) + b(x) v(p) from the rows of ``forces.force_coefficients`` and
-    the species' v on the p nodes.  The characteristic is frozen at the
+    the (1, v) rows of ``grid.ones_v``.  The characteristic is frozen at the
     pre-kick p.  Per ``workspace.row_blocks`` block, s = (a + b v) dt / dp in
-    cells is formed once, and ``interpolate.eval_natural_spline`` writes the
-    spline at each node's foot p - s dp straight into the block's result rows.
+    cells is formed once, and the spline, its moments unscaled (dp^2/6) M, is
+    evaluated at each node's foot p - s dp straight into the block's result rows.
     """
     a, b = coefficients * dt
     # v is monotone in p, so each row's largest |F dt| is at an end (NaN if any is)
@@ -70,12 +70,12 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
             f"momentum displacement {worst:.3e} exceeds sanity bound {limit:.3e} "
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
-    rows_ab, ones_v = coefficients * (dt / grid.dp), np.vstack((np.ones_like(v), v))
+    rows_ab, ones_v = coefficients * (dt / grid.dp), grid.ones_v(v)
     kicked = np.empty(f.shape)
     for rows in row_blocks(f.shape):
         cells = np.einsum("ki,kj->ij", rows_ab[:, rows], ones_v, out=work_array(0, f[rows].shape))
-        moments = natural_spline_moments(f[rows], grid.dp, grid.spline_solve)
-        eval_natural_spline(f[rows], moments, cells, grid.dp, out=kicked[rows])
+        moments = natural_spline_moments(f[rows], grid.spline_solve)
+        eval_natural_spline(f[rows], moments, cells, out=kicked[rows])
     return kicked
 
 

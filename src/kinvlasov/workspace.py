@@ -14,7 +14,7 @@ and no function asks for a slot that a caller of it still holds:
 
     slot 0  kick_p's displacements in cells; full-size, vlasov_residual's sum
             and periodic_shift_columns' product of a spectrum and its transfer
-    slot 1  eval_natural_spline's 3M; vlasov_residual's transport term
+    slot 1  eval_natural_spline's 3m; vlasov_residual's transport term
             (dt/dx) v D_x f
     slot 2  eval_natural_spline's moment differences; vlasov_residual's
             p-difference D_p f

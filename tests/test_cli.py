@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 import warnings
 
@@ -343,6 +344,23 @@ def test_grid_too_large_to_allocate_exits_2_with_one_line(tmp_path, capsys, monk
     lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot allocate ")
     assert "7.28 PiB" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_missing_lapack_extension_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                        command):
+    # With no scipy to be found, a kicking preset cannot build its p-spline solve.
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    config = write_config(tmp_path)
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot set up the run: ")
+    assert "scipy.linalg._flapack" in lines[0]
     assert "Traceback" not in captured.out + captured.err
 
 

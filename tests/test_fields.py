@@ -167,3 +167,12 @@ def test_difference_operators_periodic(grid):
     d2u = d2_periodic(u, grid.dx)
     assert np.allclose(d2u, -u * (2.0 - 2.0 * math.cos(2.0 * grid.dx)) / grid.dx**2,
                        atol=1e-11)
+
+
+@pytest.mark.parametrize("nx", [1, 2, 7, 64, 255])
+def test_differences_equal_their_roll_forms_bitwise(nx):
+    u = np.random.default_rng(nx).normal(size=nx)
+    for mine, rolled in ((d1_periodic(u, 0.3), (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * 0.3)),
+                         (d2_periodic(u, 0.3),
+                          (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (0.3 * 0.3))):
+        assert np.array_equal(mine.view(np.int64), rolled.view(np.int64))

@@ -119,28 +119,26 @@ def scipy_at_feet(nodes, rows, cells):
     return np.where(outside, 0.0, expected)
 
 
-def spline_moments(rows, h):
-    return natural_spline_moments(rows, h, natural_spline_solver(rows.shape[1]))
+def spline_moments(rows):
+    return natural_spline_moments(rows, natural_spline_solver(rows.shape[1]))
 
 
 def test_natural_spline_matches_scipy():
     rng = np.random.default_rng(1)
     n = 40
     nodes = np.linspace(-2.0, 2.0, n)
-    h = nodes[1] - nodes[0]
     rows = rng.normal(size=(5, n))
-    moments = spline_moments(rows, h)
+    moments = spline_moments(rows)
     for reach in (1.0, 9.5):
         cells = monotone_cells(rng, 5, n, reach)
-        mine = eval_natural_spline(rows, moments, cells, h)
+        mine = eval_natural_spline(rows, moments, cells)
         assert np.allclose(mine, scipy_at_feet(nodes, rows, cells), atol=1e-12)
 
 
 def test_natural_spline_exact_at_nodes():
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(3, 25))
-    values = eval_natural_spline(rows, spline_moments(rows, 0.16), np.zeros((3, 25)),
-                                 0.16)
+    values = eval_natural_spline(rows, spline_moments(rows), np.zeros((3, 25)))
     assert np.array_equal(values, rows)
 
 
@@ -150,7 +148,7 @@ def test_natural_spline_zero_outside():
     n = 16
     rows = np.ones((6, n))
     cells = np.array([20.0, -20.0, 3.5, -3.5, 0.5, -1.0])[:, None] * np.ones(n)
-    values = eval_natural_spline(rows, spline_moments(rows, 0.125), cells, 0.125)
+    values = eval_natural_spline(rows, spline_moments(rows), cells)
     outside = np.zeros((6, n), bool)
     outside[:2] = True
     outside[2, :4] = outside[3, 12:] = outside[4, 0] = outside[5, -1] = True
@@ -164,14 +162,15 @@ def test_natural_spline_on_the_fewest_nodes_matches_scipy(n):
     nodes = np.linspace(-1.0, 2.0, n)
     rows = rng.normal(size=(4, n))
     h = nodes[1] - nodes[0]
-    moments = spline_moments(rows, h)
+    moments = spline_moments(rows)
     for reach in (1.0, n - 1.0):
         cells = monotone_cells(rng, 4, n, reach)
-        mine = eval_natural_spline(rows, moments, cells, h)
+        mine = eval_natural_spline(rows, moments, cells)
         assert np.allclose(mine, scipy_at_feet(nodes, rows, cells), atol=1e-12)
     for i in range(4):
+        # the moments are m = (h^2/6) M for scipy's second derivatives M
         reference = CubicSpline(nodes, rows[i], bc_type="natural")
-        assert np.allclose(moments[i], reference(nodes, 2), atol=1e-12)
+        assert np.allclose(moments[i], (h * h / 6.0) * reference(nodes, 2), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -180,43 +179,42 @@ def test_natural_spline_rejects_fewer_than_four_nodes(n):
         natural_spline_solver(n)
 
 
-def interior_solve_moments(f, h):
-    """The natural spline moments as one dpttrf/dpttrs solve of tridiag(1, 4, 1)
-    on the interior second differences, scaled by 6/h^2 as they are copied out."""
+def interior_solve_moments(f):
+    """The natural spline moments m = (h^2/6) M as one dpttrf/dpttrs solve of
+    tridiag(1, 4, 1) on the interior second differences."""
     d, e, _ = dpttrf(np.full(f.shape[1] - 2, 4.0), np.ones(f.shape[1] - 3))
     rhs = f[:, 2:] - f[:, 1:-1]
     rhs -= f[:, 1:-1]
     rhs += f[:, :-2]
     solution, _ = dpttrs(d, e, rhs.T)
     moments = np.zeros_like(f)
-    moments[:, 1:-1] = solution.T * (6.0 / (h * h))
+    moments[:, 1:-1] = solution.T
     return moments
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (3, 5), (9, 17), (64, 128), (256, 512)])
 def test_block_factored_moments_equal_the_interior_solve_bitwise(shape):
     rows = np.random.default_rng(shape[1]).normal(size=shape)
-    assert np.array_equal(spline_moments(rows, 0.37), interior_solve_moments(rows, 0.37))
+    assert np.array_equal(spline_moments(rows), interior_solve_moments(rows))
 
 
 def test_nan_row_keeps_its_nan_and_zero_ends():
     rows = np.random.default_rng(3).normal(size=(9, 17))
     rows[4, 8] = np.nan
     with np.errstate(invalid="ignore"):
-        moments = spline_moments(rows, 0.37)
+        moments = spline_moments(rows)
     assert np.isnan(moments[4, 1:-1]).all()
     assert np.all(moments[4, [0, -1]] == 0.0)
     finite = np.arange(9) != 4
-    assert np.array_equal(moments[finite], interior_solve_moments(rows[finite], 0.37))
+    assert np.array_equal(moments[finite], interior_solve_moments(rows[finite]))
 
 
 def test_zero_extension_only_where_feet_leave_the_range():
     # Feet exactly on an end node read that node; a foot just beyond it reads 0.
     rng = np.random.default_rng(11)
     nodes = np.linspace(-1.0, 2.0, 24)
-    h = nodes[1] - nodes[0]
     rows = rng.normal(size=(6, 24))
-    moments = spline_moments(rows, h)
+    moments = spline_moments(rows)
     cells = np.zeros((6, 24))
     cells[0] = np.linspace(0.9, -0.9, 24)               # sub-cell, both ends leave
     cells[1] = np.linspace(1e-12, 0.5, 24)              # only p_0's foot leaves
@@ -224,7 +222,7 @@ def test_zero_extension_only_where_feet_leave_the_range():
     cells[3] = np.linspace(0.0, 0.7, 24)                # p_0's foot on p_0
     cells[4] = 5.0                                      # whole cells, multi-cell
     cells[5] = np.linspace(-7.0, -3.0, 24)              # multi-cell, p_0's foot on p_7
-    values = eval_natural_spline(rows, moments, cells, h)
+    values = eval_natural_spline(rows, moments, cells)
     assert np.allclose(values, scipy_at_feet(nodes, rows, cells), atol=1e-12, rtol=0.0)
     assert values[0, 0] == values[0, -1] == values[1, 0] == values[2, -1] == 0.0
     assert values[1, -1] != 0.0 and values[2, 0] != 0.0 and values[3, 0] == rows[3, 0]

@@ -8,6 +8,7 @@ from scipy.linalg import solve_banded
 
 from kinvlasov import vlasov
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
+from kinvlasov.diagnostics import vlasov_residual
 from kinvlasov.forces import force_coefficients, force_field
 from kinvlasov.grid import build_grid, velocity_from_momentum
 from kinvlasov.interpolate import (
@@ -318,16 +319,36 @@ def test_blocked_kick_is_bitwise_the_one_block_kick():
     assert [np.max(np.abs(cells[rows])) > 1.0 for rows in blocks] == [False, True, False]
 
     out = kick_p(f, coefficients, v, grid, grid.dp)   # dt = dp: s = a + b v
-    moments = natural_spline_moments(f, grid.dp, grid.spline_solve)
-    expected = eval_natural_spline(f, moments, cells, grid.dp)
+    moments = natural_spline_moments(f, grid.spline_solve)
+    expected = eval_natural_spline(f, moments, cells)
     assert np.array_equal(out.view(np.int64), expected.view(np.int64))
     # Given ``out``, the evaluator writes the same bits there, gathering or not.
     for rows in blocks:
         block = np.full((rows.stop - rows.start, grid.np), np.nan)
-        block_moments = natural_spline_moments(f[rows], grid.dp, grid.spline_solve)
-        assert eval_natural_spline(f[rows], block_moments, cells[rows], grid.dp,
-                                   out=block) is block
+        block_moments = natural_spline_moments(f[rows], grid.spline_solve)
+        assert eval_natural_spline(f[rows], block_moments, cells[rows], out=block) is block
         assert np.array_equal(block.view(np.int64), expected[rows].view(np.int64))
+
+
+def test_kick_and_residual_read_the_grids_one_v_rows(monkeypatch):
+    # Species of two masses: each reads its own (1, v) rows, built once, read-only.
+    grid = build_grid(Config(nx=16, x_max=8.0, np=32, p_max=4.0,
+                             plus=SpeciesConfig(0.5, 1.0), minus=SpeciesConfig(-0.5, 2.0)))
+    rows = [grid.ones_v(v) for v in grid.v]
+    for v, own in zip(grid.v, rows):
+        assert grid.ones_v(v) is own and not own.flags.writeable
+        assert np.array_equal(own, [np.ones_like(v), v])
+    assert not np.array_equal(*rows)
+    f = gaussian_f(grid)
+    coefficients = np.array([np.full(grid.nx, 0.1), np.full(grid.nx, -0.05)])
+
+    def no_vstack(*args, **kwargs):
+        raise AssertionError("(1, v) rows rebuilt")
+
+    monkeypatch.setattr(np, "vstack", no_vstack)
+    for v in grid.v:
+        kick_p(f, coefficients, v, grid, 0.05)
+        vlasov_residual(f, f, f, coefficients, v, grid, 0.05)
 
 
 def test_step_zero_charge_reduces_to_free_streaming():

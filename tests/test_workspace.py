@@ -43,7 +43,7 @@ def kernel_results(grid, seed):
     coefficients = force_coefficients(fields, grid, 0.1, config)[0]
     v = grid.v[0]
     dt = 0.1 * grid.dp / np.max(np.abs(force))
-    moments = natural_spline_moments(f, grid.dp, grid.spline_solve)
+    moments = natural_spline_moments(f, grid.spline_solve)
     cells = np.sort(rng.uniform(-1.5, 1.5, f.shape), axis=1)
     transfer = periodic_shift_transfer(grid.nx, v * 0.05 / grid.dx)
     return {
@@ -52,7 +52,7 @@ def kernel_results(grid, seed):
         "kick_p sub-cell": kick_p(f, coefficients, v, grid, dt),
         "kick_p multi-cell": kick_p(f, coefficients, v, grid, 15.0 * dt),
         "natural_spline_moments": moments,
-        "eval_natural_spline": eval_natural_spline(f, moments, cells, grid.dp),
+        "eval_natural_spline": eval_natural_spline(f, moments, cells),
         "force_field": force,
         "force_field standard": force_field(fields, grid, 0.1,
                                             replace(config, force_mode="standard"))[0],
