@@ -1,4 +1,6 @@
-"""Run configuration: domain types, validation, and the ``[section] key = value`` file format."""
+"""Run configuration: domain types, validation, the ``[section] key = value`` file
+format, and the package's two exception types: ``ConfigError`` for what the caller
+passed, ``SolverAbort`` for a step whose field, kick or f stops being finite."""
 
 from __future__ import annotations
 
@@ -29,6 +31,10 @@ class ConfigError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+class SolverAbort(RuntimeError):
+    """A step produced a non-finite field, kick or f, or a kick past its bound."""
 
 
 @dataclass(frozen=True)
@@ -258,7 +264,7 @@ def parse_config(text: str) -> Config:
 
 def load_config(path) -> Config:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path} is not UTF-8 ({exc.reason} at byte {exc.start})"]) from None

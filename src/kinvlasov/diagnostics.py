@@ -26,15 +26,6 @@ from .state import SimulationState
 from .workspace import row_blocks, work_array
 
 
-class InsufficientHistoryError(RuntimeError):
-    """Residual evaluation needs three consecutive stored steps."""
-
-
-class GridMismatchError(ValueError):
-    """Run comparison requires one configuration up to force_mode and two
-    states at one snapshot step."""
-
-
 @dataclass
 class DiagnosticsRecord:
     step: int
@@ -169,7 +160,7 @@ def residual_report(history: deque, config: Config, grid: PhaseSpaceGrid) -> dic
     (``refresh_moments``) and never change, so recomputing them could only read 0.
     """
     if len(history) < 3:
-        raise InsufficientHistoryError("residual_report needs three stored steps")
+        raise ValueError("residual_report needs three stored steps")
     s0, s1, s2 = history
     dt, c = grid.dt, config.c
     measured = history_residuals(history, config, grid)
@@ -238,9 +229,9 @@ def compare_runs(run_a, run_b, state_a: SimulationState,
     """
     config = run_a.config
     if replace(run_b.config, force_mode=config.force_mode) != config:
-        raise GridMismatchError("runs differ in more than force_mode")
+        raise ValueError("runs differ in more than force_mode")
     if state_a.step != state_b.step:
-        raise GridMismatchError(f"states at snapshot steps {state_a.step} and {state_b.step}")
+        raise ValueError(f"states at snapshot steps {state_a.step} and {state_b.step}")
 
     grid, dt = run_a.grid, run_a.grid.dt
     rows_a, rows_b = (force_coefficients(s.fields, grid, dt, run.config)

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import SolverAbort
 from .grid import PhaseSpaceGrid
-
-
-class FieldBlowupError(RuntimeError):
-    """Non-finite field values produced by a wave update."""
 
 
 # Centered periodic differences of a 1-D u, its neighbours sliced (np.roll's bits, faster).
@@ -44,7 +41,7 @@ def wave_step(u_prev: np.ndarray, u_curr: np.ndarray, source: np.ndarray,
         + (c * dt) ** 2 * (d2_periodic(u_curr, grid.dx) + source)
     )
     if not np.all(np.isfinite(u_next)):
-        raise FieldBlowupError("wave update produced non-finite values")
+        raise SolverAbort("wave update produced non-finite values")
     return u_next
 
 

@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError, validate_config
+from .config import Config, ConfigError, SolverAbort, validate_config
 from .diagnostics import compare_runs, make_record, snapshot_state
-from .fields import FieldBlowupError
 from .grid import PhaseSpaceGrid, build_grid
 from .output import (
     DiagnosticsWriter,
@@ -25,14 +24,7 @@ from .output import (
     write_snapshot,
 )
 from .state import SimulationState, build, initialize_state
-from .vlasov import KickDisplacementError, step
-
-
-class NonFiniteStateError(RuntimeError):
-    """A distribution function holds a NaN or an infinity."""
-
-
-SOLVER_ABORTS = (KickDisplacementError, FieldBlowupError, NonFiniteStateError)
+from .vlasov import step
 
 # A config whose t_end takes more steps than this is rejected before its first step.
 MAX_STEPS = 10**7
@@ -105,7 +97,7 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
                 if np.sqrt(np.einsum("ij,ij->", parts, parts)) < limit:
                     continue
             if not np.all(np.isfinite(build(state, config, grid).species[i].n)):
-                raise NonFiniteStateError(f"non-finite value in f_{label} at step {state.step}")
+                raise SolverAbort(f"non-finite value in f_{label} at step {state.step}")
 
     def states():
         state = result.final_state
@@ -134,7 +126,7 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
                         write_snapshot(state, grid, out_dir)
                     yield state
             settle()
-        except SOLVER_ABORTS as exc:
+        except SolverAbort as exc:
             result.aborted, result.abort_reason, result.abort_step = True, str(exc), attempt
             settle()
             # the last finite state's row shows where the run died

@@ -24,10 +24,6 @@ from .grid import PhaseSpaceGrid
 from .moments import number_density, particle_flux
 
 
-class NonNeutralError(ValueError):
-    """Initial charge density with nonzero mean; a periodic domain needs zero total charge."""
-
-
 @dataclass
 class SpeciesState:
     """A species' f and its moments; its charge and mass are read from the config."""
@@ -143,10 +139,8 @@ def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
 
     # Against q n0, not max|rho| = O(amplitude), which mean-rho roundoff can exceed.
     if abs(np.mean(rho)) > 1e-12 * rho_scale:
-        raise NonNeutralError(
-            f"initial state is non-neutral (mean rho {np.mean(rho):.3e}); "
-            "a periodic domain requires zero total charge"
-        )
+        raise ConfigError([f"initial state is non-neutral (mean rho {np.mean(rho):.3e}); "
+                           "a periodic domain requires zero total charge"])
     phi0 = poisson_init(rho, grid)
     fields = FieldState(phi_prev=phi0.copy(), phi_curr=phi0,
                         a_prev=np.zeros(grid.nx), a_curr=np.zeros(grid.nx))

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config, InitConfig, SpeciesConfig, validate_config
+from .config import Config, InitConfig, SolverAbort, SpeciesConfig, validate_config
 from .fields import d2_periodic, electric_field, gauge_residual, poisson_init, wave_step
 from .grid import build_grid
 from .moments import continuity_residual, current_density, particle_flux
-from .runner import SOLVER_ABORTS, run_simulation
+from .runner import run_simulation
 from .state import FieldState, initialize_state, momentum_gaussian
 from .vlasov import step
 
@@ -283,7 +283,7 @@ def case_langmuir_comparator() -> CaseResult:
             state = step(state, config, grid)
             if n >= first:
                 e1.append(np.fft.rfft(electric_field(state.fields, grid, grid.dt, config.c))[1])
-    except SOLVER_ABORTS as exc:
+    except SolverAbort as exc:
         return CaseResult("langmuir_comparator", False, f"solver aborted at step {n}: {exc}")
     stride = math.ceil(len(e1) / 256)
     rates = matrix_pencil(e1[::stride], stride * grid.dt, 4)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .config import Config
+from .config import Config, SolverAbort
 from .fields import wave_step
 from .forces import force_coefficients
 from .grid import PhaseSpaceGrid
@@ -35,10 +35,6 @@ from .interpolate import eval_natural_spline, natural_spline_moments, periodic_s
 from .moments import charge_density, current_density
 from .state import FieldState, SimulationState
 from .workspace import row_blocks, work_array
-
-
-class KickDisplacementError(RuntimeError):
-    """Momentum displacement exceeded the sanity bound (CFL or physics blow-up)."""
 
 
 def advect_x(f: np.ndarray, transfer: np.ndarray, nx: int) -> np.ndarray:
@@ -64,9 +60,9 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
     limit = 0.25 * grid.np * grid.dp
     if not worst < limit:
         if not math.isfinite(worst):
-            raise KickDisplacementError(
+            raise SolverAbort(
                 f"non-finite momentum displacement ({worst}); check the fields")
-        raise KickDisplacementError(
+        raise SolverAbort(
             f"momentum displacement {worst:.3e} exceeds sanity bound {limit:.3e} "
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )

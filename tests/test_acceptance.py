@@ -6,6 +6,7 @@ summary lines alongside the pytest verdicts.
 
 import ast
 import filecmp
+import importlib
 import math
 import os
 import subprocess
@@ -398,6 +399,18 @@ def test_the_package_exports_its_entry_points_only():
         "validate_config", "build_grid", "initialize_state", "step", "build", "start_run",
         "run_simulation", "compare_simulations", "RunResult", "residual_report",
         "LEDGER_LAYOUT"}
+
+
+def test_the_package_defines_two_exception_types():
+    # ConfigError for what the caller passed, SolverAbort for what the run did;
+    # a third type is a deliberate change to this set.
+    package = Path(kinvlasov.__file__).parent
+    modules = [importlib.import_module(f"kinvlasov.{path.stem}")
+               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    defined = {name for module in modules for name, value in vars(module).items()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == module.__name__}
+    assert defined == {"ConfigError", "SolverAbort"}
 
 
 def test_readme_library_block_runs(capsys):

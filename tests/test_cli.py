@@ -7,6 +7,7 @@ import pytest
 
 from kinvlasov import runner, verify, vlasov
 from kinvlasov.cli import main
+from kinvlasov.config import SolverAbort
 from kinvlasov.output import read_snapshot
 from kinvlasov.state import build, refresh_moments
 
@@ -94,7 +95,7 @@ def test_verify_oracle_cases_pass(capsys, case):
 
 def test_verify_case_solver_abort_is_one_fail_line(capsys, monkeypatch):
     def abort(state, config, grid):
-        raise vlasov.KickDisplacementError("momentum displacement past its bound")
+        raise SolverAbort("momentum displacement past its bound")
 
     monkeypatch.setattr(verify, "step", abort)
     assert main(["verify", "--case", "langmuir_comparator"]) == 1
@@ -461,18 +462,20 @@ def test_compare_leading_mode_aborting_mid_interval(tmp_path, capsys, monkeypatc
 KICK_ABORT_CONFIG = GOOD_CONFIG.replace("q = 0.1995", "q = 1.2").replace(
     "q = -0.1995", "q = -1.2").replace("amplitude = 0.001", "amplitude = 0.5").replace(
     "t_end = 0.5", "t_end = 20")
+LONGER_CONFIG = GOOD_CONFIG.replace("t_end = 0.5", "t_end = 1.5")
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("abort, text, last_step", [
-    ("kick", KICK_ABORT_CONFIG, 125),
-    ("non_finite", GOOD_CONFIG.replace("t_end = 0.5", "t_end = 1.5"), 9),
-], ids=["kick_step_126", "non_finite_step_10"])
+@pytest.mark.parametrize("abort, text, last_step, reason", [
+    ("kick", KICK_ABORT_CONFIG, 125, "momentum displacement"),
+    ("non_finite", LONGER_CONFIG, 9, "non-finite value in f_minus"),
+    ("wave", LONGER_CONFIG, 9, "wave update produced non-finite values"),
+], ids=["kick_step_126", "non_finite_step_10", "wave_step_10"])
 def test_abort_between_rows_writes_the_last_finite_row(tmp_path, capsys, monkeypatch,
-                                                       command, abort, text, last_step):
+                                                       command, abort, text, last_step, reason):
     # The row written at the abort must be the one the run writes for that
     # step at output_every = 1: built from the same three states.
-    real_step = runner.step
+    real_step, real_wave_step, stepping = runner.step, vlasov.wave_step, []
 
     def poisoned_step(state, config, grid):
         new = real_step(state, config, grid)
@@ -481,17 +484,31 @@ def test_abort_between_rows_writes_the_last_finite_row(tmp_path, capsys, monkeyp
             new = refresh_moments(new, config, grid)
         return new
 
+    def counted_step(state, config, grid):
+        stepping.append(state.step + 1)
+        return real_step(state, config, grid)
+
+    def nan_sourced_wave_step(u_prev, u_curr, source, grid, dt, c):
+        # the real wave update, given a NaN source cell at step 10
+        if stepping[-1] == 10:
+            source = source.copy()
+            source[3] = np.nan
+        return real_wave_step(u_prev, u_curr, source, grid, dt, c)
+
     if abort == "non_finite":
         monkeypatch.setattr(runner, "step", poisoned_step)
+    elif abort == "wave":
+        monkeypatch.setattr(runner, "step", counted_step)
+        monkeypatch.setattr(vlasov, "wave_step", nan_sourced_wave_step)
     rows = {}
     for every in (4, 1):
         config = write_config(tmp_path, text.replace("output_every = 4",
                                                      f"output_every = {every}"))
         out = tmp_path / f"every_{every}"
         assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert f"aborted at step {last_step + 1}: {reason}" in capsys.readouterr().out
         for mode in ["."] if command == "run" else ["modified", "standard"]:
             rows[every, mode] = (out / mode / "diagnostics.csv").read_bytes().splitlines()
-    capsys.readouterr()
     for mode in {mode for _, mode in rows}:
         last = rows[4, mode][-1]
         assert last == rows[1, mode][1 + int(last.split(b",")[0])]

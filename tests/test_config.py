@@ -16,6 +16,7 @@ from kinvlasov.config import (
     ConfigError,
     InitConfig,
     SpeciesConfig,
+    load_config,
     parse_config,
     validate_config,
 )
@@ -173,6 +174,16 @@ drift = 1.0
     assert config.plus.m == 1.5
     assert config.init.preset == "two_stream"
     assert config.init.amplitude == 0.01
+
+
+def test_config_file_with_a_utf8_byte_order_mark_loads_as_without(tmp_path):
+    # Editors that save "UTF-8 with BOM" write U+FEFF ahead of the first section.
+    text = "[grid]\nnx = 32\n" + MINIMAL
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(marked) == load_config(plain) == parse_config(text)
 
 
 def test_parse_unknown_force_mode_names_line():

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from kinvlasov import runner
-from kinvlasov.config import PRESETS, Config, InitConfig, SpeciesConfig, validate_config
+from kinvlasov.config import (
+    PRESETS,
+    Config,
+    ConfigError,
+    InitConfig,
+    SpeciesConfig,
+    validate_config,
+)
 from kinvlasov.diagnostics import compare_runs
 from kinvlasov.fields import d2_periodic, poisson_init
 from kinvlasov.grid import build_grid, velocity_from_momentum
@@ -16,7 +23,7 @@ from kinvlasov.moments import (
     particle_flux,
 )
 from kinvlasov.runner import compare_simulations, run_simulation
-from kinvlasov.state import NonNeutralError, build, initialize_state, refresh_moments
+from kinvlasov.state import build, initialize_state, refresh_moments
 from kinvlasov.vlasov import step
 
 from conftest import landau_config, pair_species
@@ -117,7 +124,7 @@ def test_non_neutral_species_rejected():
         init=InitConfig(preset="landau", amplitude=1e-3, temperature=1.0),
     )
     grid = build_grid(config)
-    with pytest.raises(NonNeutralError):
+    with pytest.raises(ConfigError, match="initial state is non-neutral"):
         initialize_state(config, grid)
 
 
