@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import get_type_hints
+
+import numpy as np
 
 # Initial distributions are momentum Gaussians with width^2 = m * temperature.
 # p_max is accepted only if the initial tail value at the domain edge is below
@@ -75,6 +78,28 @@ class Config:
         return self.init.preset != "free_stream"
 
 
+# Each dataclass's field types, and the values an int or a float field accepts.
+_TYPES = {cls: get_type_hints(cls) for cls in (Config, SpeciesConfig, InitConfig)}
+_ACCEPTS = {int: Integral, float: Real}
+
+
+def _plain(owner, where: str, v: list):
+    """``owner`` with numpy scalars as Python values; a field of the wrong type
+    or a non-finite float appends one message to ``v``."""
+    values = {}
+    for name, kind in _TYPES[type(owner)].items():
+        value = getattr(owner, name)
+        value = values[name] = value.item() if isinstance(value, np.generic) else value
+        is_bool = isinstance(value, bool)       # a bool is no int or float here
+        if not isinstance(value, _ACCEPTS.get(kind, kind)) or (is_bool and kind is not bool):
+            v.append(f"{name} must be of type {kind.__name__} ({where}got {value!r})")
+        elif kind is float and not abs(value) <= sys.float_info.max:
+            v.append(f"{name} must be finite ({where}got {value})")
+        elif kind in _TYPES:
+            values[name] = _plain(value, f"species {name}: " if kind is SpeciesConfig else "", v)
+    return replace(owner, **values)
+
+
 def initial_tail_ratio(config: Config, name: str) -> float:
     """f(+-p_max) / f_peak of species ``name``'s initial Gaussian; only the minus species drifts."""
     offset = abs(config.init.drift) if name == "minus" else 0.0
@@ -85,8 +110,12 @@ def initial_tail_ratio(config: Config, name: str) -> float:
 
 
 def config_violations(config: Config) -> list[str]:
-    """All invariant violations, each naming the offending key and value."""
+    """All invariant violations, each naming the offending key and value; a
+    field of the wrong type or a non-finite float first, and alone."""
     v = []
+    config = _plain(config, "", v)
+    if v:
+        return v
     if config.nx < 8:
         v.append(f"nx must be at least 8 (got {config.nx})")
     if config.np < 8:
@@ -120,13 +149,6 @@ def config_violations(config: Config) -> list[str]:
     for name, s in species:
         if s.m <= 0:
             v.append(f"mass must be positive (species {name}: m = {s.m})")
-
-    for owner, where in ((config, ""), (config.init, ""),
-                         *((s, f"species {name}: ") for name, s in species)):
-        for f in fields(owner):
-            value = getattr(owner, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                v.append(f"{f.name} must be finite ({where}got {value})")
 
     init = config.init
     if init.preset not in PRESETS:
@@ -183,11 +205,10 @@ _SECTIONS = {
     "physics": ("c", "relativistic", "force_mode"),
 }
 
-_CONFIG_TYPES = get_type_hints(Config)
 _SCHEMA = {
-    **{name: {key: _CONFIG_TYPES[key] for key in keys} for name, keys in _SECTIONS.items()},
-    **{f"species.{name}": get_type_hints(SpeciesConfig) for name in ("plus", "minus")},
-    "init": get_type_hints(InitConfig),
+    **{name: {key: _TYPES[Config][key] for key in keys} for name, keys in _SECTIONS.items()},
+    **{f"species.{name}": _TYPES[SpeciesConfig] for name in ("plus", "minus")},
+    "init": _TYPES[InitConfig],
 }
 
 _ENUM_KEYS = {"force_mode": FORCE_MODES, "preset": PRESETS}

@@ -92,11 +92,11 @@ def _l2_phase(field: np.ndarray, grid: PhaseSpaceGrid) -> float:
 
 
 def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
-                    coefficients: np.ndarray | None, v: np.ndarray, grid: PhaseSpaceGrid,
+                    coefficients: np.ndarray | None, ones_v: np.ndarray, grid: PhaseSpaceGrid,
                     dt: float) -> float:
     """L2 norm of R = df/dt + v df/dx + F df/dp over interior phase-space nodes,
-    for a species of velocity v on the p nodes (``grid.v``) and force rows
-    (a, b) at f_mid's time, as ``kick_p`` takes them (F = 0 if they are None).
+    for a species' rows (1, v) on the p nodes (``grid.ones_v``) and force rows
+    (a, b) at f_mid's time, as ``kick_p`` takes both (F = 0 if (a, b) is None).
 
     All derivatives are centered at f_mid's time; the scheme does not
     collocate the equation, so the expected size is O(dt^2 + dx^2 + dp^2).
@@ -107,10 +107,10 @@ def vlasov_residual(f_prev: np.ndarray, f_mid: np.ndarray, f_next: np.ndarray,
     block at a time, D_x f across the block's edges; only R is full-size.  The
     boundary columns are zeroed before the norm.
     """
-    nx, residual, transport_v = len(f_mid), work_array(0, f_mid.shape), (dt / grid.dx) * v
+    nx, residual, transport_v = len(f_mid), work_array(0, f_mid.shape), dt / grid.dx * ones_v[1]
     if coefficients is not None:
         # (dt/dp) F in one sweep a block: the rows (a, b) times (1, v), summed by einsum.
-        ab, ones_v = (dt / grid.dp) * coefficients, grid.ones_v(v)
+        ab = (dt / grid.dp) * coefficients
     for rows in row_blocks(f_mid.shape):
         block = np.subtract(f_next[rows], f_prev[rows], out=residual[rows])
         # Periodic centered difference in x; only rows 0 and nx - 1 wrap.
@@ -138,7 +138,7 @@ def history_residuals(history: deque, config: Config, grid: PhaseSpaceGrid) -> d
     s0, s1, s2 = history
     rows = force_coefficients(s1.fields, grid, grid.dt, config)
     measured = {label: vlasov_residual(s0.species[i].f, s1.species[i].f, s2.species[i].f,
-                                       None if rows is None else rows[i], grid.v[i],
+                                       None if rows is None else rows[i], grid.ones_v[i],
                                        grid, grid.dt)
                 for i, label in enumerate(("c+", "c-"))}
     measured["h"] = continuity_residual(s0.minus.n, s2.minus.n, s1.minus.flux, grid, grid.dt)

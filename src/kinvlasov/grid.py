@@ -1,7 +1,7 @@
 """Uniform cell-centered phase-space grid, periodic in x and truncated in p.
-Built once per run, it also holds the run's constants: dt, each species'
-velocity on the p nodes and its (1, v) rows, the half-step x multipliers
-and, in a run that kicks, the p-spline solve."""
+Built once per run, it also holds the run's constants: dt, each species' (1, v)
+rows on the p nodes, the p-basis of every force F = a + b v, the half-step x
+multipliers and, in a run that kicks, the p-spline solve."""
 
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ class PhaseSpaceGrid:
     x_nodes: np.ndarray  # (nx,) cell centers in [0, x_max)
     p_nodes: np.ndarray  # (np,) cell centers in [-p_max, p_max], symmetric about 0
     dt: float
-    v: tuple             # (v_plus, v_minus) on the p nodes, one array if the masses agree
+    ones_v: tuple        # per species its (1, v) rows, shape (2, np); one array per mass
+    v: tuple             # per species v on the p nodes: row 1 of its ones_v, one view per mass
     v_max: float         # fastest |v| on the p nodes across both species
     spline_solve: object  # the p-kick's natural_spline_solver(np); None if nothing kicks
 
@@ -47,17 +48,6 @@ class PhaseSpaceGrid:
         for transfer in built.values():
             transfer.flags.writeable = False
         return tuple(built[id(v)] for v in self.v)
-
-    @cached_property
-    def _ones_v(self) -> dict:
-        built = {id(v): np.vstack((np.ones_like(v), v)) for v in self.v}
-        for rows in built.values():
-            rows.flags.writeable = False
-        return built
-
-    def ones_v(self, v: np.ndarray) -> np.ndarray:
-        """The rows (1, v) of F = a + b v: a species' read-only ones, built once, else new ones."""
-        return self._ones_v[id(v)] if id(v) in self._ones_v else np.vstack((np.ones_like(v), v))
 
 
 def build_grid(config: Config) -> PhaseSpaceGrid:
@@ -75,21 +65,19 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
     p_nodes = -config.p_max + (np.arange(config.np) + 0.5) * dp
 
     species = (("plus", config.plus), ("minus", config.minus))
-
-    def speed(p):
-        return max(abs(velocity_from_momentum(p, s.m, config.c, config.relativistic))
-                   for _, s in species)
-
     # A mass whose square underflows (0/0 at p = 0) or whose p/m overflows is rejected.
     with np.errstate(all="ignore"):
-        by_mass = {s.m: velocity_from_momentum(p_nodes, s.m, config.c, config.relativistic)
-                   for _, s in species}
+        by_mass = {s.m: np.vstack((np.ones(config.np), velocity_from_momentum(
+            p_nodes, s.m, config.c, config.relativistic))) for _, s in species}
     unrunnable = [f"species {name}: m = {s.m:g} is out of range: v(p) is not finite "
                   "on every p node" for name, s in species if not np.isfinite(by_mass[s.m]).all()]
     if unrunnable:
         raise ConfigError(unrunnable)
-    # dt = cfl_fraction * dx / max(c, v_char), v_char the speed at p_max;
-    # v_max is taken at the outermost node instead.
+    for rows in by_mass.values():
+        rows.flags.writeable = False
+    v = {m: rows[1] for m, rows in by_mass.items()}
+    # dt = cfl_fraction * dx / max(c, v_char), v_char the speed at p_max; v_max
+    # is |v| at the outermost node (at the other end roundoff can add an ulp).
     return PhaseSpaceGrid(
         nx=config.nx,
         np=config.np,
@@ -99,8 +87,10 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
         dp=dp,
         x_nodes=x_nodes,
         p_nodes=p_nodes,
-        dt=config.cfl_fraction * dx / max(config.c, speed(config.p_max)),
-        v=tuple(by_mass[s.m] for _, s in species),
-        v_max=speed(np.max(np.abs(p_nodes))),
+        dt=config.cfl_fraction * dx / max(config.c, *(abs(velocity_from_momentum(
+            config.p_max, m, config.c, config.relativistic)) for m in by_mass)),
+        ones_v=tuple(by_mass[s.m] for _, s in species),
+        v=tuple(v[s.m] for _, s in species),
+        v_max=max(abs(float(row[np.argmax(np.abs(p_nodes))])) for row in v.values()),
         spline_solve=natural_spline_solver(config.np) if config.forces_enabled else None,
     )

@@ -124,7 +124,7 @@ def natural_spline_moments(f: np.ndarray, solve: partial) -> np.ndarray:
 
 
 def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        out: np.ndarray) -> np.ndarray:
     """Each row's natural spline at its nodes moved back by ``cells`` cells.
 
     Node j of row i, at p_j on nodes spaced h apart, is evaluated at
@@ -132,7 +132,7 @@ def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
     ``moments`` are the m of ``natural_spline_moments`` (zero end columns).
     Each row of ``cells`` must be monotone, as a kick's a + b v(p) is, so that
     its two end columns hold its largest |s|.  The values go to ``out``
-    (C-contiguous, f's shape) when it is given, else to a new array.
+    (C-contiguous, f's shape), which is returned.
 
     Write s = k + r, with k the whole-cell part of s (k = 0 when no |s|
     exceeds 1).  The foot lies within one cell of node e = j - k, where the
@@ -156,7 +156,7 @@ def eval_natural_spline(f: np.ndarray, moments: np.ndarray, cells: np.ndarray,
     three_m = np.multiply(moments, 3.0, out=work_array(1, f.shape))
     # f_{j+1} - f_j.  The last column has no right cell: its 3m + dm_right is 0,
     # and its g comes from the left cell, (f_{n-1} - f_{n-2}) + (2 m_{n-1} + m_{n-2}).
-    values = out = np.empty(f.shape) if out is None else out
+    values = out
     np.subtract(flat[1:], flat[:-1], out=values.reshape(-1)[:-1])
     values[:, -1] = f[:, -1] - f[:, -2] + (2.0 * moments[:, -1] + moments[:, -2])
     # The foot of each evaluated node sits at column position - s.  Within one

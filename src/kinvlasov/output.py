@@ -83,7 +83,7 @@ def _write_matrix(path: Path, header: str, matrix: np.ndarray) -> None:
             fh.write(line)
 
 
-def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> list:
+def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> None:
     """Write f_plus_<step>.dat, f_minus_<step>.dat, fields_<step>.dat.
 
     Distribution files: one header line, then nx lines of np values (row = x,
@@ -97,13 +97,9 @@ def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> lis
         f"# t={format_float(state.time)} nx={grid.nx} np={grid.np} "
         f"x_max={format_float(grid.x_max)} p_max={format_float(grid.p_max)}"
     )
-    paths = []
     for label, species in (("plus", state.plus), ("minus", state.minus)):
-        path = out_dir / f"f_{label}_{step}.dat"
-        _write_matrix(path, meta, species.f)
-        paths.append(path)
+        _write_matrix(out_dir / f"f_{label}_{step}.dat", meta, species.f)
 
-    fields_path = out_dir / f"fields_{step}.dat"
     phi = 0.5 * (state.fields.phi_prev + state.fields.phi_curr)
     a = 0.5 * (state.fields.a_prev + state.fields.a_curr)
     table = np.column_stack([grid.x_nodes, phi, a, state.rho, state.j])
@@ -111,28 +107,7 @@ def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> lis
         f"# t={format_float(state.time)} nx={grid.nx} "
         f"x_max={format_float(grid.x_max)} columns=x,phi,a,rho,j"
     )
-    _write_matrix(fields_path, header, table)
-    paths.append(fields_path)
-    return paths
-
-
-def read_snapshot(path):
-    """Parse a snapshot file back into (metadata dict, value matrix)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        matrix = np.array(
-            [[float(v) for v in line.split()] for line in fh if line.strip()]
-        )
-    meta = {}
-    for token in header.lstrip("# ").split():
-        key, _, value = token.partition("=")
-        if key in ("nx", "np"):
-            meta[key] = int(value)
-        elif key == "columns":
-            meta[key] = value
-        else:
-            meta[key] = float(value)
-    return meta, matrix
+    _write_matrix(out_dir / f"fields_{step}.dat", header, table)
 
 
 def manifest_payload(config: Config, grid: PhaseSpaceGrid, n_steps: int) -> dict:
@@ -172,14 +147,12 @@ def manifest_payload(config: Config, grid: PhaseSpaceGrid, n_steps: int) -> dict
     }
 
 
-def write_manifest(payload: dict, out_dir) -> Path:
+def write_manifest(payload: dict, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "manifest.json"
-    with _replace_on_success(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    with _replace_on_success(out_dir / "manifest.json") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=np.generic.item)
         fh.write("\n")
-    return path
 
 
 DIVERGENCE_FIELDS = tuple(f.name for f in fields(DivergenceRow))

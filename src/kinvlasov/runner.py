@@ -69,6 +69,12 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
     total = max(1, round(config.t_end / grid.dt)) if n_steps is None else int(n_steps)
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
+    held = state.spectra or [s.f for s in state.species]    # as the first step reads it
+    fits = [(grid.nx // 2 + 1 if state.spectra else grid.nx, grid.np)] * 2
+    if [np.shape(f) for f in held] != fits:
+        raise ConfigError([f"initial_state does not fit the {grid.nx}x{grid.np} grid: its f"
+                           f"{' spectra' if state.spectra else ''} shapes are "
+                           f"{[np.shape(f) for f in held]}, not {fits}"])
     if state.spectra is not None:   # a run steps from f, so every run from one state is alike
         state = replace(build(state, config, grid))
     if out_dir:

@@ -16,9 +16,10 @@ multiplies that by it again before its irfft.  A step returns f only as that
 spectrum, and a run builds f and its moments (``state.build``) only where a row
 or its result reads them, so a species-step between rows is one rfft and one irfft.
 
-dt, each species' v(p), the half-step x multipliers and the kick's p-spline
-solve are constants of the run, built with its grid (``grid.build_grid``); a
-step reads them, and the charges from the config, and recomputes none.
+dt, each species' (1, v(p)) rows, the half-step x multipliers and the kick's
+p-spline solve are constants of the run, built with its grid
+(``grid.build_grid``); a step reads them, and the charges from the config, and
+recomputes none.
 """
 
 from __future__ import annotations
@@ -44,19 +45,19 @@ def advect_x(f: np.ndarray, transfer: np.ndarray, nx: int) -> np.ndarray:
     return periodic_shift_columns(f, transfer, nx)
 
 
-def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
+def kick_p(f: np.ndarray, coefficients: np.ndarray, ones_v: np.ndarray,
            grid: PhaseSpaceGrid, dt: float) -> np.ndarray:
     """f(x, p) <- f(x, p - F(x, p) dt), natural cubic splines in p, zero outside.
 
-    F = a(x) + b(x) v(p) from the rows of ``forces.force_coefficients`` and
-    the (1, v) rows of ``grid.ones_v``.  The characteristic is frozen at the
-    pre-kick p.  Per ``workspace.row_blocks`` block, s = (a + b v) dt / dp in
-    cells is formed once, and the spline, its moments unscaled (dp^2/6) M, is
-    evaluated at each node's foot p - s dp straight into the block's result rows.
+    F = a(x) + b(x) v(p), frozen at the pre-kick p, from the rows (a, b) of
+    ``forces.force_coefficients`` and a species' rows (1, v) (``grid.ones_v``).
+    Per ``workspace.row_blocks`` block, s = (a + b v) dt / dp in cells is formed
+    once, and the spline, its moments unscaled (dp^2/6) M, is evaluated at each
+    node's foot p - s dp straight into the block's result rows.
     """
     a, b = coefficients * dt
     # v is monotone in p, so each row's largest |F dt| is at an end (NaN if any is)
-    worst = float(np.max(np.abs(a[:, None] + b[:, None] * v[[0, -1]])))
+    worst = float(np.max(np.abs(a[:, None] + b[:, None] * ones_v[1, [0, -1]])))
     limit = 0.25 * grid.np * grid.dp
     if not worst < limit:
         if not math.isfinite(worst):
@@ -66,7 +67,7 @@ def kick_p(f: np.ndarray, coefficients: np.ndarray, v: np.ndarray,
             f"momentum displacement {worst:.3e} exceeds sanity bound {limit:.3e} "
             f"({grid.np}/4 cells); reduce dt or check the fields"
         )
-    rows_ab, ones_v = coefficients * (dt / grid.dp), grid.ones_v(v)
+    rows_ab = coefficients * (dt / grid.dp)
     kicked = np.empty(f.shape)
     for rows in row_blocks(f.shape):
         cells = np.einsum("ki,kj->ij", rows_ab[:, rows], ones_v, out=work_array(0, f[rows].shape))
@@ -105,8 +106,8 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     rows = force_coefficients(straddle, grid, 2.0 * dt, config)
     if rows is not None:
         # One at a time, so that each pre-kick f is freed before the next kick.
-        for i, v in enumerate(grid.v):
-            f[i] = kick_p(f[i], rows[i], v, grid, dt)
+        for i, ones_v in enumerate(grid.ones_v):
+            f[i] = kick_p(f[i], rows[i], ones_v, grid, dt)
 
     # Stage 4: half advection in x, to the spectra the new state holds (each
     # kicked f is freed as its spectrum replaces it).

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -16,6 +17,31 @@ PAIR_CHARGE = 1.0 / math.sqrt(8.0 * math.pi)
 def pair_species(q=PAIR_CHARGE, m=1.0):
     """Config's plus and minus of a pair plasma: charges +-q, both of mass m."""
     return {"plus": SpeciesConfig(+q, m), "minus": SpeciesConfig(-q, m)}
+
+
+def one_v(v):
+    """The (1, v) rows the kernels take, for a v that is not the grid's."""
+    return np.vstack((np.ones_like(v), v))
+
+
+def read_snapshot(path):
+    """Parse a snapshot file of ``output.write_snapshot`` back into
+    (metadata dict, value matrix)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        matrix = np.array(
+            [[float(v) for v in line.split()] for line in fh if line.strip()]
+        )
+    meta = {}
+    for token in header.lstrip("# ").split():
+        key, _, value = token.partition("=")
+        if key in ("nx", "np"):
+            meta[key] = int(value)
+        elif key == "columns":
+            meta[key] = value
+        else:
+            meta[key] = float(value)
+    return meta, matrix
 
 
 def landau_config(nx=64, n_p=128, amplitude=1e-3, c=4.0, relativistic=True,

@@ -8,8 +8,9 @@ import pytest
 from kinvlasov import runner, verify, vlasov
 from kinvlasov.cli import main
 from kinvlasov.config import SolverAbort
-from kinvlasov.output import read_snapshot
 from kinvlasov.state import build, refresh_moments
+
+from conftest import read_snapshot
 
 GOOD_CONFIG = """
 [grid]

@@ -1,8 +1,9 @@
 import itertools
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -234,6 +235,69 @@ def test_parsed_config_is_validated():
 def test_non_finite_values_rejected(config):
     with pytest.raises(ConfigError, match="must be finite"):
         validate_config(config)
+
+
+@pytest.mark.parametrize("config,message", [
+    (Config(init=InitConfig(k_mode=1.5)), "k_mode must be of type int (got 1.5)"),
+    (Config(init=InitConfig(k_mode=1.3)), "k_mode must be of type int (got 1.3)"),
+    (Config(output_every=2.5), "output_every must be of type int (got 2.5)"),
+    (Config(nx=64.5), "nx must be of type int (got 64.5)"),
+    (Config(np=128.0), "np must be of type int (got 128.0)"),
+    (Config(nx="64"), "nx must be of type int (got '64')"),
+    (Config(nx=True), "nx must be of type int (got True)"),
+    (Config(relativistic="no"), "relativistic must be of type bool (got 'no')"),
+    (Config(relativistic=1), "relativistic must be of type bool (got 1)"),
+    (Config(x_max=False), "x_max must be of type float (got False)"),
+    (Config(force_mode=None), "force_mode must be of type str (got None)"),
+    (Config(plus=(0.2, 1.0)), "plus must be of type SpeciesConfig (got (0.2, 1.0))"),
+    (Config(init="landau"), "init must be of type InitConfig (got 'landau')"),
+    (Config(minus=SpeciesConfig("-0.2", 1.0)), "q must be of type float (species minus: got '-0.2')"),
+    (Config(init=InitConfig(n0=np.float32("nan"))), "n0 must be finite (got nan)"),
+    (Config(x_max=10**400), f"x_max must be finite (got {10**400})"),
+], ids=["k_mode=1.5", "k_mode=1.3", "output_every=2.5", "nx=64.5", "np=128.0", "nx='64'",
+        "nx=True", "relativistic='no'", "relativistic=1", "x_max=False", "force_mode=None",
+        "plus=tuple", "init=str", "minus.q=str", "n0=float32_nan", "x_max=10**400"])
+def test_a_field_of_the_wrong_type_is_its_one_violation(config, message):
+    # Checked before the numeric comparisons, which would then raise or pass it.
+    with pytest.raises(ConfigError) as err:
+        validate_config(config)
+    assert err.value.violations == [message]
+
+
+def test_numpy_scalars_of_the_declared_types_are_accepted_and_checked_as_numbers():
+    config = Config(nx=np.int64(64), np=np.int32(128), x_max=np.float32(12.5),
+                    relativistic=np.bool_(False), init=InitConfig(k_mode=np.int64(2)))
+    assert validate_config(config) is config
+    # nx * np * 8 and 2 * k_mode are taken as integers, where int64 would wrap.
+    with pytest.raises(ConfigError) as err:
+        validate_config(Config(nx=np.int64(2**61), init=InitConfig(k_mode=np.int64(2**62))))
+    assert [v.split(":")[0] for v in err.value.violations] == [
+        "grid too large", "k_mode must be below nx/2 (got k_mode = 4611686018427387904, nx = 2305843009213693952)"]
+
+
+# Values of every kind a library caller could pass for one field.
+ANY_VALUE = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.text(max_size=4), st.none(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_))
+ANY_FIELD = [(cls, f.name) for cls in (Config, InitConfig, SpeciesConfig) for f in fields(cls)]
+
+
+@settings(max_examples=400)
+@given(field=st.sampled_from(ANY_FIELD), value=ANY_VALUE, species=st.sampled_from(["plus", "minus"]))
+def test_validate_config_returns_the_config_or_raises_config_error(field, value, species):
+    cls, name = field
+    config = Config()
+    if cls is Config:
+        config = replace(config, **{name: value})
+    elif cls is InitConfig:
+        config = replace(config, init=replace(config.init, **{name: value}))
+    else:
+        config = replace(config, **{species: replace(getattr(config, species), **{name: value})})
+    try:
+        assert validate_config(config) is config
+    except ConfigError:
+        pass
 
 
 def test_parse_rejects_non_finite_number():

@@ -61,7 +61,7 @@ def test_vlasov_residual_static_uniform():
     g = momentum_gaussian(grid.p_nodes, 1.0, 1.0, 0.0, grid.dp)
     f = np.ones((grid.nx, 1)) * g[None, :]
     rows = force_coefficients(zero_fields(grid), grid, 0.05, config)[1]
-    r = vlasov_residual(f, f, f, rows, grid.v[1], grid, 0.05)
+    r = vlasov_residual(f, f, f, rows, grid.ones_v[1], grid, 0.05)
     assert r <= 1e-14 * np.max(f)
 
 
@@ -71,7 +71,7 @@ def test_vlasov_residual_converges_on_analytic_snapshots():
         config = free_stream_config(nx, n_p)
         grid = build_grid(config)
         f0, f1, f2 = translated_profiles(config, grid, dt)
-        norms.append(vlasov_residual(f0, f1, f2, None, grid.v[1], grid, dt))
+        norms.append(vlasov_residual(f0, f1, f2, None, grid.ones_v[1], grid, dt))
     order = math.log2(norms[0] / norms[1])
     assert order >= MIN_CONVERGENCE_ORDER
 
@@ -82,8 +82,8 @@ def test_vlasov_residual_flags_wrong_transport_speed():
     dt = 0.01
     correct = translated_profiles(config, grid, dt, speed_factor=1.0)
     wrong = translated_profiles(config, grid, dt, speed_factor=2.0)
-    r_ok = vlasov_residual(*correct, None, grid.v[1], grid, dt)
-    r_bad = vlasov_residual(*wrong, None, grid.v[1], grid, dt)
+    r_ok = vlasov_residual(*correct, None, grid.ones_v[1], grid, dt)
+    r_bad = vlasov_residual(*wrong, None, grid.ones_v[1], grid, dt)
     assert r_bad >= 10.0 * r_ok
 
 
@@ -116,10 +116,10 @@ def test_vlasov_residual_matches_three_term_form(preset, force_mode):
                         a_prev=20.0 * np.cos(x), a_curr=21.0 * np.cos(x - 0.2))
     for fields_mid in (s1.fields, strong):
         rows = force_coefficients(fields_mid, grid, dt, config)
-        for species, v in enumerate(grid.v):
+        for species, ones_v in enumerate(grid.ones_v):
             f = tuple(s.species[species].f for s in (s0, s1, s2))
             expected = three_term_residual(*f, fields_mid, species, config, grid, dt)
-            assert (vlasov_residual(*f, None if rows is None else rows[species], v, grid, dt)
+            assert (vlasov_residual(*f, None if rows is None else rows[species], ones_v, grid, dt)
                     == pytest.approx(expected, rel=1e-12, abs=0.0))
     if config.forces_enabled:
         unforced = replace(config, init=replace(config.init, preset="free_stream"))
@@ -147,7 +147,7 @@ def test_blocked_vlasov_residual_is_bitwise_the_one_block_residual(preset, force
                         a_prev=20.0 * np.cos(x), a_curr=21.0 * np.cos(x - 0.2))
     rows = [force_coefficients(fields_mid, grid, grid.dt, config)
             for fields_mid in (s1.fields, strong)]
-    cases = [(s0.plus.f, s1.plus.f, s2.plus.f, None if r is None else r[0], grid.v[0],
+    cases = [(s0.plus.f, s1.plus.f, s2.plus.f, None if r is None else r[0], grid.ones_v[0],
               grid, grid.dt) for r in rows]
     blocked = [vlasov_residual(*args) for args in cases]
     monkeypatch.setattr(workspace, "BLOCK_CELLS", grid.nx * grid.np)

@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import replace
 
@@ -250,3 +251,34 @@ def test_velocities_are_evaluated_per_run_not_per_step(monkeypatch):
         assert not run_simulation(config, n_steps=n_steps).aborted
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_the_runs_per_species_constants_are_read_only():
+    # A write to v would change the flux while the (1, v) rows stayed as they were.
+    same = build_grid(Config(nx=16, np=32))
+    two = build_grid(Config(nx=16, np=32, plus=SpeciesConfig(0.5, 1.0),
+                            minus=SpeciesConfig(-0.5, 2.0)))
+    for grid in (same, two):
+        for table in (grid.v, grid.ones_v, grid.half_transfer):
+            assert not any(array.flags.writeable for array in table)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.v[0][0] = 1.0
+    # Equal masses share one object; two masses have one each.
+    assert all(table[0] is table[1] for table in (same.v, same.ones_v, same.half_transfer))
+    assert not any(table[0] is table[1] for table in (two.v, two.ones_v, two.half_transfer))
+
+
+@pytest.mark.parametrize("built", [True, False], ids=["built", "unbuilt"])
+def test_a_state_of_another_grid_is_one_config_error(built, tmp_path):
+    config = validate_config(Config(nx=64, np=128))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    if not built:
+        state = step(state, config, grid)
+    expected = ("f shapes are [(64, 128), (64, 128)], not [(32, 128), (32, 128)]" if built else
+                "f spectra shapes are [(33, 128), (33, 128)], not [(17, 128), (17, 128)]")
+    # No ``as``: a caught traceback would keep the run's frames, and their states, alive.
+    with pytest.raises(ConfigError, match=re.escape(
+            f"initial_state does not fit the 32x128 grid: its {expected}")):
+        run_simulation(replace(config, nx=32), out_dir=tmp_path / "out", initial_state=state)
+    assert not (tmp_path / "out").exists()

@@ -131,14 +131,15 @@ def test_natural_spline_matches_scipy():
     moments = spline_moments(rows)
     for reach in (1.0, 9.5):
         cells = monotone_cells(rng, 5, n, reach)
-        mine = eval_natural_spline(rows, moments, cells)
+        mine = eval_natural_spline(rows, moments, cells, out=np.empty(rows.shape))
         assert np.allclose(mine, scipy_at_feet(nodes, rows, cells), atol=1e-12)
 
 
 def test_natural_spline_exact_at_nodes():
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(3, 25))
-    values = eval_natural_spline(rows, spline_moments(rows), np.zeros((3, 25)))
+    values = eval_natural_spline(rows, spline_moments(rows), np.zeros((3, 25)),
+                                 out=np.empty(rows.shape))
     assert np.array_equal(values, rows)
 
 
@@ -148,7 +149,7 @@ def test_natural_spline_zero_outside():
     n = 16
     rows = np.ones((6, n))
     cells = np.array([20.0, -20.0, 3.5, -3.5, 0.5, -1.0])[:, None] * np.ones(n)
-    values = eval_natural_spline(rows, spline_moments(rows), cells)
+    values = eval_natural_spline(rows, spline_moments(rows), cells, out=np.empty(rows.shape))
     outside = np.zeros((6, n), bool)
     outside[:2] = True
     outside[2, :4] = outside[3, 12:] = outside[4, 0] = outside[5, -1] = True
@@ -165,7 +166,7 @@ def test_natural_spline_on_the_fewest_nodes_matches_scipy(n):
     moments = spline_moments(rows)
     for reach in (1.0, n - 1.0):
         cells = monotone_cells(rng, 4, n, reach)
-        mine = eval_natural_spline(rows, moments, cells)
+        mine = eval_natural_spline(rows, moments, cells, out=np.empty(rows.shape))
         assert np.allclose(mine, scipy_at_feet(nodes, rows, cells), atol=1e-12)
     for i in range(4):
         # the moments are m = (h^2/6) M for scipy's second derivatives M
@@ -222,7 +223,7 @@ def test_zero_extension_only_where_feet_leave_the_range():
     cells[3] = np.linspace(0.0, 0.7, 24)                # p_0's foot on p_0
     cells[4] = 5.0                                      # whole cells, multi-cell
     cells[5] = np.linspace(-7.0, -3.0, 24)              # multi-cell, p_0's foot on p_7
-    values = eval_natural_spline(rows, moments, cells)
+    values = eval_natural_spline(rows, moments, cells, out=np.empty(rows.shape))
     assert np.allclose(values, scipy_at_feet(nodes, rows, cells), atol=1e-12, rtol=0.0)
     assert values[0, 0] == values[0, -1] == values[1, 0] == values[2, -1] == 0.0
     assert values[1, -1] != 0.0 and values[2, 0] != 0.0 and values[3, 0] == rows[3, 0]

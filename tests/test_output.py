@@ -18,7 +18,6 @@ from kinvlasov.output import (
     DiagnosticsWriter,
     format_float,
     manifest_payload,
-    read_snapshot,
     write_divergence,
     write_manifest,
     write_snapshot,
@@ -27,7 +26,7 @@ from kinvlasov.runner import run_simulation
 from kinvlasov.state import build, initialize_state
 from kinvlasov.vlasov import step
 
-from conftest import landau_config
+from conftest import landau_config, read_snapshot
 
 
 def sample_record():
@@ -107,8 +106,8 @@ def test_snapshot_round_trip(tmp_path):
     config = validate_config(landau_config(nx=16, n_p=16, amplitude=1e-2))
     grid = build_grid(config)
     state = initialize_state(config, grid)
-    paths = write_snapshot(state, grid, tmp_path)
-    assert sorted(p.name for p in paths) == [
+    write_snapshot(state, grid, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
         "f_minus_0.dat", "f_plus_0.dat", "fields_0.dat"]
     meta, matrix = read_snapshot(tmp_path / "f_minus_0.dat")
     assert meta["nx"] == grid.nx and meta["np"] == grid.np
@@ -232,8 +231,8 @@ def test_manifest_contents(tmp_path):
     grid = build_grid(config)
     dt = grid.dt
     payload = manifest_payload(config, grid, 100)
-    path = write_manifest(payload, tmp_path)
-    loaded = json.loads(path.read_text())
+    write_manifest(payload, tmp_path)
+    loaded = json.loads((tmp_path / "manifest.json").read_text())
     assert loaded["config"]["nx"] == 32
     assert loaded["config"]["init"]["preset"] == "landau"
     for name in ("plus", "minus"):
@@ -256,13 +255,24 @@ def test_manifest_contents(tmp_path):
     assert "1/c" in loaded["notes"]["continuity_residual_forms"]
 
 
+def test_numpy_typed_config_values_write_the_plain_configs_manifest(tmp_path):
+    plain = validate_config(landau_config(nx=16, n_p=16))
+    typed = replace(plain, nx=np.int64(16), relativistic=np.bool_(True),
+                    init=replace(plain.init, k_mode=np.int64(1)))
+    for name, config in (("plain", plain), ("typed", typed)):
+        run_simulation(config, out_dir=tmp_path / name, n_steps=1)
+    assert ((tmp_path / "typed" / "manifest.json").read_bytes()
+            == (tmp_path / "plain" / "manifest.json").read_bytes())
+
+
 def test_manifest_deterministic(tmp_path):
     config = validate_config(landau_config(nx=32, n_p=32))
     grid = build_grid(config)
     payload = manifest_payload(config, grid, 50)
-    a = write_manifest(payload, tmp_path / "a")
-    b = write_manifest(payload, tmp_path / "b")
-    assert a.read_bytes() == b.read_bytes()
+    for name in ("a", "b"):
+        write_manifest(payload, tmp_path / name)
+    assert ((tmp_path / "a" / "manifest.json").read_bytes()
+            == (tmp_path / "b" / "manifest.json").read_bytes())
 
 
 # Every preset's plus species is a uniform, stationary background.  With no

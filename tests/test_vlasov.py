@@ -21,7 +21,7 @@ from kinvlasov.state import FieldState, build, initialize_state, momentum_gaussi
 from kinvlasov.vlasov import advect_x, kick_p, step
 from kinvlasov.workspace import row_blocks
 
-from conftest import landau_config, pair_species
+from conftest import landau_config, one_v, pair_species
 
 
 @pytest.fixture
@@ -90,7 +90,7 @@ def row_constant(grid, a):
 
 def test_kick_zero_force_is_identity(grid):
     f = gaussian_f(grid)
-    out = kick_p(f, np.zeros((2, grid.nx)), grid.p_nodes, grid, 0.1)
+    out = kick_p(f, np.zeros((2, grid.nx)), one_v(grid.p_nodes), grid, 0.1)
     assert np.array_equal(out, f)
 
 
@@ -98,7 +98,7 @@ def test_kick_uniform_cell_shift(grid):
     f = np.ones((grid.nx, 1)) * momentum_gaussian(grid.p_nodes, 1.0, 0.25, 0.0,
                                                   grid.dp)[None, :]
     dt = 0.05
-    out = kick_p(f, row_constant(grid, grid.dp / dt), grid.p_nodes, grid, dt)
+    out = kick_p(f, row_constant(grid, grid.dp / dt), one_v(grid.p_nodes), grid, dt)
     shifted = np.roll(f, 1, axis=1)
     interior = slice(1, grid.np - 1)
     assert np.max(np.abs(out[:, interior] - shifted[:, interior])) <= 1e-12 * np.max(f)
@@ -110,7 +110,7 @@ def test_kick_displacement_bound(grid):
     f = gaussian_f(grid)
     # far beyond the quarter-grid bound
     with pytest.raises(SolverAbort, match="exceeds sanity bound"):
-        kick_p(f, row_constant(grid, grid.np * grid.dp), grid.p_nodes, grid, 1.0)
+        kick_p(f, row_constant(grid, grid.np * grid.dp), one_v(grid.p_nodes), grid, 1.0)
 
 
 @pytest.mark.parametrize("end", ["p_min", "p_max"])
@@ -125,9 +125,9 @@ def test_kick_bound_fires_at_either_momentum_end(grid, end):
     coefficients = np.zeros((2, grid.nx))
     coefficients[:, 7] = 0.55 * limit, sign * 0.5 * limit / v[-1]
     with pytest.raises(SolverAbort, match="exceeds sanity bound"):
-        kick_p(f, coefficients, v, grid, 1.0)
+        kick_p(f, coefficients, one_v(v), grid, 1.0)
     coefficients[:, 7] *= 0.95 / 1.05   # just inside the bound at that end
-    kick_p(f, coefficients, v, grid, 1.0)
+    kick_p(f, coefficients, one_v(v), grid, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -139,7 +139,7 @@ def test_kick_rejects_non_finite_force(grid, bad):
         coefficients = np.full((2, grid.nx), 0.1)
         coefficients[row, 3] = bad
         with pytest.raises(SolverAbort, match="non-finite"):
-            kick_p(f, coefficients, grid.p_nodes, grid, 0.05)
+            kick_p(f, coefficients, one_v(grid.p_nodes), grid, 0.05)
 
 
 def banded_take_along_axis_kick(f, force, grid, dt):
@@ -218,7 +218,7 @@ def test_kick_matches_banded_take_along_axis_reference(mode):
         if cells == 1.0:
             at_one_cell(scaled, scaled_force, v, grid, dt)
         expected = banded_take_along_axis_kick(f, scaled_force, grid, dt)
-        out = kick_p(f, scaled, v, grid, dt)
+        out = kick_p(f, scaled, grid.ones_v[1], grid, dt)
         assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected)), cells
 
 
@@ -230,8 +230,9 @@ def test_run_takes_the_gather_path_and_matches_the_reference(mode, monkeypatch):
                      init=InitConfig(amplitude=0.9))
     multi_cell = []
 
-    def checked_kick(f, coefficients, v, grid, dt):
-        out = kick_p(f, coefficients, v, grid, dt)
+    def checked_kick(f, coefficients, ones_v, grid, dt):
+        out = kick_p(f, coefficients, ones_v, grid, dt)
+        v = ones_v[1]
         if np.max(np.abs(end_displacements(coefficients, v, dt))) > grid.dp:
             force = coefficients[0][:, None] + coefficients[1][:, None] * v
             expected = banded_take_along_axis_kick(f, force, grid, dt)
@@ -270,7 +271,7 @@ def test_kick_matches_banded_reference_up_to_a_quarter_grid(nx, n_p, dp_exponent
     if nan_row:
         f[3, rng.integers(n_p)] = np.nan
 
-    out = kick_p(f, coefficients, v, grid, dt)
+    out = kick_p(f, coefficients, one_v(v), grid, dt)
     force = coefficients[0][:, None] + coefficients[1][:, None] * v
     expected = banded_take_along_axis_kick(np.nan_to_num(f), force, grid, dt)
     finite = np.arange(nx) != 3 if nan_row else slice(None)
@@ -288,7 +289,7 @@ def test_whole_cell_kick_moves_every_row_exactly(sign):
     f = np.random.default_rng(62).random((grid.nx, grid.np))
     for k in range(2, 16):
         coefficients = row_constant(grid, sign * k)
-        out = kick_p(f, coefficients, grid.p_nodes, grid, grid.dp)
+        out = kick_p(f, coefficients, one_v(grid.p_nodes), grid, grid.dp)
         expected = np.zeros_like(f)
         if sign > 0:
             expected[:, k:] = f[:, :-k]
@@ -313,9 +314,9 @@ def test_blocked_kick_is_bitwise_the_one_block_kick():
     cells = np.einsum("ki,kj->ij", coefficients, np.vstack((np.ones_like(v), v)))
     assert [np.max(np.abs(cells[rows])) > 1.0 for rows in blocks] == [False, True, False]
 
-    out = kick_p(f, coefficients, v, grid, grid.dp)   # dt = dp: s = a + b v
+    out = kick_p(f, coefficients, grid.ones_v[0], grid, grid.dp)   # dt = dp: s = a + b v
     moments = natural_spline_moments(f, grid.spline_solve)
-    expected = eval_natural_spline(f, moments, cells)
+    expected = eval_natural_spline(f, moments, cells, out=np.empty(f.shape))
     assert np.array_equal(out.view(np.int64), expected.view(np.int64))
     # Given ``out``, the evaluator writes the same bits there, gathering or not.
     for rows in blocks:
@@ -326,14 +327,14 @@ def test_blocked_kick_is_bitwise_the_one_block_kick():
 
 
 def test_kick_and_residual_read_the_grids_one_v_rows(monkeypatch):
-    # Species of two masses: each reads its own (1, v) rows, built once, read-only.
+    # Species of two masses: each has its own (1, v) rows, built with the grid
+    # and read-only, whose row 1 is its v; the kernels read them as they are.
     grid = build_grid(Config(nx=16, x_max=8.0, np=32, p_max=4.0,
                              plus=SpeciesConfig(0.5, 1.0), minus=SpeciesConfig(-0.5, 2.0)))
-    rows = [grid.ones_v(v) for v in grid.v]
-    for v, own in zip(grid.v, rows):
-        assert grid.ones_v(v) is own and not own.flags.writeable
+    for v, own in zip(grid.v, grid.ones_v):
+        assert v.base is own and not own.flags.writeable
         assert np.array_equal(own, [np.ones_like(v), v])
-    assert not np.array_equal(*rows)
+    assert grid.ones_v[0] is not grid.ones_v[1] and not np.array_equal(*grid.ones_v)
     f = gaussian_f(grid)
     coefficients = np.array([np.full(grid.nx, 0.1), np.full(grid.nx, -0.05)])
 
@@ -341,9 +342,9 @@ def test_kick_and_residual_read_the_grids_one_v_rows(monkeypatch):
         raise AssertionError("(1, v) rows rebuilt")
 
     monkeypatch.setattr(np, "vstack", no_vstack)
-    for v in grid.v:
-        kick_p(f, coefficients, v, grid, 0.05)
-        vlasov_residual(f, f, f, coefficients, v, grid, 0.05)
+    for ones_v in grid.ones_v:
+        kick_p(f, coefficients, ones_v, grid, 0.05)
+        vlasov_residual(f, f, f, coefficients, ones_v, grid, 0.05)
 
 
 def test_step_zero_charge_reduces_to_free_streaming():

@@ -49,16 +49,16 @@ def kernel_results(grid, seed):
     return {
         "advect_x to a spectrum": advect_x(f, transfer, grid.nx),
         "advect_x from a spectrum": advect_x(np.fft.rfft(f, axis=0), transfer, grid.nx),
-        "kick_p sub-cell": kick_p(f, coefficients, v, grid, dt),
-        "kick_p multi-cell": kick_p(f, coefficients, v, grid, 15.0 * dt),
+        "kick_p sub-cell": kick_p(f, coefficients, grid.ones_v[0], grid, dt),
+        "kick_p multi-cell": kick_p(f, coefficients, grid.ones_v[0], grid, 15.0 * dt),
         "natural_spline_moments": moments,
-        "eval_natural_spline": eval_natural_spline(f, moments, cells),
+        "eval_natural_spline": eval_natural_spline(f, moments, cells, out=np.empty(f.shape)),
         "force_field": force,
         "force_field standard": force_field(fields, grid, 0.1,
                                             replace(config, force_mode="standard"))[0],
         "particle_flux": particle_flux(f, v, grid),
         "vlasov_residual": vlasov_residual(
-            f, f, f, force_coefficients(fields, grid, dt, config)[0], v, grid, dt),
+            f, f, f, force_coefficients(fields, grid, dt, config)[0], grid.ones_v[0], grid, dt),
     }
 
 
