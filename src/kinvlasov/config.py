@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import get_type_hints
 
@@ -40,10 +40,20 @@ class SolverAbort(RuntimeError):
     """A step produced a non-finite field, kick or f, or a kick past its bound."""
 
 
+def _python_scalars(self) -> None:
+    """Each config's ``__post_init__``: a numpy scalar field is stored as its
+    Python value, so no run constant is computed in a numpy type."""
+    for f in fields(self):
+        value = getattr(self, f.name)
+        if isinstance(value, np.generic):
+            object.__setattr__(self, f.name, value.item())
+
+
 @dataclass(frozen=True)
 class SpeciesConfig:
     q: float
     m: float
+    __post_init__ = _python_scalars
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,7 @@ class InitConfig:
     k_mode: int = 1
     temperature: float = 1.0
     drift: float = 0.0
+    __post_init__ = _python_scalars
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,7 @@ class Config:
     plus: SpeciesConfig = SpeciesConfig(+DEFAULT_CHARGE, 1.0)
     minus: SpeciesConfig = SpeciesConfig(-DEFAULT_CHARGE, 1.0)
     init: InitConfig = field(default_factory=InitConfig)
+    __post_init__ = _python_scalars
 
     @property
     def forces_enabled(self) -> bool:
@@ -83,21 +95,18 @@ _TYPES = {cls: get_type_hints(cls) for cls in (Config, SpeciesConfig, InitConfig
 _ACCEPTS = {int: Integral, float: Real}
 
 
-def _plain(owner, where: str, v: list):
-    """``owner`` with numpy scalars as Python values; a field of the wrong type
-    or a non-finite float appends one message to ``v``."""
-    values = {}
+def _type_violations(owner, where: str, v: list) -> None:
+    """Append one message to ``v`` for each field of ``owner``, or of a config
+    it holds, of the wrong type, and for each non-finite float."""
     for name, kind in _TYPES[type(owner)].items():
         value = getattr(owner, name)
-        value = values[name] = value.item() if isinstance(value, np.generic) else value
         is_bool = isinstance(value, bool)       # a bool is no int or float here
         if not isinstance(value, _ACCEPTS.get(kind, kind)) or (is_bool and kind is not bool):
             v.append(f"{name} must be of type {kind.__name__} ({where}got {value!r})")
         elif kind is float and not abs(value) <= sys.float_info.max:
             v.append(f"{name} must be finite ({where}got {value})")
         elif kind in _TYPES:
-            values[name] = _plain(value, f"species {name}: " if kind is SpeciesConfig else "", v)
-    return replace(owner, **values)
+            _type_violations(value, f"species {name}: " if kind is SpeciesConfig else "", v)
 
 
 def initial_tail_ratio(config: Config, name: str) -> float:
@@ -113,7 +122,7 @@ def config_violations(config: Config) -> list[str]:
     """All invariant violations, each naming the offending key and value; a
     field of the wrong type or a non-finite float first, and alone."""
     v = []
-    config = _plain(config, "", v)
+    _type_violations(config, "", v)
     if v:
         return v
     if config.nx < 8:

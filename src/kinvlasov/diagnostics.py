@@ -171,16 +171,11 @@ def residual_report(history: deque, config: Config, grid: PhaseSpaceGrid) -> dic
         r = (u2 - 2.0 * u1 + u0) / (c * dt) ** 2 - d2_periodic(u1, grid.dx) - source
         return l2_x(r, grid)
 
-    res_d1 = wave_residual(s1.fields.phi_prev, s1.fields.phi_curr,
-                           s2.fields.phi_curr,
-                           4.0 * np.pi * 0.5 * (s1.rho + s2.rho))
-    res_d2 = wave_residual(s1.fields.a_prev, s1.fields.a_curr,
-                           s2.fields.a_curr,
-                           (4.0 * np.pi / c) * 0.5 * (s1.j + s2.j))
-
     measured.update({
-        "d1": res_d1,
-        "d2": res_d2,
+        "d1": wave_residual(s1.fields.phi_prev, s1.fields.phi_curr, s2.fields.phi_curr,
+                            4.0 * np.pi * 0.5 * (s1.rho + s2.rho)),
+        "d2": wave_residual(s1.fields.a_prev, s1.fields.a_curr, s2.fields.a_curr,
+                            (4.0 * np.pi / c) * 0.5 * (s1.j + s2.j)),
         "e": gauge_residual(s1.fields, grid, dt, c),
         "f": 0.0,
         "g": 0.0,
@@ -237,8 +232,7 @@ def compare_runs(run_a, run_b, state_a: SimulationState,
     rows_a, rows_b = (force_coefficients(s.fields, grid, dt, run.config)
                       for run, s in ((run_a, state_a), (run_b, state_b)))
     # each potential at the snapshot's time, the mean of its two levels
-    phi_a, phi_b = (0.5 * (s.fields.phi_prev + s.fields.phi_curr) for s in (state_a, state_b))
-    a_a, a_b = (0.5 * (s.fields.a_prev + s.fields.a_curr) for s in (state_a, state_b))
+    (phi_a, a_a), (phi_b, a_b) = state_a.fields.mid(), state_b.fields.mid()
     force_sq = 0.0
     for (da, db), v in zip(() if rows_a is None else rows_a - rows_b, grid.v):
         mean_sq = (da + db * np.mean(v)) ** 2 + db * db * np.var(v)

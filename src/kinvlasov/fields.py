@@ -1,19 +1,33 @@
-"""Lorenz-gauge wave-equation field solver: explicit leapfrog, periodic Poisson
-initialization, and the gauge-condition monitor.
+"""Lorenz-gauge wave-equation field solver: the field levels, explicit
+leapfrog, periodic Poisson initialization, and the gauge-condition monitor.
 
 Both potentials obey u_tt / c^2 - u_xx = s with s = 4 pi rho for phi and
 s = (4 pi / c) j for A.  The gauge condition phi_t / c + A_x = 0 is never
-enforced; it is evaluated as a residual.  The monitors read a state's field
-levels (phi_prev, phi_curr, a_prev, a_curr) from any object that has them,
-in practice a ``state.FieldState``, which this module cannot import.
+enforced; it is evaluated as a residual.  A ``FieldState`` holds both
+potentials at two times; ``FieldState.mid`` is their one midpoint mean.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SolverAbort
 from .grid import PhaseSpaceGrid
+
+
+@dataclass
+class FieldState:
+    """phi and A at two times, prev before curr; an operator takes their spacing as dt."""
+    phi_prev: np.ndarray
+    phi_curr: np.ndarray
+    a_prev: np.ndarray
+    a_curr: np.ndarray
+
+    def mid(self) -> tuple:
+        """(phi, A) at the midpoint of the two times: each potential's level mean."""
+        return 0.5 * (self.phi_prev + self.phi_curr), 0.5 * (self.a_prev + self.a_curr)
 
 
 # Centered periodic differences of a 1-D u, its neighbours sliced (np.roll's bits, faster).
@@ -64,33 +78,29 @@ def poisson_init(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     return phi - phi.mean()
 
 
-def gauge_residual(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> float:
-    """L2 norm of phi_t / c + A_x, centered at the midpoint of the two levels.
-
-    The A term uses the level average so both terms sit at the same time.
-    """
-    r = (fields.phi_curr - fields.phi_prev) / (c * dt) + d1_periodic(
-        0.5 * (fields.a_prev + fields.a_curr), grid.dx
-    )
+def gauge_residual(fields: FieldState, grid: PhaseSpaceGrid, dt: float, c: float) -> float:
+    """L2 norm of phi_t / c + A_x at the levels' midpoint time, with A there
+    their mean (``FieldState.mid``)."""
+    r = (fields.phi_curr - fields.phi_prev) / (c * dt) + d1_periodic(fields.mid()[1], grid.dx)
     return l2_x(r, grid)
 
 
-def electric_field(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> np.ndarray:
+def electric_field(fields: FieldState, grid: PhaseSpaceGrid, dt: float, c: float) -> np.ndarray:
     """E = -D1 phi - (1/c) dA/dt from the stored levels, centered at their midpoint."""
-    dphi_dx = d1_periodic(0.5 * (fields.phi_prev + fields.phi_curr), grid.dx)
+    dphi_dx = d1_periodic(fields.mid()[0], grid.dx)
     return -dphi_dx - ((fields.a_curr - fields.a_prev) / dt) / c
 
 
-def field_energy_proxy(fields, grid: PhaseSpaceGrid, dt: float, c: float) -> float:
+def field_energy_proxy(fields: FieldState, grid: PhaseSpaceGrid, dt: float, c: float) -> float:
     """Quadratic field-energy proxy from the stored levels, time-centered.
 
     Sum of squared time derivatives (per c) and squared space derivatives of
     both potentials, integrated over x.
     """
     total = 0.0
-    for u_prev, u_curr in ((fields.phi_prev, fields.phi_curr),
-                           (fields.a_prev, fields.a_curr)):
+    for u_prev, u_curr, u_mid in zip((fields.phi_prev, fields.a_prev),
+                                     (fields.phi_curr, fields.a_curr), fields.mid()):
         du_dt = (u_curr - u_prev) / (c * dt)
-        du_dx = d1_periodic(0.5 * (u_prev + u_curr), grid.dx)
+        du_dx = d1_periodic(u_mid, grid.dx)
         total += float(np.sum(du_dt * du_dt + du_dx * du_dx) * grid.dx)
     return total

@@ -19,10 +19,10 @@ that the solver uses.  Only this module reads the force law from the config:
 a field state is differentiated once for both species' rows, which the kick,
 the Vlasov residual and the run comparison take, and no program path builds
 an (nx, np) force.  ``force_field`` expands the rows on the phase-space grid,
-as the tests' reference.  The FieldState's two time levels bracket the
-evaluation time symmetrically and are separated by ``dt``: time derivatives
-are the forward difference over dt, space derivatives act on the level
-average, so the result is time-centered at the midpoint.
+as the tests' reference.  A ``fields.FieldState``'s two time levels bracket
+the evaluation time symmetrically and are separated by ``dt``: time
+derivatives are the forward difference over dt, space derivatives act on the
+level mean (``FieldState.mid``), so the result is time-centered at the midpoint.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from __future__ import annotations
 import numpy as np
 
 from .config import Config
-from .fields import d1_periodic, electric_field
+from .fields import FieldState, d1_periodic, electric_field
 from .grid import PhaseSpaceGrid
 
 
-def force_coefficients(fields, grid: PhaseSpaceGrid, dt: float,
+def force_coefficients(fields: FieldState, grid: PhaseSpaceGrid, dt: float,
                        config: Config) -> np.ndarray | None:
     """Rows a and b of F = a(x) + b(x) v(p) for the plus and the minus species,
     shape (2, 2, nx), or None if the preset does not kick.  modified:
@@ -44,7 +44,7 @@ def force_coefficients(fields, grid: PhaseSpaceGrid, dt: float,
     charges, c = [s.q for s in (config.plus, config.minus)], config.c
     if config.force_mode == "modified":
         da_dt = (fields.a_curr - fields.a_prev) / dt
-        da_dx = d1_periodic(0.5 * (fields.a_prev + fields.a_curr), grid.dx)
+        da_dx = d1_periodic(fields.mid()[1], grid.dx)
         return np.array([-(q / c) * np.array([da_dt, da_dx]) for q in charges])
     if config.force_mode == "standard":
         e = electric_field(fields, grid, dt, c)
@@ -52,7 +52,8 @@ def force_coefficients(fields, grid: PhaseSpaceGrid, dt: float,
     raise ValueError(f"unknown force mode {config.force_mode!r}")
 
 
-def force_field(fields, grid: PhaseSpaceGrid, dt: float, config: Config) -> np.ndarray | None:
+def force_field(fields: FieldState, grid: PhaseSpaceGrid, dt: float,
+                config: Config) -> np.ndarray | None:
     """Each species' force a(x) + b(x) v(p) of ``force_coefficients`` on the
     full grid, shape (2, nx, np) with v from ``grid.v``, or None if the preset
     does not kick."""

@@ -100,8 +100,7 @@ def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> Non
     for label, species in (("plus", state.plus), ("minus", state.minus)):
         _write_matrix(out_dir / f"f_{label}_{step}.dat", meta, species.f)
 
-    phi = 0.5 * (state.fields.phi_prev + state.fields.phi_curr)
-    a = 0.5 * (state.fields.a_prev + state.fields.a_curr)
+    phi, a = state.fields.mid()
     table = np.column_stack([grid.x_nodes, phi, a, state.rho, state.j])
     header = (
         f"# t={format_float(state.time)} nx={grid.nx} "
@@ -151,7 +150,7 @@ def write_manifest(payload: dict, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _replace_on_success(out_dir / "manifest.json") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=np.generic.item)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

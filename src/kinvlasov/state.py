@@ -6,20 +6,22 @@ spatially uniform stationary background of the same temperature, so every
 preset is charge-neutral by construction while a nonzero amplitude still
 produces a nonzero initial charge density.
 
-Field levels are staggered half a step around the distribution's time: a state
-at time t holds (u_prev, u_curr) at t -+ dt/2.  At t = 0 both levels equal the
-electrostatic solve of -phi_xx = 4 pi rho (and A = 0), which is consistent to
-third order because phi_t(0) = 0 and the Poisson solve makes phi_tt(0) = 0.
+A state's moments are caches of its f that ``refresh_moments`` fills in place.
+Its field levels, a ``fields.FieldState``, are staggered half a step around f's
+time: a state at time t holds (u_prev, u_curr) at t -+ dt/2.  At t = 0 both
+levels equal the electrostatic solve of -phi_xx = 4 pi rho (and A = 0), which
+is consistent to third order because phi_t(0) = 0 and the Poisson solve makes
+phi_tt(0) = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import PRESETS, Config, ConfigError
-from .fields import poisson_init
+from .fields import FieldState, poisson_init
 from .grid import PhaseSpaceGrid
 from .moments import number_density, particle_flux
 
@@ -30,14 +32,6 @@ class SpeciesState:
     f: np.ndarray  # (nx, np), particles per (length * momentum)
     n: np.ndarray | None = None     # cached moments of f, filled by refresh_moments
     flux: np.ndarray | None = None
-
-
-@dataclass
-class FieldState:
-    phi_prev: np.ndarray
-    phi_curr: np.ndarray
-    a_prev: np.ndarray
-    a_curr: np.ndarray
 
 
 @dataclass
@@ -64,10 +58,9 @@ def build(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simul
     """Fill in an unbuilt state's plus, minus, rho and j in place, by one irfft
     per species and one moment pass, and return it; its spectra are kept."""
     if state.plus is None:
-        plus, minus = (SpeciesState(np.fft.irfft(spectrum, n=grid.nx, axis=0))
-                       for spectrum in state.spectra)
-        built = refresh_moments(replace(state, plus=plus, minus=minus), config, grid)
-        state.plus, state.minus, state.rho, state.j = built.plus, built.minus, built.rho, built.j
+        state.plus, state.minus = (SpeciesState(np.fft.irfft(spectrum, n=grid.nx, axis=0))
+                                   for spectrum in state.spectra)
+        refresh_moments(state, config, grid)
     return state
 
 
@@ -103,45 +96,37 @@ def _preset_f(config: Config, grid: PhaseSpaceGrid):
 
 def refresh_moments(state: SimulationState, config: Config,
                     grid: PhaseSpaceGrid) -> SimulationState:
-    """The one moment pass over the current f: per-species n and flux, and the
-    rho, j they sum to (recompute-on-write)."""
-    plus, minus = (
-        replace(s, n=number_density(s.f, grid), flux=particle_flux(s.f, v, grid))
-        for s, v in zip(state.species, grid.v)
-    )
+    """The one moment pass over the current f: fill each species' n and flux,
+    and the rho, j they sum to, in place (recompute-on-write); return ``state``."""
+    plus, minus = state.species
+    for s, v in zip(state.species, grid.v):
+        s.n, s.flux = number_density(s.f, grid), particle_flux(s.f, v, grid)
     q_plus, q_minus = config.plus.q, config.minus.q
-    return replace(state, plus=plus, minus=minus,
-                   rho=q_plus * plus.n + q_minus * minus.n,
-                   j=q_plus * plus.flux + q_minus * minus.flux)
+    state.rho = q_plus * plus.n + q_minus * minus.n
+    state.j = q_plus * plus.flux + q_minus * minus.flux
+    return state
 
 
 def initialize_state(config: Config, grid: PhaseSpaceGrid) -> SimulationState:
     f_plus, f_minus = _preset_f(config, grid)
-    state = refresh_moments(SimulationState(
-        time=0.0,
-        step=0,
-        plus=SpeciesState(f_plus),
-        minus=SpeciesState(f_minus),
-        fields=None,
-    ), config, grid)
+    state = SimulationState(0.0, 0, SpeciesState(f_plus), SpeciesState(f_minus), fields=None)
+    refresh_moments(state, config, grid)
 
     # An unperturbed neutral plasma has no sources; scrub quadrature roundoff
     # below 1e-13 of the natural source scales so it stays an exact fixed point.
     q_scale = max(abs(config.plus.q), abs(config.minus.q))
     rho_scale = q_scale * config.init.n0
     v_scale = np.sqrt(config.init.temperature / config.minus.m) + abs(config.init.drift) / config.minus.m
-    rho = state.rho
-    j = state.j
-    if np.max(np.abs(rho)) <= 1e-13 * rho_scale:
-        rho = np.zeros(grid.nx)
-    if np.max(np.abs(j)) <= 1e-13 * rho_scale * v_scale:
-        j = np.zeros(grid.nx)
+    if np.max(np.abs(state.rho)) <= 1e-13 * rho_scale:
+        state.rho = np.zeros(grid.nx)
+    if np.max(np.abs(state.j)) <= 1e-13 * rho_scale * v_scale:
+        state.j = np.zeros(grid.nx)
 
     # Against q n0, not max|rho| = O(amplitude), which mean-rho roundoff can exceed.
-    if abs(np.mean(rho)) > 1e-12 * rho_scale:
-        raise ConfigError([f"initial state is non-neutral (mean rho {np.mean(rho):.3e}); "
-                           "a periodic domain requires zero total charge"])
-    phi0 = poisson_init(rho, grid)
-    fields = FieldState(phi_prev=phi0.copy(), phi_curr=phi0,
-                        a_prev=np.zeros(grid.nx), a_curr=np.zeros(grid.nx))
-    return replace(state, fields=fields, rho=rho, j=j)
+    if abs(np.mean(state.rho)) > 1e-12 * rho_scale:
+        raise ConfigError([f"initial state is non-neutral (mean rho {np.mean(state.rho):.3e});"
+                           " a periodic domain requires zero total charge"])
+    phi0 = poisson_init(state.rho, grid)
+    state.fields = FieldState(phi_prev=phi0.copy(), phi_curr=phi0,
+                              a_prev=np.zeros(grid.nx), a_curr=np.zeros(grid.nx))
+    return state

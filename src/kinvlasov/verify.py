@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, InitConfig, SolverAbort, SpeciesConfig, validate_config
-from .fields import d2_periodic, electric_field, gauge_residual, poisson_init, wave_step
+from .fields import FieldState, d2_periodic, electric_field, gauge_residual, poisson_init, wave_step
 from .grid import build_grid
 from .moments import continuity_residual, current_density, particle_flux
 from .runner import run_simulation
-from .state import FieldState, initialize_state, momentum_gaussian
+from .state import initialize_state, momentum_gaussian
 from .vlasov import step
 
 

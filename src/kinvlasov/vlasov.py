@@ -29,12 +29,12 @@ import math
 import numpy as np
 
 from .config import Config, SolverAbort
-from .fields import wave_step
+from .fields import FieldState, wave_step
 from .forces import force_coefficients
 from .grid import PhaseSpaceGrid
 from .interpolate import eval_natural_spline, natural_spline_moments, periodic_shift_columns
 from .moments import charge_density, current_density
-from .state import FieldState, SimulationState
+from .state import SimulationState
 from .workspace import row_blocks, work_array
 
 

@@ -6,7 +6,7 @@ summary lines alongside the pytest verdicts.
 
 import ast
 import filecmp
-import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -438,3 +438,28 @@ def test_no_module_imports_a_name_it_never_reads():
                            (alias.asname or alias.name.split(".")[0] for alias in node.names)
                            if name not in read]
     assert not unread, unread
+
+
+def test_every_top_level_definition_has_a_reader():
+    # A def or class of src is read by a name, an attribute or an import somewhere
+    # in src, or is one of the benchmark's traced functions (perfbench/spans.TRACED).
+    spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {(module, path.split(".")[0]) for module, path in spans.TRACED}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(kinvlasov.__file__).parent.glob("*.py"))}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unread = [f"{module}.{name}" for module, name in defined
+              if name not in read and (module, name) not in traced]
+    assert len(defined) > 50 and not unread, unread

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from kinvlasov.config import (
 )
 from kinvlasov.grid import build_grid
 from kinvlasov.output import manifest_payload
+from kinvlasov.runner import run_simulation
 
 from conftest import pair_species
 
@@ -273,6 +275,30 @@ def test_numpy_scalars_of_the_declared_types_are_accepted_and_checked_as_numbers
         validate_config(Config(nx=np.int64(2**61), init=InitConfig(k_mode=np.int64(2**62))))
     assert [v.split(":")[0] for v in err.value.violations] == [
         "grid too large", "k_mode must be below nx/2 (got k_mode = 4611686018427387904, nx = 2305843009213693952)"]
+
+
+def test_numpy_scalars_are_stored_as_python_values():
+    # A float32 x_max would make dx, dt and every state's time float32, and
+    # overflow the run's float32 bounds.
+    typed = Config(x_max=np.float32(12.566371), p_max=np.float32(8.0), nx=np.int64(64),
+                   plus=SpeciesConfig(np.float32(0.25), np.float64(1.0)),
+                   minus=SpeciesConfig(np.float32(-0.25), np.float64(1.0)),
+                   init=InitConfig(k_mode=np.int64(2), amplitude=np.float64(0.01)))
+    plain = Config(x_max=float(np.float32(12.566371)), p_max=8.0, nx=64,
+                   plus=SpeciesConfig(0.25, 1.0), minus=SpeciesConfig(-0.25, 1.0),
+                   init=InitConfig(k_mode=2, amplitude=0.01))
+    for typed_part, plain_part in ((typed, plain), (typed.plus, plain.plus),
+                                   (typed.minus, plain.minus), (typed.init, plain.init)):
+        for f in fields(typed_part):
+            value = getattr(typed_part, f.name)
+            assert type(value) is type(getattr(plain_part, f.name)), f.name
+    for name in ("dx", "dp", "dt", "v_max"):
+        got, want = (getattr(build_grid(config), name) for config in (typed, plain))
+        assert type(got) is float and got == want, name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = [run_simulation(config, n_steps=3).final_state.time for config in (typed, plain)]
+    assert type(ends[0]) is float and ends[0] == ends[1]
 
 
 # Values of every kind a library caller could pass for one field.

@@ -17,10 +17,11 @@ from kinvlasov.diagnostics import (
     snapshot_state,
     vlasov_residual,
 )
+from kinvlasov.fields import FieldState
 from kinvlasov.forces import force_coefficients, force_field
 from kinvlasov.grid import build_grid
 from kinvlasov.runner import compare_simulations, run_simulation, start_run
-from kinvlasov.state import FieldState, initialize_state, momentum_gaussian
+from kinvlasov.state import initialize_state, momentum_gaussian
 from kinvlasov.verify import MIN_CONVERGENCE_ORDER
 from kinvlasov.workspace import row_blocks
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from kinvlasov import state as state_module
 from kinvlasov.config import Config, SolverAbort
 from kinvlasov.fields import (
+    FieldState,
     d1_periodic,
     d2_periodic,
     field_energy_proxy,
@@ -13,7 +15,6 @@ from kinvlasov.fields import (
     wave_step,
 )
 from kinvlasov.grid import build_grid
-from kinvlasov.state import FieldState
 from kinvlasov.verify import MIN_CONVERGENCE_ORDER
 
 
@@ -110,6 +111,21 @@ def test_poisson_drops_the_mean(grid):
     offset = poisson_init(rho + 0.7, grid)
     assert np.max(np.abs(offset - phi)) <= 1e-12 * np.max(np.abs(phi))
     assert np.max(np.abs(poisson_init(np.ones(grid.nx), grid))) <= 1e-15
+
+
+def test_field_state_mid_is_each_potentials_level_mean(grid):
+    rng = np.random.default_rng(5)
+    fields = FieldState(*rng.normal(size=(4, grid.nx)))
+    phi, a = fields.mid()
+    assert np.array_equal(phi.view(np.int64),
+                          (0.5 * (fields.phi_prev + fields.phi_curr)).view(np.int64))
+    assert np.array_equal(a.view(np.int64), (0.5 * (fields.a_prev + fields.a_curr)).view(np.int64))
+
+
+def test_field_state_is_defined_in_fields_only():
+    # state reads the levels through this class; it defines none of its own.
+    assert FieldState.__module__ == "kinvlasov.fields"
+    assert getattr(state_module, "FieldState", FieldState) is FieldState
 
 
 def pointwise_gauge_residual(fields, grid, dt, c):

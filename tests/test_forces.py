@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from kinvlasov import forces
 from kinvlasov.config import Config, InitConfig, SpeciesConfig, validate_config
 from kinvlasov.diagnostics import compare_runs
-from kinvlasov.fields import d1_periodic, electric_field
+from kinvlasov.fields import FieldState, d1_periodic, electric_field
 from kinvlasov.forces import force_coefficients, force_field
 from kinvlasov.grid import build_grid, velocity_from_momentum
 from kinvlasov.runner import run_simulation, start_run
-from kinvlasov.state import FieldState
 
 from conftest import landau_config
 

@@ -219,6 +219,25 @@ def test_poisson_solution_satisfies_discrete_equation():
     assert abs(phi.mean()) <= 1e-12 * np.max(np.abs(phi))
 
 
+def test_refresh_moments_fills_the_state_it_is_given():
+    config = validate_config(landau_config(nx=16, n_p=32, amplitude=0.1, drift=0.3))
+    grid = build_grid(config)
+    state = initialize_state(config, grid)
+    for s in state.species:
+        s.f *= 1.0 + 0.5 * np.random.default_rng(3).random(s.f.shape)
+    assert refresh_moments(state, config, grid) is state
+    (n_plus, flux_plus), (n_minus, flux_minus) = (
+        (number_density(s.f, grid), particle_flux(s.f, v, grid))
+        for s, v in zip(state.species, grid.v))
+    q_plus, q_minus = config.plus.q, config.minus.q
+    pairs = [(state.plus.n, n_plus), (state.plus.flux, flux_plus),
+             (state.minus.n, n_minus), (state.minus.flux, flux_minus),
+             (state.rho, q_plus * n_plus + q_minus * n_minus),
+             (state.j, q_plus * flux_plus + q_minus * flux_minus)]
+    for cached, fresh in pairs:
+        assert np.array_equal(cached.view(np.int64), fresh.view(np.int64))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_run_from_a_state_with_one_non_finite_value_aborts(value):
     config = validate_config(landau_config(nx=16, n_p=16))

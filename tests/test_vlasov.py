@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded
 from kinvlasov import vlasov
 from kinvlasov.config import Config, InitConfig, SolverAbort, SpeciesConfig, validate_config
 from kinvlasov.diagnostics import vlasov_residual
+from kinvlasov.fields import FieldState
 from kinvlasov.forces import force_coefficients, force_field
 from kinvlasov.grid import build_grid, velocity_from_momentum
 from kinvlasov.interpolate import (
@@ -17,7 +18,7 @@ from kinvlasov.interpolate import (
     periodic_shift_transfer,
 )
 from kinvlasov.runner import run_simulation
-from kinvlasov.state import FieldState, build, initialize_state, momentum_gaussian
+from kinvlasov.state import build, initialize_state, momentum_gaussian
 from kinvlasov.vlasov import advect_x, kick_p, step
 from kinvlasov.workspace import row_blocks
 

@@ -12,6 +12,7 @@ import numpy as np
 from kinvlasov import workspace
 from kinvlasov.config import Config, InitConfig, validate_config
 from kinvlasov.diagnostics import make_record, vlasov_residual
+from kinvlasov.fields import FieldState
 from kinvlasov.forces import force_coefficients, force_field
 from kinvlasov.grid import build_grid
 from kinvlasov.interpolate import (
@@ -20,7 +21,7 @@ from kinvlasov.interpolate import (
     periodic_shift_transfer,
 )
 from kinvlasov.moments import particle_flux
-from kinvlasov.state import FieldState, build, initialize_state
+from kinvlasov.state import build, initialize_state
 from kinvlasov.vlasov import advect_x, kick_p, step
 from kinvlasov.workspace import row_blocks
 
