@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral, Real
 from typing import get_type_hints
 
 import numpy as np
@@ -90,9 +89,10 @@ class Config:
         return self.init.preset != "free_stream"
 
 
-# Each dataclass's field types, and the values an int or a float field accepts.
+# Each dataclass's field types, and the types a float field accepts.  A numpy scalar
+# is a Python int or float by now (``_python_scalars``); a Fraction is neither.
 _TYPES = {cls: get_type_hints(cls) for cls in (Config, SpeciesConfig, InitConfig)}
-_ACCEPTS = {int: Integral, float: Real}
+_ACCEPTS = {float: (int, float)}
 
 
 def _type_violations(owner, where: str, v: list) -> None:

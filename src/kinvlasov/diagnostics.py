@@ -234,7 +234,7 @@ def compare_runs(run_a, run_b, state_a: SimulationState,
     # each potential at the snapshot's time, the mean of its two levels
     (phi_a, a_a), (phi_b, a_b) = state_a.fields.mid(), state_b.fields.mid()
     force_sq = 0.0
-    for (da, db), v in zip(() if rows_a is None else rows_a - rows_b, grid.v):
+    for (da, db), (_, v) in zip(() if rows_a is None else rows_a - rows_b, grid.ones_v):
         mean_sq = (da + db * np.mean(v)) ** 2 + db * db * np.var(v)
         force_sq += float(np.sum(mean_sq) * grid.dx)
     return DivergenceRow(

@@ -55,9 +55,9 @@ def force_coefficients(fields: FieldState, grid: PhaseSpaceGrid, dt: float,
 def force_field(fields: FieldState, grid: PhaseSpaceGrid, dt: float,
                 config: Config) -> np.ndarray | None:
     """Each species' force a(x) + b(x) v(p) of ``force_coefficients`` on the
-    full grid, shape (2, nx, np) with v from ``grid.v``, or None if the preset
-    does not kick."""
+    full grid, shape (2, nx, np), with v the second of the species' (1, v) rows
+    (``grid.ones_v``), or None if the preset does not kick."""
     rows = force_coefficients(fields, grid, dt, config)
     if rows is None:
         return None
-    return np.array([np.multiply.outer(b, v) + a[:, None] for (a, b), v in zip(rows, grid.v)])
+    return np.array([b[:, None] * v + a[:, None] for (a, b), (_, v) in zip(rows, grid.ones_v)])

@@ -1,7 +1,8 @@
 """Uniform cell-centered phase-space grid, periodic in x and truncated in p.
 Built once per run, it also holds the run's constants: dt, each species' (1, v)
-rows on the p nodes, the p-basis of every force F = a + b v, the half-step x
-multipliers and, in a run that kicks, the p-spline solve."""
+rows on the p nodes (``ones_v``: the one form of its v(p), and the p-basis of
+every force F = a + b v), the half-step x multipliers and, in a run that kicks,
+the p-spline solve."""
 
 from __future__ import annotations
 
@@ -35,19 +36,18 @@ class PhaseSpaceGrid:
     p_nodes: np.ndarray  # (np,) cell centers in [-p_max, p_max], symmetric about 0
     dt: float
     ones_v: tuple        # per species its (1, v) rows, shape (2, np); one array per mass
-    v: tuple             # per species v on the p nodes: row 1 of its ones_v, one view per mass
     v_max: float         # fastest |v| on the p nodes across both species
     spline_solve: object  # the p-kick's natural_spline_solver(np); None if nothing kicks
 
     @cached_property
     def half_transfer(self) -> tuple:
         """Per species, the read-only Fourier multiplier of a dt/2 x-advection
-        (one for species that share v), built at first use, outside a run's setup."""
-        built = {id(v): periodic_shift_transfer(self.nx, v * (0.5 * self.dt) / self.dx)
-                 for v in self.v}
+        (one for species that share (1, v) rows), built at first use, outside a run's setup."""
+        built = {id(rows): periodic_shift_transfer(self.nx, rows[1] * (0.5 * self.dt) / self.dx)
+                 for rows in self.ones_v}
         for transfer in built.values():
             transfer.flags.writeable = False
-        return tuple(built[id(v)] for v in self.v)
+        return tuple(built[id(rows)] for rows in self.ones_v)
 
 
 def build_grid(config: Config) -> PhaseSpaceGrid:
@@ -75,7 +75,6 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
         raise ConfigError(unrunnable)
     for rows in by_mass.values():
         rows.flags.writeable = False
-    v = {m: rows[1] for m, rows in by_mass.items()}
     # dt = cfl_fraction * dx / max(c, v_char), v_char the speed at p_max; v_max
     # is |v| at the outermost node (at the other end roundoff can add an ulp).
     return PhaseSpaceGrid(
@@ -90,7 +89,6 @@ def build_grid(config: Config) -> PhaseSpaceGrid:
         dt=config.cfl_fraction * dx / max(config.c, *(abs(velocity_from_momentum(
             config.p_max, m, config.c, config.relativistic)) for m in by_mass)),
         ones_v=tuple(by_mass[s.m] for _, s in species),
-        v=tuple(v[s.m] for _, s in species),
-        v_max=max(abs(float(row[np.argmax(np.abs(p_nodes))])) for row in v.values()),
+        v_max=max(abs(float(rows[1, np.argmax(np.abs(p_nodes))])) for rows in by_mass.values()),
         spline_solve=natural_spline_solver(config.np) if config.forces_enabled else None,
     )

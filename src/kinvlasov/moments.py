@@ -3,16 +3,17 @@
 All moments use the midpoint rule on the cell-centered p grid; the symmetric
 node placement makes odd-integrand cancellations exact to roundoff.  Current
 and flux integrands are weighted by the relativistic velocity v(p), never by
-p/m directly.
+p/m directly: a species' flux reads row 1 of its (1, v) rows (``grid.ones_v``).
 
 Number density and particle flux are the only quadratures; the charge and
-current densities are their charge-weighted sums over the two species.
+current densities are their sums over the run's two species, with its charges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .config import Config
 from .fields import d1_periodic, l2_x
 from .grid import PhaseSpaceGrid
 
@@ -21,23 +22,21 @@ def number_density(f, grid: PhaseSpaceGrid) -> np.ndarray:
     return np.einsum("ij->i", f) * grid.dp
 
 
-def particle_flux(f, v: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """The flux of f, whose species has velocity v on the p nodes (``grid.v``)."""
+def particle_flux(f, ones_v: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """The flux of f, whose species has the rows (1, v) (``grid.ones_v[i]``)."""
     # einsum takes the product and the sum in one pass, without BLAS, whose
     # reductions may be ordered by the thread count.
-    return np.einsum("ij,j->i", f, v) * grid.dp
+    return np.einsum("ij,j->i", f, ones_v[1]) * grid.dp
 
 
-def charge_density(f_plus, f_minus, q_plus: float, q_minus: float,
-                   grid: PhaseSpaceGrid) -> np.ndarray:
-    return q_plus * number_density(f_plus, grid) + q_minus * number_density(f_minus, grid)
+def charge_density(f_plus, f_minus, config: Config, grid: PhaseSpaceGrid) -> np.ndarray:
+    return (config.plus.q * number_density(f_plus, grid)
+            + config.minus.q * number_density(f_minus, grid))
 
 
-def current_density(f_plus, f_minus, q_plus: float, q_minus: float,
-                    v_plus: np.ndarray, v_minus: np.ndarray,
-                    grid: PhaseSpaceGrid) -> np.ndarray:
-    return (q_plus * particle_flux(f_plus, v_plus, grid)
-            + q_minus * particle_flux(f_minus, v_minus, grid))
+def current_density(f_plus, f_minus, config: Config, grid: PhaseSpaceGrid) -> np.ndarray:
+    return (config.plus.q * particle_flux(f_plus, grid.ones_v[0], grid)
+            + config.minus.q * particle_flux(f_minus, grid.ones_v[1], grid))
 
 
 def continuity_residual(n_prev, n_next, flux_mid, grid: PhaseSpaceGrid,

@@ -70,11 +70,14 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
     held = state.spectra or [s.f for s in state.species]    # as the first step reads it
-    fits = [(grid.nx // 2 + 1 if state.spectra else grid.nx, grid.np)] * 2
-    if [np.shape(f) for f in held] != fits:
-        raise ConfigError([f"initial_state does not fit the {grid.nx}x{grid.np} grid: its f"
-                           f"{' spectra' if state.spectra else ''} shapes are "
-                           f"{[np.shape(f) for f in held]}, not {fits}"])
+    misfits = [f"{name} shapes are {shapes}, not {fits}" for name, shapes, fits in (
+        (f"f{' spectra' if state.spectra else ''}", [np.shape(f) for f in held],
+         [(grid.nx // 2 + 1 if state.spectra else grid.nx, grid.np)] * 2),
+        ("field level", [np.shape(u) for u in vars(state.fields).values()], [(grid.nx,)] * 4))
+        if shapes != fits]
+    if misfits:
+        raise ConfigError([f"initial_state does not fit the {grid.nx}x{grid.np} grid: its "
+                           + " and ".join(misfits)])
     if state.spectra is not None:   # a run steps from f, so every run from one state is alike
         state = replace(build(state, config, grid))
     if out_dir:

@@ -99,8 +99,8 @@ def refresh_moments(state: SimulationState, config: Config,
     """The one moment pass over the current f: fill each species' n and flux,
     and the rho, j they sum to, in place (recompute-on-write); return ``state``."""
     plus, minus = state.species
-    for s, v in zip(state.species, grid.v):
-        s.n, s.flux = number_density(s.f, grid), particle_flux(s.f, v, grid)
+    for s, ones_v in zip(state.species, grid.ones_v):
+        s.n, s.flux = number_density(s.f, grid), particle_flux(s.f, ones_v, grid)
     q_plus, q_minus = config.plus.q, config.minus.q
     state.rho = q_plus * plus.n + q_minus * minus.n
     state.j = q_plus * plus.flux + q_minus * minus.flux

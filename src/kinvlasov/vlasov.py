@@ -93,8 +93,8 @@ def step(state: SimulationState, config: Config, grid: PhaseSpaceGrid) -> Simula
     f = [advect_x(spectra.pop(0), half, nx) for half in halves]
 
     # Stage 2: field update, sourced by the mid-step moments.
-    rho_mid = charge_density(*f, config.plus.q, config.minus.q, grid)
-    j_mid = current_density(*f, config.plus.q, config.minus.q, *grid.v, grid)
+    rho_mid = charge_density(*f, config, grid)
+    j_mid = current_density(*f, config, grid)
     old = state.fields
     phi_new = wave_step(old.phi_prev, old.phi_curr, 4.0 * np.pi * rho_mid, grid, dt, c)
     a_new = wave_step(old.a_prev, old.a_curr, (4.0 * np.pi / c) * j_mid, grid, dt, c)

@@ -7,8 +7,10 @@ summary lines alongside the pytest verdicts.
 import ast
 import filecmp
 import importlib.util
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -418,6 +420,24 @@ def test_readme_library_block_runs(capsys):
     block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(block, {})
     assert len(capsys.readouterr().out.splitlines()) == len(kinvlasov.LEDGER_LAYOUT)
+
+
+def test_readme_signatures_match_the_code():
+    # Each backticked `module.func(a, b)` of the README whose arguments are plain
+    # names, for a module of the package, names func's leading parameters.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = {path.stem for path in Path(kinvlasov.__file__).parent.glob("*.py")}
+    checked, stale = 0, []
+    for module, name, args in re.findall(r"`(\w+)\.(\w+)\(([^`()]*)\)`", readme):
+        names = [arg.strip() for arg in args.split(",") if arg.strip()]
+        if module not in modules or not all(arg.isidentifier() for arg in names):
+            continue
+        function = getattr(importlib.import_module(f"kinvlasov.{module}"), name)
+        parameters = list(inspect.signature(function).parameters)
+        checked += 1
+        if parameters[:len(names)] != names:
+            stale.append(f"{module}.{name}({', '.join(names)}): the code has {parameters}")
+    assert checked >= 10 and not stale, (checked, stale)
 
 
 def test_no_module_imports_a_name_it_never_reads():

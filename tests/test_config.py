@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -256,9 +257,11 @@ def test_non_finite_values_rejected(config):
     (Config(minus=SpeciesConfig("-0.2", 1.0)), "q must be of type float (species minus: got '-0.2')"),
     (Config(init=InitConfig(n0=np.float32("nan"))), "n0 must be finite (got nan)"),
     (Config(x_max=10**400), f"x_max must be finite (got {10**400})"),
+    (Config(x_max=Fraction(4)), "x_max must be of type float (got Fraction(4, 1))"),
 ], ids=["k_mode=1.5", "k_mode=1.3", "output_every=2.5", "nx=64.5", "np=128.0", "nx='64'",
         "nx=True", "relativistic='no'", "relativistic=1", "x_max=False", "force_mode=None",
-        "plus=tuple", "init=str", "minus.q=str", "n0=float32_nan", "x_max=10**400"])
+        "plus=tuple", "init=str", "minus.q=str", "n0=float32_nan", "x_max=10**400",
+        "x_max=Fraction"])
 def test_a_field_of_the_wrong_type_is_its_one_violation(config, message):
     # Checked before the numeric comparisons, which would then raise or pass it.
     with pytest.raises(ConfigError) as err:

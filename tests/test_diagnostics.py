@@ -94,7 +94,7 @@ def three_term_residual(f_prev, f_mid, f_next, fields_mid, species, config, grid
     phase-space node."""
     dfdt = (f_next - f_prev)[:, 1:-1] / (2.0 * dt)
     dfdx = (np.roll(f_mid, -1, axis=0) - np.roll(f_mid, 1, axis=0))[:, 1:-1] / (2.0 * grid.dx)
-    residual = dfdt + grid.v[species][None, 1:-1] * dfdx
+    residual = dfdt + grid.ones_v[species][1, None, 1:-1] * dfdx
     force = force_field(fields_mid, grid, dt, config)
     if force is not None:
         residual += force[species, :, 1:-1] * (f_mid[:, 2:] - f_mid[:, :-2]) / (2.0 * grid.dp)

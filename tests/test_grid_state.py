@@ -27,7 +27,7 @@ from kinvlasov.runner import compare_simulations, run_simulation
 from kinvlasov.state import build, initialize_state, refresh_moments
 from kinvlasov.vlasov import step
 
-from conftest import landau_config, pair_species
+from conftest import landau_config, one_v, pair_species
 
 
 def test_x_nodes_are_cell_centers():
@@ -131,17 +131,14 @@ def test_non_neutral_species_rejected():
 
 def assert_moments_cached(state, config, grid, initial):
     q_plus, q_minus = config.plus.q, config.minus.q
-    v_plus, v_minus = (velocity_from_momentum(grid.p_nodes, s.m, config.c, config.relativistic)
-                       for s in (config.plus, config.minus))
-    for s, v in zip(state.species, (v_plus, v_minus)):
+    for s, species in zip(state.species, (config.plus, config.minus)):
+        v = velocity_from_momentum(grid.p_nodes, species.m, config.c, config.relativistic)
         assert np.array_equal(s.n, number_density(s.f, grid))
-        assert np.array_equal(s.flux, particle_flux(s.f, v, grid))
+        assert np.array_equal(s.flux, particle_flux(s.f, one_v(v), grid))
     rho = q_plus * state.plus.n + q_minus * state.minus.n
     j = q_plus * state.plus.flux + q_minus * state.minus.flux
-    assert np.array_equal(rho, charge_density(state.plus.f, state.minus.f,
-                                              q_plus, q_minus, grid))
-    assert np.array_equal(j, current_density(state.plus.f, state.minus.f,
-                                             q_plus, q_minus, v_plus, v_minus, grid))
+    assert np.array_equal(rho, charge_density(state.plus.f, state.minus.f, config, grid))
+    assert np.array_equal(j, current_density(state.plus.f, state.minus.f, config, grid))
     for cached, combination in ((state.rho, rho), (state.j, j)):
         # initialize_state may scrub a roundoff-sized source to exact zeros.
         scrubbed = initial and not np.any(cached)
@@ -227,8 +224,8 @@ def test_refresh_moments_fills_the_state_it_is_given():
         s.f *= 1.0 + 0.5 * np.random.default_rng(3).random(s.f.shape)
     assert refresh_moments(state, config, grid) is state
     (n_plus, flux_plus), (n_minus, flux_minus) = (
-        (number_density(s.f, grid), particle_flux(s.f, v, grid))
-        for s, v in zip(state.species, grid.v))
+        (number_density(s.f, grid), particle_flux(s.f, ones_v, grid))
+        for s, ones_v in zip(state.species, grid.ones_v))
     q_plus, q_minus = config.plus.q, config.minus.q
     pairs = [(state.plus.n, n_plus), (state.plus.flux, flux_plus),
              (state.minus.n, n_minus), (state.minus.flux, flux_minus),
@@ -273,18 +270,18 @@ def test_velocities_are_evaluated_per_run_not_per_step(monkeypatch):
 
 
 def test_the_runs_per_species_constants_are_read_only():
-    # A write to v would change the flux while the (1, v) rows stayed as they were.
+    # A write to a species' (1, v) rows would change its v for every later kernel.
     same = build_grid(Config(nx=16, np=32))
     two = build_grid(Config(nx=16, np=32, plus=SpeciesConfig(0.5, 1.0),
                             minus=SpeciesConfig(-0.5, 2.0)))
     for grid in (same, two):
-        for table in (grid.v, grid.ones_v, grid.half_transfer):
+        for table in (grid.ones_v, grid.half_transfer):
             assert not any(array.flags.writeable for array in table)
         with pytest.raises(ValueError, match="read-only"):
-            grid.v[0][0] = 1.0
+            grid.ones_v[0][1, 0] = 1.0
     # Equal masses share one object; two masses have one each.
-    assert all(table[0] is table[1] for table in (same.v, same.ones_v, same.half_transfer))
-    assert not any(table[0] is table[1] for table in (two.v, two.ones_v, two.half_transfer))
+    assert all(table[0] is table[1] for table in (same.ones_v, same.half_transfer))
+    assert not any(table[0] is table[1] for table in (two.ones_v, two.half_transfer))
 
 
 @pytest.mark.parametrize("built", [True, False], ids=["built", "unbuilt"])
@@ -301,3 +298,22 @@ def test_a_state_of_another_grid_is_one_config_error(built, tmp_path):
             f"initial_state does not fit the 32x128 grid: its {expected}")):
         run_simulation(replace(config, nx=32), out_dir=tmp_path / "out", initial_state=state)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("built", [True, False], ids=["built", "unbuilt"])
+def test_a_state_whose_field_levels_are_of_another_grid_is_one_config_error(built):
+    # nx = 64 and 65 give spectra of one shape, and a built state's f can fit
+    # while its levels come from another grid: the message names the levels only.
+    config = validate_config(Config(nx=64, np=128))
+    state = initialize_state(config, build_grid(config))
+    if built:
+        other = replace(config, nx=32)
+        state.fields = initialize_state(other, build_grid(other)).fields
+        run_nx, held_nx = 64, 32
+    else:
+        state = step(state, config, build_grid(config))
+        run_nx, held_nx = 65, 64
+    with pytest.raises(ConfigError, match=re.escape(
+            f"initial_state does not fit the {run_nx}x128 grid: its field level shapes are "
+            f"{[(held_nx,)] * 4}, not {[(run_nx,)] * 4}") + "$"):
+        run_simulation(replace(config, nx=run_nx), initial_state=state, n_steps=2)

@@ -207,7 +207,7 @@ def test_kick_matches_banded_take_along_axis_reference(mode):
     dt = 0.1
     force = force_field(fields, grid, dt, config)[1]
     coefficients = force_coefficients(fields, grid, dt, config)[1]
-    v = grid.v[1]
+    v = grid.ones_v[1][1]
     multi_cell = np.max(np.abs(end_displacements(coefficients, v, dt))) / grid.dp
     assert 2.0 < multi_cell < 0.25 * grid.np
     # F is linear in the potentials, so scaling its rows and the reference's
@@ -308,7 +308,7 @@ def test_blocked_kick_is_bitwise_the_one_block_kick():
     assert [rows.stop - rows.start for rows in blocks] == [32, 32, 16]
     rng = np.random.default_rng(1024)
     f = rng.random((grid.nx, grid.np))
-    v = grid.v[0]
+    v = grid.ones_v[0][1]
     reach = np.where((np.arange(grid.nx) // 32) == 1, 3.0, 0.5)
     coefficients = reach * np.array([rng.uniform(-0.8, 0.8, grid.nx),
                                      rng.uniform(-0.2, 0.2, grid.nx) / np.max(np.abs(v))])
@@ -332,9 +332,9 @@ def test_kick_and_residual_read_the_grids_one_v_rows(monkeypatch):
     # and read-only, whose row 1 is its v; the kernels read them as they are.
     grid = build_grid(Config(nx=16, x_max=8.0, np=32, p_max=4.0,
                              plus=SpeciesConfig(0.5, 1.0), minus=SpeciesConfig(-0.5, 2.0)))
-    for v, own in zip(grid.v, grid.ones_v):
-        assert v.base is own and not own.flags.writeable
-        assert np.array_equal(own, [np.ones_like(v), v])
+    for own, m in zip(grid.ones_v, (1.0, 2.0)):
+        assert not own.flags.writeable
+        assert np.array_equal(own, one_v(velocity_from_momentum(grid.p_nodes, m, 4.0, True)))
     assert grid.ones_v[0] is not grid.ones_v[1] and not np.array_equal(*grid.ones_v)
     f = gaussian_f(grid)
     coefficients = np.array([np.full(grid.nx, 0.1), np.full(grid.nx, -0.05)])

@@ -42,7 +42,7 @@ def kernel_results(grid, seed):
     config = Config(nx=grid.nx, x_max=8.0, np=grid.np, p_max=4.0, **pair_species(0.5))
     force = force_field(fields, grid, 0.1, config)[0]
     coefficients = force_coefficients(fields, grid, 0.1, config)[0]
-    v = grid.v[0]
+    v = grid.ones_v[0][1]
     dt = 0.1 * grid.dp / np.max(np.abs(force))
     moments = natural_spline_moments(f, grid.spline_solve)
     cells = np.sort(rng.uniform(-1.5, 1.5, f.shape), axis=1)
@@ -57,7 +57,7 @@ def kernel_results(grid, seed):
         "force_field": force,
         "force_field standard": force_field(fields, grid, 0.1,
                                             replace(config, force_mode="standard"))[0],
-        "particle_flux": particle_flux(f, v, grid),
+        "particle_flux": particle_flux(f, grid.ones_v[0], grid),
         "vlasov_residual": vlasov_residual(
             f, f, f, force_coefficients(fields, grid, dt, config)[0], grid.ones_v[0], grid, dt),
     }
