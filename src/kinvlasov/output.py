@@ -3,7 +3,10 @@ and the run manifest.
 
 All floats are written in shortest round-trip decimal form (Python repr), so
 re-reading any file reproduces the values bit-exactly and repeated runs are
-byte-identical.
+byte-identical.  Headers and CSV rows call ``repr``; snapshot matrices are
+written a block of rows at a time by ``floattext.rows_text``, whose text is
+byte for byte that of ``repr`` (its definition, and its fallback for the
+values it does not cover).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floattext
 from .config import Config
 from .diagnostics import (
     DIAGNOSTICS_FIELDS,
@@ -60,11 +63,11 @@ class DiagnosticsWriter:
 
 
 @contextmanager
-def _replace_on_success(path: Path):
+def _replace_on_success(path: Path, binary: bool = False):
     """Write a temporary sibling of ``path``, then rename it into place or delete it."""
     partial = path.with_name(path.name + ".tmp")
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
+        with (open(partial, "wb") if binary else open(partial, "w", encoding="utf-8")) as fh:
             yield fh
         os.replace(partial, path)
     finally:
@@ -72,15 +75,26 @@ def _replace_on_success(path: Path):
 
 
 def _write_matrix(path: Path, header: str, matrix: np.ndarray) -> None:
-    """One text line per row; a row bitwise equal to the row above reuses its
-    line (bytes, not values, so -0.0 after 0.0 and NaN rows keep their own)."""
-    with _replace_on_success(path) as fh:
-        fh.write(header + "\n")
-        last = None
-        for row in matrix:
-            if (raw := row.tobytes()) != last:
-                last, line = raw, " ".join(map(repr, row.tolist())) + "\n"
-            fh.write(line)
+    """One text line per row, ``" ".join(map(repr, row))``.  A row bitwise
+    equal to the row above reuses its line (bytes, not values, so -0.0 after
+    0.0 and NaN rows keep their own); the other rows are formatted about
+    ``floattext.BLOCK`` values at a time."""
+    rows = max(1, floattext.BLOCK // matrix.shape[1])
+    with _replace_on_success(path, binary=True) as fh:
+        fh.write(header.encode() + b"\n")
+        above = None
+        for start in range(0, len(matrix), rows):
+            block = np.ascontiguousarray(matrix[start:start + rows], dtype=np.float64)
+            bits = block.view(np.int64)
+            new = np.empty(len(block), bool)
+            new[0] = above is None or (bits[0] != above).any()
+            new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+            above = bits[-1]
+            fresh = iter(floattext.rows_text(block[new]).splitlines(keepends=True))
+            for is_new in new:
+                if is_new:
+                    line = next(fresh)
+                fh.write(line)
 
 
 def write_snapshot(state: SimulationState, grid: PhaseSpaceGrid, out_dir) -> None:

@@ -69,11 +69,13 @@ def start_run(config: Config, *, out_dir=None, initial_state: SimulationState | 
     total = max(1, round(config.t_end / grid.dt)) if n_steps is None else int(n_steps)
 
     state = initial_state if initial_state is not None else initialize_state(config, grid)
-    held = state.spectra or [s.f for s in state.species]    # as the first step reads it
+    # As the first step reads it; a missing species or set of levels shows as None.
+    held = state.spectra or [getattr(s, "f", None) for s in state.species]
+    levels = None if state.fields is None else [np.shape(u) for u in vars(state.fields).values()]
     misfits = [f"{name} shapes are {shapes}, not {fits}" for name, shapes, fits in (
-        (f"f{' spectra' if state.spectra else ''}", [np.shape(f) for f in held],
+        (f"f{' spectra' if state.spectra else ''}", [f if f is None else np.shape(f) for f in held],
          [(grid.nx // 2 + 1 if state.spectra else grid.nx, grid.np)] * 2),
-        ("field level", [np.shape(u) for u in vars(state.fields).values()], [(grid.nx,)] * 4))
+        ("field level", levels, [(grid.nx,)] * 4))
         if shapes != fits]
     if misfits:
         raise ConfigError([f"initial_state does not fit the {grid.nx}x{grid.np} grid: its "

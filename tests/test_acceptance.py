@@ -314,6 +314,21 @@ def fresh_python(code, cwd):
     return done.stdout.splitlines()
 
 
+def test_only_a_run_that_writes_snapshots_builds_the_digit_tables(tmp_path):
+    # The block writer's tables cost a run that writes nothing (the library
+    # landau run) nothing: not at import, not in the run.
+    lines = fresh_python(
+        "import kinvlasov\n"
+        "from kinvlasov import Config, run_simulation, floattext\n"
+        "print(floattext._tables.cache_info().currsize)\n"
+        "run_simulation(Config(nx=16, np=32), n_steps=2)\n"
+        "print(floattext._tables.cache_info().currsize)\n"
+        "run_simulation(Config(nx=16, np=32), out_dir='out', n_steps=2)\n"
+        "print(floattext._tables.cache_info().currsize)\n",
+        tmp_path)
+    assert lines == ["0", "0", "1"]
+
+
 def test_free_streaming_runs_never_load_scipy(tmp_path):
     (tmp_path / "run.cfg").write_text(
         RERUN_CONFIG.replace("preset = landau", "preset = free_stream"))

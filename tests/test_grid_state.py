@@ -317,3 +317,19 @@ def test_a_state_whose_field_levels_are_of_another_grid_is_one_config_error(buil
             f"initial_state does not fit the {run_nx}x128 grid: its field level shapes are "
             f"{[(held_nx,)] * 4}, not {[(run_nx,)] * 4}") + "$"):
         run_simulation(replace(config, nx=run_nx), initial_state=state, n_steps=2)
+
+
+@pytest.mark.parametrize("missing, expected", [
+    ("fields", "field level shapes are None, not [(64,), (64,), (64,), (64,)]"),
+    ("plus", "f shapes are [None, (64, 128)], not [(64, 128), (64, 128)]"),
+    ("minus", "f shapes are [(64, 128), None], not [(64, 128), (64, 128)]"),
+], ids=["fields", "plus", "minus"])
+def test_an_incomplete_initial_state_is_one_config_error(missing, expected):
+    # A hand-built state with no field levels, or a species but no spectra to
+    # build it from, is refused by the fit check, not by a traceback in the step.
+    config = validate_config(Config(nx=64, np=128))
+    state = initialize_state(config, build_grid(config))
+    setattr(state, missing, None)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"initial_state does not fit the 64x128 grid: its {expected}") + "$"):
+        run_simulation(config, initial_state=state, n_steps=1)

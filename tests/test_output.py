@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from kinvlasov.diagnostics import (
     DivergenceRow,
 )
 from kinvlasov.grid import build_grid
-from kinvlasov import output, runner
+from kinvlasov import floattext, output, runner
 from kinvlasov.output import (
     DiagnosticsWriter,
     format_float,
@@ -168,6 +169,17 @@ def per_value_text(header, matrix):
     return "\n".join(lines) + "\n"
 
 
+def powers_of_ten_and_neighbours():
+    """Every normal power of ten with both float neighbours, and the values at
+    each edge of repr's layouts and of the block writer's common path."""
+    tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    edges = [9.999999999999999e-05, 1e-4, 1e-5, 1e16, 1e17, 100.0, 2.0 ** 54,
+             1.7976931348623157e308, 2.2250738585072014e-308]
+    values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), edges])
+    values = np.concatenate([values, -values])
+    return np.resize(values, (-(-values.size // 7), 7))
+
+
 def test_write_matrix_bytes_match_per_value_writer(tmp_path):
     nan, inf = math.nan, math.inf
     m = np.array([
@@ -185,18 +197,60 @@ def test_write_matrix_bytes_match_per_value_writer(tmp_path):
         [5e-324, -5e-324, 5e-324, 0.1],
         [0.1, 1.0 / 3.0, 2.0 / 3.0, math.pi],
     ])
+    rng = np.random.default_rng(5)
+    row = rng.standard_normal(1500)
     views = {
         "rows": m,
         "strided": m[:, ::2],
         "transposed": m.T,
         # rows that differ only in the odd columns the view leaves out
         "odd_columns_dropped": np.array([[1.0, k, 2.0, -k] for k in range(4)])[:, ::2],
+        "powers_of_ten": powers_of_ten_and_neighbours(),
+        # one row a block: equal rows on both sides of a block boundary, and
+        # -0.0 against 0.0 across one
+        "row_blocks": np.array([row, row, row, row * 0.0, row * -0.0, row * -0.0, row]),
+        # a row longer than a block is formatted in pieces
+        "wide": np.repeat(rng.standard_normal((2, 5000)), 2, axis=0),
     }
     for name, matrix in views.items():
         path = tmp_path / f"{name}.dat"
         output._write_matrix(path, "# header", matrix)
         assert path.read_bytes() == per_value_text("# header", matrix).encode(), name
     assert "\n-0.0 1.5" in (tmp_path / "rows.dat").read_text()
+
+
+def test_block_text_matches_repr_on_seeded_values():
+    """floattext against its definition, " ".join(map(repr, row)), on 2.4e5
+    values: random bit patterns (every sign, exponent and mantissa), uniform
+    mantissas in every decade, and short decimals."""
+    rng = np.random.default_rng(20051010)
+    bits = rng.integers(0, 2 ** 64, 80_000, dtype=np.uint64, endpoint=False)
+    decades = rng.uniform(1.0, 10.0, 80_000) * 10.0 ** rng.integers(-307, 308, 80_000)
+    short = (rng.integers(-10 ** 6, 10 ** 6, 80_000)
+             / 10.0 ** rng.integers(0, 12, 80_000)) * 10.0 ** rng.integers(-20, 20, 80_000)
+    for values in (bits.view(np.float64), decades, short):
+        rows = values.reshape(-1, 400)
+        expected = "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist())
+        assert floattext.rows_text(rows) == expected.encode()
+
+
+def test_snapshot_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    """The writer holds a block of rows at a time: no whole-matrix text and
+    no (nx, np) temporary, so its peak is the same at 256x512 as at 64x128."""
+    peaks = []
+    for nx, n_p in ((64, 128), (256, 512)):
+        config = validate_config(landau_config(nx=nx, n_p=n_p, amplitude=1e-2))
+        grid = build_grid(config)
+        state = initialize_state(config, grid)
+        write_snapshot(state, grid, tmp_path / f"warm{nx}")       # tables, imports
+        tracemalloc.start()
+        try:
+            write_snapshot(state, grid, tmp_path / f"{nx}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    small, large = peaks
+    assert large <= 1.1 * small, peaks
 
 
 def test_snapshot_header_value_count(tmp_path):
